@@ -54,9 +54,7 @@ def main():
     show("upper bound sum w_j A_j", report.upper_arithmetic)
     print(f"operator norm bound = {report.opnorm_bound:.6f}")
     print("verdicts against the computed barycenter:")
-    for item in check_bounds(report, omega.mean):
-        print(f"  {item.check_id}: {'holds' if item.holds else 'VIOLATED'} (witness {item.witness:.3e})")
-    for item in bound_ordering_checks(problem).checks:
+    for item in check_bounds(report, omega.mean) + bound_ordering_checks(problem, report).checks:
         print(f"  {item.check_id}: {'holds' if item.holds else 'VIOLATED'} (witness {item.witness:.3e})")
 
 

@@ -10,6 +10,7 @@ size.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ from .spd_core import (
     SymMatrix,
     apply_spectral,
     congruence,
+    eigh,
     frobenius_norm,
     loewner_geq,
     operator_norm,
@@ -61,6 +63,14 @@ class WeightVector:
 
     def __len__(self) -> int:
         return self.values.size
+
+    def combine(self, terms: Iterable) -> np.ndarray | float:
+        """sum_j w_j t_j over scalars or arrays, accumulated left to right in
+        input order, so every weighted sum in the package rounds the same way."""
+        acc = 0.0
+        for w, t in zip(self.values, terms, strict=True):
+            acc = acc + w * t
+        return acc
 
 
 @dataclass(frozen=True)
@@ -127,26 +137,25 @@ class SolverResult:
 
 
 def arithmetic_mean(p: MeanProblem) -> SpdMatrix:
-    acc = np.zeros((p.dim, p.dim))
-    for w, a in zip(p.weights.values, p.matrices):
-        acc += w * a.entries
-    return SpdMatrix(acc)
+    return SpdMatrix(p.weights.combine(a.entries for a in p.matrices))
+
+
+def _inverse_mixture(p: MeanProblem) -> np.ndarray:
+    """sum_j w_j A_j^{-1} as a raw array."""
+    return p.weights.combine(apply_spectral(a, "inverse").entries for a in p.matrices)
 
 
 def harmonic_mean(p: MeanProblem) -> SpdMatrix:
-    acc = np.zeros((p.dim, p.dim))
-    for w, a in zip(p.weights.values, p.matrices):
-        acc += w * apply_spectral(a, "inverse").entries
-    return apply_spectral(SpdMatrix(acc), "inverse")
+    return apply_spectral(SpdMatrix(_inverse_mixture(p)), "inverse")
 
 
 def _mixture_sqrt(x: SpdMatrix, p: MeanProblem) -> np.ndarray:
     """sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2} as a raw array."""
     sqrt_x = apply_spectral(x, "sqrt").entries
-    acc = np.zeros((p.dim, p.dim))
-    for w, a in zip(p.weights.values, p.matrices):
-        mixed = SpdMatrix(congruence(sqrt_x, a).entries)
-        acc += w * apply_spectral(mixed, "sqrt").entries
+    acc = p.weights.combine(
+        apply_spectral(SpdMatrix(congruence(sqrt_x, a).entries), "sqrt").entries
+        for a in p.matrices
+    )
     return (acc + acc.T) / 2.0
 
 
@@ -162,9 +171,7 @@ def equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> float:
     if x.dim != p.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {p.dim}")
     inv_x = apply_spectral(x, "inverse")
-    acc = np.zeros((p.dim, p.dim))
-    for w, a in zip(p.weights.values, p.matrices):
-        acc += w * geometric_mean(a, inv_x).entries
+    acc = p.weights.combine(geometric_mean(a, inv_x).entries for a in p.matrices)
     return frobenius_norm(np.eye(p.dim) - acc)
 
 
@@ -219,10 +226,10 @@ def karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResul
     history: list[float] = []
     for k in range(cfg.max_iter + 1):
         inv_sqrt_x = apply_spectral(x, "inv_sqrt").entries
-        grad = np.zeros((p.dim, p.dim))
-        for w, a in zip(p.weights.values, p.matrices):
-            inner = SpdMatrix(congruence(inv_sqrt_x, a).entries)
-            grad += w * apply_spectral(inner, "log").entries
+        grad = p.weights.combine(
+            apply_spectral(SpdMatrix(congruence(inv_sqrt_x, a).entries), "log").entries
+            for a in p.matrices
+        )
         r = frobenius_norm(grad)
         history.append(r)
         if r <= cfg.rel_tol:
@@ -257,17 +264,14 @@ class BoundsReport:
 def bounds_report(p: MeanProblem) -> BoundsReport:
     eye = np.eye(p.dim)
     arith = arithmetic_mean(p)
-    inv_mix = np.zeros((p.dim, p.dim))
-    opnorm_root = 0.0
-    for w, a in zip(p.weights.values, p.matrices):
-        inv_mix += w * apply_spectral(a, "inverse").entries
-        opnorm_root += w * math.sqrt(operator_norm(a))
-    lower = SymMatrix(2.0 * eye - inv_mix)
+    opnorm_root = p.weights.combine(math.sqrt(operator_norm(a)) for a in p.matrices)
+    lower = SymMatrix(2.0 * eye - _inverse_mixture(p))
     gap = SymMatrix(2.0 * eye - arith.entries)
+    gap_eigen = eigh(gap)
     upper_inverse: SpdMatrix | None = None
-    if loewner_geq(gap, SymMatrix(np.zeros((p.dim, p.dim)))).witness > 0.0:
+    if gap_eigen.lam[-1] > 0.0:
         try:
-            upper_inverse = apply_spectral(SpdMatrix(gap.entries), "inverse")
+            upper_inverse = apply_spectral(SpdMatrix(gap.entries, _eigen=gap_eigen), "inverse")
         except NotPositiveDefiniteError:
             # strictly positive but below the admission threshold; the bound
             # is not invertible at working precision, so report it as absent
@@ -328,9 +332,7 @@ def det_inequality_check(p: MeanProblem, mean: SpdMatrix) -> DetInequalityReport
     accumulated in log space for stability.
     """
     det_mean = float(np.prod(mean.eigen.lam))
-    log_geo = 0.0
-    for w, a in zip(p.weights.values, p.matrices):
-        log_geo += w * float(np.sum(np.log(a.eigen.lam)))
+    log_geo = p.weights.combine(float(np.sum(np.log(a.eigen.lam))) for a in p.matrices)
     det_geo = math.exp(log_geo)
     holds = det_mean >= det_geo - 1e-9 * max(1.0, det_geo)
     return DetInequalityReport(det_mean=det_mean, det_geo_product=det_geo, holds=holds)
@@ -347,21 +349,21 @@ class OrderingReport:
         return all(c.holds for c in self.checks)
 
 
-def bound_ordering_checks(p: MeanProblem, rel_tol: float = 1e-8) -> OrderingReport:
-    """Check the chains relating the bounds to each other.
+def bound_ordering_checks(
+    p: MeanProblem, report: BoundsReport, rel_tol: float = 1e-8
+) -> OrderingReport:
+    """Check the chains relating the bounds to each other; ``report`` is the
+    ``bounds_report(p)`` the caller already holds.
 
     Always: 2I - sum w_j A_j^{-1} <= [sum w_j A_j^{-1}]^{-1} (the harmonic
     mean), and the scalar sharpness (sum w_j ||A_j||^{1/2})^2 <= sum w_j ||A_j||.
     When sum w_j A_j < 2I: [2I - sum w_j A_j]^{-1} >= sum w_j A_j.
     """
-    report = bounds_report(p)
     harm = harmonic_mean(p)
     checks = []
     cmp_harm = loewner_geq(harm, report.lower_lie_trotter, rel_tol)
     checks.append(BoundCheck("harmonic_above_lower", cmp_harm.holds, cmp_harm.witness))
-    opnorm_mix = sum(
-        w * operator_norm(a) for w, a in zip(p.weights.values, p.matrices)
-    )
+    opnorm_mix = p.weights.combine(operator_norm(a) for a in p.matrices)
     slack = opnorm_mix - report.opnorm_bound
     tol = rel_tol * max(1.0, opnorm_mix)
     checks.append(BoundCheck("opnorm_bound_sharper", slack >= -tol, slack))

@@ -58,7 +58,10 @@ def _cmd_mean(args) -> int:
         print("\n".join(lines))
         return EXIT_OK
     initial = "arithmetic_mean" if args.init == "arith" else "identity"
-    cfg = bc.SolverConfig(rel_tol=args.tol, max_iter=args.max_iter, initial=initial)
+    try:
+        cfg = bc.SolverConfig(rel_tol=args.tol, max_iter=args.max_iter, initial=initial)
+    except ValueError as exc:
+        raise ProblemFileError(str(exc)) from exc
     solve = bc.wasserstein_mean if args.method == "wasserstein" else bc.karcher_mean
     result = solve(problem, cfg)
     lines.append(f"converged: {'true' if result.converged else 'false'}")
@@ -104,13 +107,8 @@ def _cmd_bounds(args) -> int:
     lines.append(f"opnorm_bound: {format_float(report.opnorm_bound)}")
     lines.append("verdicts:")
     all_hold = result.converged
-    for item in bc.check_bounds(report, result.mean):
-        lines.append(
-            f"  {item.check_id}: {'holds' if item.holds else 'VIOLATED'}"
-            f" (witness {format_float(item.witness)})"
-        )
-        all_hold = all_hold and item.holds
-    for item in bc.bound_ordering_checks(problem).checks:
+    ordering = bc.bound_ordering_checks(problem, report)
+    for item in bc.check_bounds(report, result.mean) + ordering.checks:
         lines.append(
             f"  {item.check_id}: {'holds' if item.holds else 'VIOLATED'}"
             f" (witness {format_float(item.witness)})"
@@ -151,7 +149,10 @@ def _cmd_lie_trotter(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = EnsembleSpec(seed=args.seed, count=args.count)
+    try:
+        spec = EnsembleSpec(seed=args.seed, count=args.count)
+    except ValueError as exc:
+        raise ProblemFileError(str(exc)) from exc
     report = run_suite(spec, args.suite)
     text = report.to_json()
     if args.out:

@@ -92,14 +92,16 @@ def evaluate_curve(c: CurveSpec, s: float) -> SpdMatrix:
     return apply_spectral(SymMatrix(s * c.direction.entries), "exp_of_sym")
 
 
-def _check_curves(w: WeightVector, curves: tuple[CurveSpec, ...] | list[CurveSpec]) -> tuple[CurveSpec, ...]:
-    curves = tuple(curves)
-    if len(curves) != len(w):
-        raise ValueError(f"{len(w)} weights for {len(curves)} curves")
-    dims = {c.dim for c in curves}
+def _check_matched(w: WeightVector, items, noun: str) -> tuple:
+    """``items`` (curves or directions) as a tuple, one per weight, all of one
+    dimension; ``noun`` names them in the error messages."""
+    items = tuple(items)
+    if len(items) != len(w):
+        raise ValueError(f"{len(w)} weights for {len(items)} {noun}")
+    dims = {item.dim for item in items}
     if len(dims) != 1:
-        raise ValueError(f"curves must share one dimension, got {sorted(dims)}")
-    return curves
+        raise ValueError(f"{noun} must share one dimension, got {sorted(dims)}")
+    return items
 
 
 def lie_trotter_value(
@@ -109,7 +111,7 @@ def lie_trotter_value(
     cfg: SolverConfig | None = None,
 ) -> SpdMatrix:
     """Barycenter of the curve points at parameter s, raised to the power 1/s."""
-    curves = _check_curves(w, curves)
+    curves = _check_matched(w, curves, "curves")
     s = float(s)
     if s == 0.0:
         raise ValueError("s must be nonzero")
@@ -127,10 +129,8 @@ def lie_trotter_target(
     w: WeightVector, curves: tuple[CurveSpec, ...] | list[CurveSpec]
 ) -> SpdMatrix:
     """exp(sum_j w_j gamma_j'(0)), from the derivatives stored on the curves."""
-    curves = _check_curves(w, curves)
-    acc = np.zeros((curves[0].dim, curves[0].dim))
-    for wj, c in zip(w.values, curves):
-        acc = acc + wj * c.derivative_at_zero.entries
+    curves = _check_matched(w, curves, "curves")
+    acc = w.combine(c.derivative_at_zero.entries for c in curves)
     return apply_spectral(SymMatrix(acc), "exp_of_sym")
 
 
@@ -173,7 +173,7 @@ def convergence_trace(
 ) -> LieTrotterTrace:
     """Evaluate the limit error along a schedule; set ``negate`` for the
     mirrored one-sided limit s -> 0^-."""
-    curves = _check_curves(w, curves)
+    curves = _check_matched(w, curves, "curves")
     schedule = tuple(float(s) for s in (s_schedule or dyadic_schedule(10)))
     if any(s <= 0.0 for s in schedule) or any(
         schedule[i] <= schedule[i + 1] for i in range(len(schedule) - 1)
@@ -220,22 +220,14 @@ def derivative_at_identity_check(
 ) -> DerivativeCheckReport:
     """Compare (barycenter(I + t X_1, ..., I + t X_n) - I) / t with
     sum_j w_j X_j over a schedule of steps t, both signs."""
-    directions = tuple(directions)
-    if len(directions) != len(w):
-        raise ValueError(f"{len(w)} weights for {len(directions)} directions")
-    dims = {d.dim for d in directions}
-    if len(dims) != 1:
-        raise ValueError(f"directions must share one dimension, got {sorted(dims)}")
-    dim = directions[0].dim
+    directions = _check_matched(w, directions, "directions")
     schedule = tuple(float(t) for t in (t_schedule or dyadic_schedule(10)))
     radius = max(operator_norm(d) for d in directions)
     if radius > 0.0 and max(schedule) * radius >= 1.0:
         raise ValueError("largest step leaves the SPD cone for these directions")
     cfg = cfg or TRACE_SOLVER_CONFIG
-    target = np.zeros((dim, dim))
-    for wj, d in zip(w.values, directions):
-        target = target + wj * d.entries
-    eye = np.eye(dim)
+    target = w.combine(d.entries for d in directions)
+    eye = np.eye(directions[0].dim)
     errors_pos: list[float] = []
     errors_neg: list[float] = []
     for t in schedule:

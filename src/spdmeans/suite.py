@@ -191,8 +191,13 @@ def _run_metric_oracle(rng: np.random.Generator, spec: EnsembleSpec) -> list:
     return [_check("metric.oracle_2x2", diff <= 1e-6, {"diff": diff, "formula": formula})]
 
 
+def _capped_draw(rng: np.random.Generator, lo: int, hi: int, cap: int) -> int:
+    """Integer in [lo, min(hi, cap)], or lo itself when the cap falls below it."""
+    return int(rng.integers(lo, max(lo, min(hi, cap)) + 1))
+
+
 def _run_metric_perturbation(rng: np.random.Generator, spec: EnsembleSpec) -> list:
-    dim = int(rng.integers(spec.dim_range[0], min(spec.dim_range[1], 6) + 1))
+    dim = _capped_draw(rng, *spec.dim_range, 6)
     a = spd_from_rng(rng, dim, spec.condition_max)
     b = spd_from_rng(rng, dim, spec.condition_max)
     c = spd_from_rng(rng, dim, spec.condition_max)
@@ -338,9 +343,8 @@ def _run_bounds_problem(rng: np.random.Generator, spec: EnsembleSpec) -> list:
         _check("bounds.equivalent_residual", eq_res <= 1e-10, {"residual": eq_res})
     )
     report = bc.bounds_report(problem)
-    for item in bc.check_bounds(report, result.mean, LOEWNER_TOL):
-        checks.append(_check(f"bounds.{item.check_id}", item.holds, {"witness": item.witness}))
-    for item in bc.bound_ordering_checks(problem, LOEWNER_TOL).checks:
+    ordering = bc.bound_ordering_checks(problem, report, LOEWNER_TOL)
+    for item in bc.check_bounds(report, result.mean, LOEWNER_TOL) + ordering.checks:
         checks.append(_check(f"bounds.{item.check_id}", item.holds, {"witness": item.witness}))
     return checks
 
@@ -362,9 +366,8 @@ def _run_det_problem(rng: np.random.Generator, spec: EnsembleSpec) -> list:
     ]
     arith = bc.arithmetic_mean(problem)
     log_det_arith = float(np.sum(np.log(arith.eigen.lam)))
-    log_det_mix = sum(
-        float(w) * float(np.sum(np.log(a.eigen.lam)))
-        for w, a in zip(problem.weights.values, problem.matrices)
+    log_det_mix = problem.weights.combine(
+        float(np.sum(np.log(a.eigen.lam))) for a in problem.matrices
     )
     margin = log_det_arith - log_det_mix
     checks.append(_check("det.logdet_concavity", margin >= -1e-9, {"margin": margin}))
@@ -468,8 +471,8 @@ def _ratio_window(errors: tuple[float, ...], last: int = 4) -> tuple[bool, float
 
 
 def _run_lie_trotter_instance(rng: np.random.Generator, spec: EnsembleSpec) -> list:
-    n = int(rng.integers(2, min(spec.n_range[1], 4) + 1))
-    dim = int(rng.integers(spec.dim_range[0], min(spec.dim_range[1], 6) + 1))
+    n = _capped_draw(rng, 2, spec.n_range[1], 4)
+    dim = _capped_draw(rng, *spec.dim_range, 6)
     curves = _draw_curves(rng, n, dim)
     weights = bc.WeightVector(rng.uniform(0.2, 1.0, size=n))
     trace_pos = lt.convergence_trace(weights, curves)

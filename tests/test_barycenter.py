@@ -55,6 +55,24 @@ def test_weight_vector_normalizes():
     assert w.values.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_weight_vector_combine_matches_hand_loop():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5):
+        w = WeightVector(rng.uniform(0.2, 1.0, n))
+        mats = [rng.normal(size=(4, 4)) for _ in range(n)]
+        expected = np.zeros((4, 4))
+        for wj, m in zip(w.values, mats):
+            expected = expected + wj * m
+        assert np.array_equal(w.combine(mats), expected)
+        scalars = [float(x) for x in rng.normal(size=n)]
+        total = 0.0
+        for wj, x in zip(w.values, scalars):
+            total = total + wj * x
+        assert np.array_equal(w.combine(scalars), total)
+    with pytest.raises(ValueError):
+        w.combine(mats[:-1])
+
+
 def test_weight_vector_rejects_bad_input():
     for bad in ([], [0.0, 1.0], [-1.0, 2.0], [math.nan, 1.0]):
         with pytest.raises(ValueError):
@@ -262,7 +280,7 @@ def test_bounds_all_identity():
     assert abs(checks["lie_trotter_lower"].witness) <= 1e-12
     assert abs(checks["inverse_upper"].witness) <= 1e-12
     assert checks["operator_norm"].witness == pytest.approx(1e-9, abs=1e-12)
-    ordering = bound_ordering_checks(p)
+    ordering = bound_ordering_checks(p, rep)
     assert ordering.all_hold
 
 
@@ -307,7 +325,7 @@ def test_bound_ordering_scalar_case():
     # harmonic mean 0.75 sits above the lower bound 2 - 4/3
     assert rep.lower_lie_trotter.entries[0, 0] == pytest.approx(2.0 - 4.0 / 3.0)
     assert harmonic_mean(p).entries[0, 0] == pytest.approx(0.75)
-    ordering = bound_ordering_checks(p)
+    ordering = bound_ordering_checks(p, rep)
     assert ordering.all_hold
     by_id = {c.check_id: c for c in ordering.checks}
     assert by_id["harmonic_above_lower"].witness == pytest.approx(0.75 - 2.0 / 3.0, abs=1e-12)
@@ -321,8 +339,9 @@ def test_bounds_hold_on_random_problems(seed):
     p = random_problem(np.random.default_rng(seed))
     result = wasserstein_mean(p)
     assert result.converged
-    assert all(c.holds for c in check_bounds(bounds_report(p), result.mean))
-    assert bound_ordering_checks(p).all_hold
+    rep = bounds_report(p)
+    assert all(c.holds for c in check_bounds(rep, result.mean))
+    assert bound_ordering_checks(p, rep).all_hold
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +87,36 @@ def test_spec_validation():
         EnsembleSpec(dim_range=(5, 3))
     with pytest.raises(ValueError):
         EnsembleSpec(condition_max=0.1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        EnsembleSpec(count=10, dim_range=(7, 9)),
+        EnsembleSpec(count=10, dim_range=(7, 7)),
+        EnsembleSpec(count=10, n_range=(1, 1)),
+    ],
+    ids=["dim7-9", "dim7", "n1"],
+)
+def test_accepted_ranges_run(spec):
+    # streams that cap the dimension or the count must still draw inside
+    # ranges lying wholly above their cap
+    run_suite(spec, "all")
+
+
+def test_bounds_instance_computes_one_report(monkeypatch):
+    import spdmeans.barycenter as bc
+
+    calls = []
+    original = bc.bounds_report
+
+    def counted(problem):
+        calls.append(problem)
+        return original(problem)
+
+    monkeypatch.setattr(bc, "bounds_report", counted)
+    run_instance("bounds.problem", 12345, EnsembleSpec())
+    assert len(calls) == 1
 
 
 def test_report_json_layout(small_report):
@@ -196,6 +230,24 @@ def test_cli_input_errors(tmp_path, capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mean", "--method", "wasserstein", "--max-iter", "0"),
+        ("mean", "--method", "karcher", "--tol", "-1"),
+        ("verify", "--count", "-1"),
+    ],
+    ids=["max-iter", "tol", "count"],
+)
+def test_cli_bad_flag_values_exit_3(example_file, capsys, argv):
+    if argv[0] == "mean":
+        argv = argv + ("--input", str(example_file))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_cli_bounds(example_file, capsys):
     code, out, _ = run_cli(capsys, "bounds", "--input", str(example_file))
     assert code == EXIT_OK
@@ -274,3 +326,22 @@ def test_cli_verify_failure_exit(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "metric")
     assert code == EXIT_CHECK_FAILURES
     assert err.startswith("FAIL")
+
+
+# ---------------------------------------------------------------------------
+# walkthrough scripts
+
+
+@pytest.mark.parametrize("script", ["two_matrix_example.py", "lie_trotter_trace.py"])
+def test_script_runs(script):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "VIOLATED" not in done.stdout
