@@ -54,7 +54,7 @@ def main():
     show("upper bound sum w_j A_j", report.upper_arithmetic)
     print(f"operator norm bound = {report.opnorm_bound:.6f}")
     print("verdicts against the computed barycenter:")
-    for item in check_bounds(report, omega.mean) + bound_ordering_checks(problem, report).checks:
+    for item in check_bounds(report, omega.mean) + bound_ordering_checks(problem, report):
         print(f"  {item.check_id}: {'holds' if item.holds else 'VIOLATED'} (witness {item.witness:.3e})")
 
 

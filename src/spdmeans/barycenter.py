@@ -22,11 +22,17 @@ from .spd_core import (
     SymMatrix,
     apply_spectral,
     congruence,
+    determinant,
     eigh,
     frobenius_norm,
+    identity,
     loewner_geq,
     operator_norm,
 )
+
+
+# Relative slack of every Loewner verdict on the bounds.
+LOEWNER_TOL = 1e-8
 
 
 class SolverError(Exception):
@@ -113,8 +119,8 @@ class SolverConfig:
     initial: str | SpdMatrix = "arithmetic_mean"
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if isinstance(self.initial, str) and self.initial not in ("arithmetic_mean", "identity"):
@@ -149,21 +155,23 @@ def harmonic_mean(p: MeanProblem) -> SpdMatrix:
     return apply_spectral(SpdMatrix(_inverse_mixture(p)), "inverse")
 
 
-def _mixture_sqrt(x: SpdMatrix, p: MeanProblem) -> np.ndarray:
-    """sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2} as a raw array."""
+def _residual_mixture(x: SpdMatrix, p: MeanProblem) -> tuple[float, np.ndarray]:
+    """Relative Frobenius residual of X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2}
+    at x, and the right-hand side at x as a raw array."""
     sqrt_x = apply_spectral(x, "sqrt").entries
     acc = p.weights.combine(
         apply_spectral(SpdMatrix(congruence(sqrt_x, a).entries), "sqrt").entries
         for a in p.matrices
     )
-    return (acc + acc.T) / 2.0
+    s = (acc + acc.T) / 2.0
+    return frobenius_norm(x.entries - s) / frobenius_norm(x.entries), s
 
 
 def residual(x: SpdMatrix, p: MeanProblem) -> float:
     """Relative Frobenius residual of X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2} at x."""
     if x.dim != p.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {p.dim}")
-    return frobenius_norm(x.entries - _mixture_sqrt(x, p)) / frobenius_norm(x.entries)
+    return _residual_mixture(x, p)[0]
 
 
 def equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> float:
@@ -181,9 +189,28 @@ def _initial_point(p: MeanProblem, cfg: SolverConfig) -> SpdMatrix:
             raise ValueError("initial point has wrong dimension")
         return cfg.initial
     if cfg.initial == "identity":
-        eye = np.eye(p.dim)
-        return SpdMatrix(eye)
+        return identity(p.dim)
     return arithmetic_mean(p)
+
+
+def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, measure, step) -> SolverResult:
+    """Shared loop of both means: ``measure(x)`` returns the certificate
+    residual r and an array ``aux`` that ``step(x, aux)`` turns into the raw
+    next iterate.  Converged only when r <= rel_tol; after max_iter updates
+    the last iterate is returned unconverged."""
+    cfg = cfg or SolverConfig()
+    x = _initial_point(p, cfg)
+    history: list[float] = []
+    for k in range(cfg.max_iter + 1):
+        r, aux = measure(x)
+        history.append(r)
+        if r <= cfg.rel_tol or k == cfg.max_iter:
+            return SolverResult(x, k, r, r <= cfg.rel_tol, tuple(history))
+        nxt = step(x, aux)
+        try:
+            x = SpdMatrix(nxt)
+        except NotPositiveDefiniteError as exc:
+            raise SolverError(f"non-SPD intermediate at iteration {k}: {exc}") from exc
 
 
 def wasserstein_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResult:
@@ -195,23 +222,12 @@ def wasserstein_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverR
     residual, so a converged result is a certificate independent of the
     update rule.
     """
-    cfg = cfg or SolverConfig()
-    x = _initial_point(p, cfg)
-    history: list[float] = []
-    for k in range(cfg.max_iter + 1):
-        s = _mixture_sqrt(x, p)
-        r = frobenius_norm(x.entries - s) / frobenius_norm(x.entries)
-        history.append(r)
-        if r <= cfg.rel_tol:
-            return SolverResult(x, k, r, True, tuple(history))
-        if k == cfg.max_iter:
-            break
+
+    def step(x: SpdMatrix, s: np.ndarray) -> np.ndarray:
         inv_sqrt_x = apply_spectral(x, "inv_sqrt").entries
-        try:
-            x = SpdMatrix(inv_sqrt_x @ s @ s @ inv_sqrt_x)
-        except NotPositiveDefiniteError as exc:
-            raise SolverError(f"non-SPD intermediate at iteration {k}: {exc}") from exc
-    return SolverResult(x, cfg.max_iter, history[-1], False, tuple(history))
+        return inv_sqrt_x @ s @ s @ inv_sqrt_x
+
+    return _fixed_point(p, cfg, lambda x: _residual_mixture(x, p), step)
 
 
 def karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResult:
@@ -221,28 +237,20 @@ def karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResul
     Converged when the gradient term's Frobenius norm falls below rel_tol;
     the residual history records that norm, which is scale free.
     """
-    cfg = cfg or SolverConfig()
-    x = _initial_point(p, cfg)
-    history: list[float] = []
-    for k in range(cfg.max_iter + 1):
+
+    def measure(x: SpdMatrix) -> tuple[float, np.ndarray]:
         inv_sqrt_x = apply_spectral(x, "inv_sqrt").entries
         grad = p.weights.combine(
             apply_spectral(SpdMatrix(congruence(inv_sqrt_x, a).entries), "log").entries
             for a in p.matrices
         )
-        r = frobenius_norm(grad)
-        history.append(r)
-        if r <= cfg.rel_tol:
-            return SolverResult(x, k, r, True, tuple(history))
-        if k == cfg.max_iter:
-            break
+        return frobenius_norm(grad), grad
+
+    def step(x: SpdMatrix, grad: np.ndarray) -> np.ndarray:
         sqrt_x = apply_spectral(x, "sqrt").entries
-        step = apply_spectral(SymMatrix(grad), "exp_of_sym").entries
-        try:
-            x = SpdMatrix(sqrt_x @ step @ sqrt_x)
-        except NotPositiveDefiniteError as exc:
-            raise SolverError(f"non-SPD intermediate at iteration {k}: {exc}") from exc
-    return SolverResult(x, cfg.max_iter, history[-1], False, tuple(history))
+        return sqrt_x @ apply_spectral(SymMatrix(grad), "exp_of_sym").entries @ sqrt_x
+
+    return _fixed_point(p, cfg, measure, step)
 
 
 @dataclass(frozen=True)
@@ -298,19 +306,17 @@ class BoundCheck:
         object.__setattr__(self, "witness", float(self.witness))
 
 
-def check_bounds(
-    report: BoundsReport, mean: SpdMatrix, rel_tol: float = 1e-8
-) -> tuple[BoundCheck, ...]:
+def check_bounds(report: BoundsReport, mean: SpdMatrix) -> tuple[BoundCheck, ...]:
     """Loewner verdicts of every bound in ``report`` against a computed mean."""
     checks = []
-    cmp_upper = loewner_geq(report.upper_arithmetic, mean, rel_tol)
+    cmp_upper = loewner_geq(report.upper_arithmetic, mean, LOEWNER_TOL)
     checks.append(BoundCheck("arithmetic_upper", cmp_upper.holds, cmp_upper.witness))
-    cmp_lower = loewner_geq(mean, report.lower_lie_trotter, rel_tol)
+    cmp_lower = loewner_geq(mean, report.lower_lie_trotter, LOEWNER_TOL)
     checks.append(BoundCheck("lie_trotter_lower", cmp_lower.holds, cmp_lower.witness))
     slack = report.opnorm_bound + 1e-9 - operator_norm(mean)
     checks.append(BoundCheck("operator_norm", slack >= 0.0, slack))
     if report.upper_inverse is not None:
-        cmp_inv = loewner_geq(report.upper_inverse, mean, rel_tol)
+        cmp_inv = loewner_geq(report.upper_inverse, mean, LOEWNER_TOL)
         checks.append(BoundCheck("inverse_upper", cmp_inv.holds, cmp_inv.witness))
     return tuple(checks)
 
@@ -318,10 +324,11 @@ def check_bounds(
 @dataclass(frozen=True)
 class DetInequalityReport:
     """Determinant of a computed mean against the weighted geometric product
-    of the input determinants."""
+    of the input determinants, with the log of that product."""
 
     det_mean: float
     det_geo_product: float
+    log_det_geo_product: float
     holds: bool
 
 
@@ -331,27 +338,14 @@ def det_inequality_check(p: MeanProblem, mean: SpdMatrix) -> DetInequalityReport
     Determinants come from eigenvalue products; the geometric product is
     accumulated in log space for stability.
     """
-    det_mean = float(np.prod(mean.eigen.lam))
+    det_mean = determinant(mean)
     log_geo = p.weights.combine(float(np.sum(np.log(a.eigen.lam))) for a in p.matrices)
     det_geo = math.exp(log_geo)
     holds = det_mean >= det_geo - 1e-9 * max(1.0, det_geo)
-    return DetInequalityReport(det_mean=det_mean, det_geo_product=det_geo, holds=holds)
+    return DetInequalityReport(det_mean, det_geo, log_geo, holds)
 
 
-@dataclass(frozen=True)
-class OrderingReport:
-    """Verdicts for the ordering chains among the bounds themselves."""
-
-    checks: tuple[BoundCheck, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
-
-
-def bound_ordering_checks(
-    p: MeanProblem, report: BoundsReport, rel_tol: float = 1e-8
-) -> OrderingReport:
+def bound_ordering_checks(p: MeanProblem, report: BoundsReport) -> tuple[BoundCheck, ...]:
     """Check the chains relating the bounds to each other; ``report`` is the
     ``bounds_report(p)`` the caller already holds.
 
@@ -361,15 +355,15 @@ def bound_ordering_checks(
     """
     harm = harmonic_mean(p)
     checks = []
-    cmp_harm = loewner_geq(harm, report.lower_lie_trotter, rel_tol)
+    cmp_harm = loewner_geq(harm, report.lower_lie_trotter, LOEWNER_TOL)
     checks.append(BoundCheck("harmonic_above_lower", cmp_harm.holds, cmp_harm.witness))
     opnorm_mix = p.weights.combine(operator_norm(a) for a in p.matrices)
     slack = opnorm_mix - report.opnorm_bound
-    tol = rel_tol * max(1.0, opnorm_mix)
+    tol = LOEWNER_TOL * max(1.0, opnorm_mix)
     checks.append(BoundCheck("opnorm_bound_sharper", slack >= -tol, slack))
     if report.upper_inverse is not None:
-        cmp_inv = loewner_geq(report.upper_inverse, report.upper_arithmetic, rel_tol)
+        cmp_inv = loewner_geq(report.upper_inverse, report.upper_arithmetic, LOEWNER_TOL)
         checks.append(
             BoundCheck("inverse_above_arithmetic", cmp_inv.holds, cmp_inv.witness)
         )
-    return OrderingReport(checks=tuple(checks))
+    return tuple(checks)

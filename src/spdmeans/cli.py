@@ -107,8 +107,7 @@ def _cmd_bounds(args) -> int:
     lines.append(f"opnorm_bound: {format_float(report.opnorm_bound)}")
     lines.append("verdicts:")
     all_hold = result.converged
-    ordering = bc.bound_ordering_checks(problem, report)
-    for item in bc.check_bounds(report, result.mean) + ordering.checks:
+    for item in bc.check_bounds(report, result.mean) + bc.bound_ordering_checks(problem, report):
         lines.append(
             f"  {item.check_id}: {'holds' if item.holds else 'VIOLATED'}"
             f" (witness {format_float(item.witness)})"
@@ -122,9 +121,12 @@ def _cmd_bounds(args) -> int:
 
 def _parse_schedule(text: str) -> tuple[float, ...]:
     kind, _, depth = text.partition(":")
-    if kind != "dyadic" or not depth.isdigit() or int(depth) < 1:
-        raise ProblemFileError(f"unsupported schedule {text!r}; expected dyadic:K")
-    return lt.dyadic_schedule(int(depth))
+    try:
+        if kind == "dyadic" and depth.isdigit():
+            return lt.dyadic_schedule(int(depth))
+    except ValueError as exc:
+        raise ProblemFileError(f"unsupported schedule {text!r}: {exc}") from exc
+    raise ProblemFileError(f"unsupported schedule {text!r}; expected dyadic:K")
 
 
 def _cmd_lie_trotter(args) -> int:

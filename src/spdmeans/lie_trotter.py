@@ -15,7 +15,9 @@ import numpy as np
 
 from .barycenter import MeanProblem, SolverConfig, SolverError, WeightVector, wasserstein_mean
 from .spd_core import (
+    NotPositiveDefiniteError,
     SpdMatrix,
+    SpectralDomainError,
     SymMatrix,
     apply_spectral,
     frobenius_norm,
@@ -26,7 +28,7 @@ from .spd_core import (
 CURVE_KINDS = ("power", "affine", "exp_line")
 
 # Fixed-point error must stay well below the discretization error of the
-# limit, so the trace runner tightens the solver tolerance by default.
+# limit, so every solve in this module uses this tightened tolerance.
 TRACE_SOLVER_CONFIG = SolverConfig(rel_tol=1e-13, max_iter=500)
 
 
@@ -104,25 +106,25 @@ def _check_matched(w: WeightVector, items, noun: str) -> tuple:
     return items
 
 
+def _converged_mean(w: WeightVector, points: tuple[SpdMatrix, ...], at: str) -> SpdMatrix:
+    """Barycenter of ``points`` under TRACE_SOLVER_CONFIG; SolverError naming
+    the parameter ``at`` when it does not converge."""
+    result = wasserstein_mean(MeanProblem(points, w), TRACE_SOLVER_CONFIG)
+    if not result.converged:
+        raise SolverError(f"barycenter did not converge at {at} (residual {result.residual:.3e})")
+    return result.mean
+
+
 def lie_trotter_value(
-    w: WeightVector,
-    curves: tuple[CurveSpec, ...] | list[CurveSpec],
-    s: float,
-    cfg: SolverConfig | None = None,
+    w: WeightVector, curves: tuple[CurveSpec, ...] | list[CurveSpec], s: float
 ) -> SpdMatrix:
     """Barycenter of the curve points at parameter s, raised to the power 1/s."""
     curves = _check_matched(w, curves, "curves")
     s = float(s)
     if s == 0.0:
         raise ValueError("s must be nonzero")
-    cfg = cfg or TRACE_SOLVER_CONFIG
-    points = tuple(evaluate_curve(c, s) for c in curves)
-    result = wasserstein_mean(MeanProblem(points, w), cfg)
-    if not result.converged:
-        raise SolverError(
-            f"barycenter did not converge at s={s!r} (residual {result.residual:.3e})"
-        )
-    return apply_spectral(result.mean, "power", 1.0 / s)
+    mean = _converged_mean(w, tuple(evaluate_curve(c, s) for c in curves), f"s={s!r}")
+    return apply_spectral(mean, "power", 1.0 / s)
 
 
 def lie_trotter_target(
@@ -135,9 +137,9 @@ def lie_trotter_target(
 
 
 def dyadic_schedule(depth: int) -> tuple[float, ...]:
-    """s = 2^-1, ..., 2^-depth (descending)."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    """s = 2^-1, ..., 2^-depth (descending); every s is a nonzero double."""
+    if not 1 <= depth <= 1074:  # 2^-1075 rounds to zero
+        raise ValueError(f"depth must lie in [1, 1074], got {depth}")
     return tuple(2.0**-k for k in range(1, depth + 1))
 
 
@@ -147,8 +149,9 @@ class LieTrotterTrace:
     descending schedule of positive parameters.
 
     ``negated`` records that the curve points were evaluated at -s.  Points
-    where the solver failed are listed in ``failed_s`` and omitted from the
-    (matching-length) ``s_values``/``errors`` lists.
+    where the solver failed, where the powered mean overflows or is not SPD,
+    or where the error is not finite, are listed in ``failed_s`` and omitted from the (matching-length)
+    ``s_values``/``errors`` lists.
     """
 
     s_values: tuple[float, ...]
@@ -168,7 +171,6 @@ def convergence_trace(
     w: WeightVector,
     curves: tuple[CurveSpec, ...] | list[CurveSpec],
     s_schedule: tuple[float, ...] | list[float] | None = None,
-    cfg: SolverConfig | None = None,
     negate: bool = False,
 ) -> LieTrotterTrace:
     """Evaluate the limit error along a schedule; set ``negate`` for the
@@ -185,12 +187,16 @@ def convergence_trace(
     failed: list[float] = []
     for s in schedule:
         try:
-            value = lie_trotter_value(w, curves, -s if negate else s, cfg)
-        except SolverError:
+            value = lie_trotter_value(w, curves, -s if negate else s)
+            with np.errstate(over="ignore"):
+                error = frobenius_norm(value.entries - target.entries)
+        except (SolverError, SpectralDomainError, NotPositiveDefiniteError):
+            error = np.inf
+        if np.isfinite(error):
+            s_ok.append(s)
+            errors.append(error)
+        else:
             failed.append(s)
-            continue
-        s_ok.append(s)
-        errors.append(frobenius_norm(value.entries - target.entries))
     return LieTrotterTrace(
         s_values=tuple(s_ok),
         errors=tuple(errors),
@@ -216,7 +222,6 @@ def derivative_at_identity_check(
     w: WeightVector,
     directions: tuple[SymMatrix, ...] | list[SymMatrix],
     t_schedule: tuple[float, ...] | list[float] | None = None,
-    cfg: SolverConfig | None = None,
 ) -> DerivativeCheckReport:
     """Compare (barycenter(I + t X_1, ..., I + t X_n) - I) / t with
     sum_j w_j X_j over a schedule of steps t, both signs."""
@@ -225,7 +230,6 @@ def derivative_at_identity_check(
     radius = max(operator_norm(d) for d in directions)
     if radius > 0.0 and max(schedule) * radius >= 1.0:
         raise ValueError("largest step leaves the SPD cone for these directions")
-    cfg = cfg or TRACE_SOLVER_CONFIG
     target = w.combine(d.entries for d in directions)
     eye = np.eye(directions[0].dim)
     errors_pos: list[float] = []
@@ -233,10 +237,8 @@ def derivative_at_identity_check(
     for t in schedule:
         for sign, sink in ((1.0, errors_pos), (-1.0, errors_neg)):
             points = tuple(SpdMatrix(eye + sign * t * d.entries) for d in directions)
-            result = wasserstein_mean(MeanProblem(points, w), cfg)
-            if not result.converged:
-                raise SolverError(f"barycenter did not converge at t={sign * t!r}")
-            quotient = (result.mean.entries - eye) / (sign * t)
+            mean = _converged_mean(w, points, f"t={sign * t!r}")
+            quotient = (mean.entries - eye) / (sign * t)
             sink.append(frobenius_norm(quotient - target))
     return DerivativeCheckReport(
         t_values=schedule,

@@ -26,6 +26,9 @@ from .spd_core import (
 # B; values inside this window clamp to zero, anything lower is a breakdown.
 RADICAND_CLAMP = 1e-12
 
+# Angles in the coarse grid and in each refinement window of the 2x2 oracle.
+ORACLE_GRID = 720
+
 
 def _check_pair(a: SpdMatrix, b: SpdMatrix) -> None:
     if a.dim != b.dim:
@@ -84,7 +87,7 @@ def wasserstein_distance(a: SpdMatrix, b: SpdMatrix) -> float:
     return math.sqrt(max(radicand, 0.0))
 
 
-def wasserstein_distance_oracle_2x2(a: SpdMatrix, b: SpdMatrix, grid_size: int = 720) -> float:
+def wasserstein_distance_oracle_2x2(a: SpdMatrix, b: SpdMatrix) -> float:
     """Brute-force distance for 2x2 input: minimize ||A^{1/2} - B^{1/2} U||_F / sqrt(2)
     over the real orthogonal group.
 
@@ -96,8 +99,6 @@ def wasserstein_distance_oracle_2x2(a: SpdMatrix, b: SpdMatrix, grid_size: int =
     _check_pair(a, b)
     if a.dim != 2:
         raise ValueError("oracle is only defined for 2x2 matrices")
-    if grid_size < 8:
-        raise ValueError("grid_size too small to refine")
     sqrt_a = apply_spectral(a, "sqrt").entries
     sqrt_b = apply_spectral(b, "sqrt").entries
 
@@ -119,15 +120,15 @@ def wasserstein_distance_oracle_2x2(a: SpdMatrix, b: SpdMatrix, grid_size: int =
         branch, idx = divmod(flat, thetas.size)
         return float(norms[branch, idx]), float(thetas[idx])
 
-    thetas = np.arange(grid_size) * (2.0 * math.pi / grid_size)
+    thetas = np.arange(ORACLE_GRID) * (2.0 * math.pi / ORACLE_GRID)
     best_val, best_theta = best_on(thetas)
-    window = 2.0 * math.pi / grid_size
+    window = 2.0 * math.pi / ORACLE_GRID
     for _ in range(2):
-        refined = best_theta + np.linspace(-window, window, grid_size)
+        refined = best_theta + np.linspace(-window, window, ORACLE_GRID)
         val, theta = best_on(refined)
         if val < best_val:
             best_val, best_theta = val, theta
-        window = 2.0 * window / grid_size
+        window = 2.0 * window / ORACLE_GRID
     return best_val / math.sqrt(2.0)
 
 

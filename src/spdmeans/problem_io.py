@@ -25,11 +25,11 @@ class ProblemFileError(ValueError):
     """Problem text failed to parse; the message locates the offending field."""
 
 
-def format_float(x: float, digits: int = 17) -> str:
+def format_float(x: float) -> str:
     """Fixed significant-digit rendering; 17 digits round-trips any double."""
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    out = format(float(x), f".{digits}g")
+    out = format(float(x), ".17g")
     # normalize "-0" so that equal values serialize identically
     return "0" if out == "-0" else out
 

@@ -146,19 +146,13 @@ class SpdMatrix(SymMatrix):
             raise NotPositiveDefiniteError(lam_min, lam_max)
         self._eigen = _eigen
 
-    @classmethod
-    def from_eigen(cls, eigen: EigenDecomposition) -> "SpdMatrix":
-        """Build from a known decomposition without re-running the solver."""
-        return cls(eigen.recompose(), _eigen=eigen)
-
     @property
     def eigen(self) -> EigenDecomposition:
         return self._eigen
 
 
 def identity(dim: int) -> SpdMatrix:
-    eye = np.eye(dim)
-    return SpdMatrix(eye, _eigen=EigenDecomposition(q=eye, lam=np.ones(dim)))
+    return _recompose_spd(np.eye(dim), np.ones(dim))
 
 
 def eigh(a: SymMatrix) -> EigenDecomposition:
@@ -174,8 +168,7 @@ def eigh(a: SymMatrix) -> EigenDecomposition:
 
 
 def _offdiag_norm(w: np.ndarray) -> float:
-    off = w - np.diag(np.diagonal(w))
-    return math.sqrt(float(np.sum(off * off)))
+    return frobenius_norm(w - np.diag(np.diagonal(w)))
 
 
 _SCHEDULES: dict[int, tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
@@ -222,64 +215,55 @@ def _jacobi(matrix: np.ndarray) -> EigenDecomposition:
     m = matrix.shape[0]
     w = np.array(matrix, dtype=float)
     q = np.eye(m)
-    scale = math.sqrt(float(np.sum(w * w)))
-    if scale == 0.0 or m == 1:
-        lam = np.diagonal(w).copy()
-        order = np.argsort(-lam, kind="stable")
-        return EigenDecomposition(q=q[:, order], lam=lam[order])
-    if m == 2:
+    scale = frobenius_norm(w)
+    if scale != 0.0 and m == 2 and w[0, 1] != 0.0:
         # A single rotation diagonalizes a 2x2 exactly.
         a_pp, a_pr, a_rr = w[0, 0], w[0, 1], w[1, 1]
-        if a_pr != 0.0:
-            c, s = _rotation_params(a_pp, a_rr, a_pr)
-            t = s / c
-            w = np.diag([a_pp - t * a_pr, a_rr + t * a_pr])
-            q = np.array([[c, s], [-s, c]])
-        lam = np.diagonal(w).copy()
-        order = np.argsort(-lam, kind="stable")
-        return EigenDecomposition(q=q[:, order], lam=lam[order])
-    target = OFFDIAG_TARGET * scale
-    # Entries below this level cannot push the off-diagonal mass back above
-    # the convergence target, so their rotations are skipped.
-    skip_level = target / (2.0 * m)
-    eye = np.eye(m)
-    converged = False
-    for _ in range(SWEEP_LIMIT + 1):
-        if _offdiag_norm(w) <= target:
-            converged = True
-            break
-        for ps, rs in _round_robin_schedule(m):
-            apr = w[ps, rs]
-            active = np.abs(apr) > skip_level
-            if not active.any():
-                continue
-            pa, ra, va = ps[active], rs[active], apr[active]
-            diag = np.diagonal(w)
-            theta = (diag[ra] - diag[pa]) / (2.0 * va)
-            abs_theta = np.abs(theta)
-            t = np.where(
-                abs_theta > 1e150,
-                0.5 / np.where(theta == 0.0, 1.0, theta),
-                np.sign(theta) / (abs_theta + np.hypot(theta, 1.0)),
-            )
-            t = np.where(theta == 0.0, 1.0, t)  # theta == 0 means a 45 degree rotation
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            # One rotation matrix for the whole round: the planes are
-            # disjoint, so this equals applying the rotations sequentially.
-            rot = eye.copy()
-            rot[pa, pa] = c
-            rot[ra, ra] = c
-            rot[pa, ra] = s
-            rot[ra, pa] = -s
-            w = rot.T @ w @ rot
-            w[pa, ra] = 0.0
-            w[ra, pa] = 0.0
-            q = q @ rot
-    if not converged:
-        final_off = _offdiag_norm(w)
-        if final_off > target:
-            raise EighConvergenceError(final_off, SWEEP_LIMIT)
+        c, s = _rotation_params(a_pp, a_rr, a_pr)
+        t = s / c
+        w = np.diag([a_pp - t * a_pr, a_rr + t * a_pr])
+        q = np.array([[c, s], [-s, c]])
+    elif scale != 0.0 and m > 2:
+        target = OFFDIAG_TARGET * scale
+        # Entries below this level cannot push the off-diagonal mass back above
+        # the convergence target, so their rotations are skipped.
+        skip_level = target / (2.0 * m)
+        eye = np.eye(m)
+        for _ in range(SWEEP_LIMIT + 1):
+            if _offdiag_norm(w) <= target:
+                break
+            for ps, rs in _round_robin_schedule(m):
+                apr = w[ps, rs]
+                active = np.abs(apr) > skip_level
+                if not active.any():
+                    continue
+                pa, ra, va = ps[active], rs[active], apr[active]
+                diag = np.diagonal(w)
+                theta = (diag[ra] - diag[pa]) / (2.0 * va)
+                abs_theta = np.abs(theta)
+                t = np.where(
+                    abs_theta > 1e150,
+                    0.5 / np.where(theta == 0.0, 1.0, theta),
+                    np.sign(theta) / (abs_theta + np.hypot(theta, 1.0)),
+                )
+                t = np.where(theta == 0.0, 1.0, t)  # theta == 0 means a 45 degree rotation
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                # One rotation matrix for the whole round: the planes are
+                # disjoint, so this equals applying the rotations sequentially.
+                rot = eye.copy()
+                rot[pa, pa] = c
+                rot[ra, ra] = c
+                rot[pa, ra] = s
+                rot[ra, pa] = -s
+                w = rot.T @ w @ rot
+                w[pa, ra] = 0.0
+                w[ra, pa] = 0.0
+                q = q @ rot
+        else:
+            final_off = _offdiag_norm(w)
+            if final_off > target:
+                raise EighConvergenceError(final_off, SWEEP_LIMIT)
     lam = np.diagonal(w).copy()
     order = np.argsort(-lam, kind="stable")
     return EigenDecomposition(q=q[:, order], lam=lam[order])
@@ -291,7 +275,8 @@ def apply_spectral(a: SymMatrix, f: str, p: float | None = None) -> SymMatrix | 
     ``f`` is one of SPECTRAL_FUNCTIONS; ``power`` takes the exponent ``p``.
     ``exp_of_sym`` accepts any symmetric matrix and returns an SpdMatrix; the
     remaining tags require a strictly positive spectrum and return SpdMatrix
-    except for ``log``, which returns a plain SymMatrix.
+    except for ``log``, which returns a plain SymMatrix.  ``exp_of_sym`` and
+    ``power`` raise SpectralDomainError when a value overflows.
     """
     if f not in SPECTRAL_FUNCTIONS:
         raise ValueError(f"unknown spectral function {f!r}")
@@ -299,30 +284,31 @@ def apply_spectral(a: SymMatrix, f: str, p: float | None = None) -> SymMatrix | 
         raise ValueError("power requires an exponent")
     eigen = eigh(a)
     lam = eigen.lam
-    if f == "exp_of_sym":
-        with np.errstate(over="ignore"):
-            vals = np.exp(lam)
-        if not np.isfinite(vals).all():
-            raise SpectralDomainError(f"exp overflows on eigenvalue {lam[0]!r}")
-        return _recompose_spd(eigen.q, vals)
-    if lam[-1] <= 0.0:
+    if f != "exp_of_sym" and lam[-1] <= 0.0:
         raise SpectralDomainError(f"{f} undefined on eigenvalue {float(lam[-1])!r}")
+    if f == "log":
+        vals = np.log(lam)
+        return SymMatrix((eigen.q * vals) @ eigen.q.T)
     if f == "sqrt":
-        return _recompose_spd(eigen.q, np.sqrt(lam))
-    if f == "inv_sqrt":
-        return _recompose_spd(eigen.q, 1.0 / np.sqrt(lam))
-    if f == "inverse":
-        return _recompose_spd(eigen.q, 1.0 / lam)
-    if f == "power":
-        return _recompose_spd(eigen.q, lam ** float(p))
-    # log
-    vals = np.log(lam)
-    return SymMatrix((eigen.q * vals) @ eigen.q.T)
+        vals = np.sqrt(lam)
+    elif f == "inv_sqrt":
+        vals = 1.0 / np.sqrt(lam)
+    elif f == "inverse":
+        vals = 1.0 / lam
+    else:
+        with np.errstate(over="ignore"):
+            vals = np.exp(lam) if f == "exp_of_sym" else lam ** float(p)
+        if not np.isfinite(vals).all():
+            raise SpectralDomainError(f"{f} overflows on spectrum [{lam[-1]:.6e}, {lam[0]:.6e}]")
+    return _recompose_spd(eigen.q, vals)
 
 
 def _recompose_spd(q: np.ndarray, vals: np.ndarray) -> SpdMatrix:
+    """SPD matrix with eigenvectors ``q`` and eigenvalues ``vals``, built from
+    that decomposition without running the solver."""
     order = np.argsort(-vals, kind="stable")
-    return SpdMatrix.from_eigen(EigenDecomposition(q=q[:, order], lam=vals[order]))
+    eigen = EigenDecomposition(q=q[:, order], lam=vals[order])
+    return SpdMatrix(eigen.recompose(), _eigen=eigen)
 
 
 def congruence(x: np.ndarray | SymMatrix, a: SymMatrix) -> SymMatrix:

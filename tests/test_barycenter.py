@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from spdmeans import (
     MeanProblem,
+    NotPositiveDefiniteError,
     SolverConfig,
+    SolverError,
     SpdMatrix,
     WeightVector,
     arithmetic_mean,
@@ -90,8 +93,9 @@ def test_mean_problem_validation():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(rel_tol=0.0)
+    for bad_tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(rel_tol=bad_tol)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
@@ -171,15 +175,35 @@ def test_wasserstein_mean_example_case():
     )
 
 
-def test_wasserstein_mean_nonconvergence_reports():
-    a = SpdMatrix([[1.0, 2.0], [2.0, 5.0]])
-    b = SpdMatrix([[4.0, 4.0], [4.0, 5.0]])
-    p = MeanProblem((a, b), WeightVector.uniform(2))
-    result = wasserstein_mean(p, SolverConfig(rel_tol=1e-15, max_iter=1))
+SOLVERS = pytest.mark.parametrize(
+    "solve", [wasserstein_mean, karcher_mean], ids=["wasserstein", "karcher"]
+)
+
+
+@SOLVERS
+def test_solver_nonconvergence_reports(solve):
+    # one Karcher step already solves the golden pair, so use three matrices
+    p = random_problem(np.random.default_rng(3), n=3, dim=3)
+    result = solve(p, SolverConfig(rel_tol=1e-15, max_iter=1))
     assert not result.converged
     assert result.iterations == 1
     assert len(result.residual_history) == 2
     assert result.residual > 1e-15
+
+
+@SOLVERS
+def test_solver_maps_non_spd_update_to_solver_error(solve, example_problem, monkeypatch):
+    real_init = SpdMatrix.__init__
+
+    def rigged_init(self, entries, _eigen=None):
+        # only the constructor call that admits the next iterate fails
+        if sys._getframe(1).f_code.co_name == "_fixed_point":
+            raise NotPositiveDefiniteError(-1.0, 1.0)
+        real_init(self, entries, _eigen)
+
+    monkeypatch.setattr(SpdMatrix, "__init__", rigged_init)
+    with pytest.raises(SolverError, match="non-SPD intermediate at iteration 0"):
+        solve(example_problem)
 
 
 def test_initial_point_options(example_problem):
@@ -281,7 +305,7 @@ def test_bounds_all_identity():
     assert abs(checks["inverse_upper"].witness) <= 1e-12
     assert checks["operator_norm"].witness == pytest.approx(1e-9, abs=1e-12)
     ordering = bound_ordering_checks(p, rep)
-    assert ordering.all_hold
+    assert all(c.holds for c in ordering)
 
 
 def test_bounds_golden_lower(example_problem):
@@ -326,8 +350,8 @@ def test_bound_ordering_scalar_case():
     assert rep.lower_lie_trotter.entries[0, 0] == pytest.approx(2.0 - 4.0 / 3.0)
     assert harmonic_mean(p).entries[0, 0] == pytest.approx(0.75)
     ordering = bound_ordering_checks(p, rep)
-    assert ordering.all_hold
-    by_id = {c.check_id: c for c in ordering.checks}
+    assert all(c.holds for c in ordering)
+    by_id = {c.check_id: c for c in ordering}
     assert by_id["harmonic_above_lower"].witness == pytest.approx(0.75 - 2.0 / 3.0, abs=1e-12)
     # sum w_j A_j = 1 < 2 so the inverse chain is present: (2 - 1)^{-1} = 1 >= 1
     assert by_id["inverse_above_arithmetic"].witness == pytest.approx(0.0, abs=1e-12)
@@ -341,7 +365,7 @@ def test_bounds_hold_on_random_problems(seed):
     assert result.converged
     rep = bounds_report(p)
     assert all(c.holds for c in check_bounds(rep, result.mean))
-    assert bound_ordering_checks(p, rep).all_hold
+    assert all(c.holds for c in bound_ordering_checks(p, rep))
 
 
 # ---------------------------------------------------------------------------

@@ -209,10 +209,10 @@ def test_trace_records_solver_failures(mixed_instance, monkeypatch):
 
     real = module.lie_trotter_value
 
-    def flaky(w_, curves_, s, cfg=None):
+    def flaky(w_, curves_, s):
         if abs(s) == 0.25:
             raise SolverError("rigged failure")
-        return real(w_, curves_, s, cfg)
+        return real(w_, curves_, s)
 
     monkeypatch.setattr(module, "lie_trotter_value", flaky)
     trace = module.convergence_trace(w, curves, dyadic_schedule(4))
@@ -222,8 +222,10 @@ def test_trace_records_solver_failures(mixed_instance, monkeypatch):
 
 def test_dyadic_schedule():
     assert dyadic_schedule(3) == (0.5, 0.25, 0.125)
-    with pytest.raises(ValueError):
-        dyadic_schedule(0)
+    assert dyadic_schedule(1074)[-1] > 0.0
+    for depth in (0, 1075):
+        with pytest.raises(ValueError):
+            dyadic_schedule(depth)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,13 @@ def test_spd_rejects_indefinite_and_near_singular():
     SpdMatrix(np.diag([1.0, 1e-10]))  # above the admission threshold
 
 
+def test_identity_matches_solved_identity():
+    for d in range(1, 17):
+        built, solved = identity(d).eigen, SpdMatrix(np.eye(d)).eigen
+        assert np.array_equal(built.q, solved.q)
+        assert np.array_equal(built.lam, solved.lam)
+
+
 def test_spd_caches_its_decomposition():
     a = SpdMatrix(np.diag([3.0, 1.0]))
     assert eigh(a) is a.eigen
@@ -186,6 +193,8 @@ def test_spectral_domain_errors():
     apply_spectral(indefinite, "exp_of_sym")
     with pytest.raises(SpectralDomainError):
         apply_spectral(SymMatrix(np.diag([1000.0])), "exp_of_sym")
+    with pytest.raises(SpectralDomainError):
+        apply_spectral(SpdMatrix(np.diag([2.0, 1.0])), "power", 2000.0)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,8 @@ def test_run_instance_rejects_unknown_stream():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
+        EnsembleSpec(seed=-1)
+    with pytest.raises(ValueError):
         EnsembleSpec(count=-1)
     with pytest.raises(ValueError):
         EnsembleSpec(n_range=(0, 4))
@@ -235,9 +237,12 @@ def test_cli_input_errors(tmp_path, capsys):
     [
         ("mean", "--method", "wasserstein", "--max-iter", "0"),
         ("mean", "--method", "karcher", "--tol", "-1"),
+        ("mean", "--method", "wasserstein", "--tol", "nan"),
+        ("mean", "--method", "wasserstein", "--tol", "inf"),
         ("verify", "--count", "-1"),
+        ("verify", "--seed", "-1"),
     ],
-    ids=["max-iter", "tol", "count"],
+    ids=["max-iter", "tol", "tol-nan", "tol-inf", "count", "seed"],
 )
 def test_cli_bad_flag_values_exit_3(example_file, capsys, argv):
     if argv[0] == "mean":
@@ -270,11 +275,31 @@ def test_cli_lie_trotter(example_file, capsys):
 
 
 def test_cli_lie_trotter_bad_schedule(example_file, capsys):
-    code, _, err = run_cli(
-        capsys, "lie-trotter", "--input", str(example_file), "--schedule", "linear:4"
+    for schedule in ("linear:4", "dyadic:1100"):
+        code, _, err = run_cli(
+            capsys, "lie-trotter", "--input", str(example_file), "--schedule", schedule
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert "dyadic" in err
+
+
+def test_cli_lie_trotter_overflow_points_fail(example_file):
+    # from about 2^-62 on, the power 1/s of the mean overflows or underflows
+    root = pathlib.Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "spdmeans.cli", "lie-trotter", "--input", str(example_file),
+         "--schedule", "dyadic:80"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=120,
     )
-    assert code == EXIT_INPUT_ERROR
-    assert "dyadic" in err
+    assert done.returncode == EXIT_NO_CONVERGENCE
+    assert "Traceback" not in done.stderr
+    assert "Warning" not in done.stderr
+    rows = done.stdout.splitlines()[-80:]
+    assert rows[0].split()[1:] != ["failed", "failed"]
+    assert rows[-1].split()[1:] == ["failed", "failed"]
 
 
 def test_cli_verify_small(capsys, tmp_path):
