@@ -11,7 +11,6 @@ from spdmeans import (
     MeanProblem,
     SpdMatrix,
     WeightVector,
-    bound_ordering_checks,
     bounds_report,
     check_bounds,
     karcher_mean,
@@ -54,7 +53,7 @@ def main():
     show("upper bound sum w_j A_j", report.upper_arithmetic)
     print(f"operator norm bound = {report.opnorm_bound:.6f}")
     print("verdicts against the computed barycenter:")
-    for item in check_bounds(report, omega.mean) + bound_ordering_checks(problem, report):
+    for item in check_bounds(problem, report, omega.mean):
         print(f"  {item.check_id}: {'holds' if item.holds else 'VIOLATED'} (witness {item.witness:.3e})")
 
 

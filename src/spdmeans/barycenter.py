@@ -23,7 +23,6 @@ from .spd_core import (
     apply_spectral,
     congruence,
     determinant,
-    eigh,
     frobenius_norm,
     identity,
     loewner_geq,
@@ -109,21 +108,19 @@ class MeanProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the fixed-point solvers.
-
-    ``initial`` is "arithmetic_mean", "identity", or an explicit SpdMatrix.
-    """
+    """Knobs for the fixed-point solvers; ``initial`` is "arithmetic_mean" or
+    "identity"."""
 
     rel_tol: float = 1e-12
     max_iter: int = 500
-    initial: str | SpdMatrix = "arithmetic_mean"
+    initial: str = "arithmetic_mean"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if isinstance(self.initial, str) and self.initial not in ("arithmetic_mean", "identity"):
+        if self.initial not in ("arithmetic_mean", "identity"):
             raise ValueError(f"unknown initial point {self.initial!r}")
 
 
@@ -160,7 +157,7 @@ def _residual_mixture(x: SpdMatrix, p: MeanProblem) -> tuple[float, np.ndarray]:
     at x, and the right-hand side at x as a raw array."""
     sqrt_x = apply_spectral(x, "sqrt").entries
     acc = p.weights.combine(
-        apply_spectral(SpdMatrix(congruence(sqrt_x, a).entries), "sqrt").entries
+        apply_spectral(SpdMatrix(congruence(sqrt_x, a)), "sqrt").entries
         for a in p.matrices
     )
     s = (acc + acc.T) / 2.0
@@ -183,32 +180,22 @@ def equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> float:
     return frobenius_norm(np.eye(p.dim) - acc)
 
 
-def _initial_point(p: MeanProblem, cfg: SolverConfig) -> SpdMatrix:
-    if isinstance(cfg.initial, SpdMatrix):
-        if cfg.initial.dim != p.dim:
-            raise ValueError("initial point has wrong dimension")
-        return cfg.initial
-    if cfg.initial == "identity":
-        return identity(p.dim)
-    return arithmetic_mean(p)
-
-
 def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, measure, step) -> SolverResult:
     """Shared loop of both means: ``measure(x)`` returns the certificate
     residual r and an array ``aux`` that ``step(x, aux)`` turns into the raw
     next iterate.  Converged only when r <= rel_tol; after max_iter updates
-    the last iterate is returned unconverged."""
+    the last iterate is returned unconverged.  A matrix that fails SPD
+    admission while measuring or stepping raises SolverError."""
     cfg = cfg or SolverConfig()
-    x = _initial_point(p, cfg)
+    x = identity(p.dim) if cfg.initial == "identity" else arithmetic_mean(p)
     history: list[float] = []
     for k in range(cfg.max_iter + 1):
-        r, aux = measure(x)
-        history.append(r)
-        if r <= cfg.rel_tol or k == cfg.max_iter:
-            return SolverResult(x, k, r, r <= cfg.rel_tol, tuple(history))
-        nxt = step(x, aux)
         try:
-            x = SpdMatrix(nxt)
+            r, aux = measure(x)
+            history.append(r)
+            if r <= cfg.rel_tol or k == cfg.max_iter:
+                return SolverResult(x, k, r, r <= cfg.rel_tol, tuple(history))
+            x = SpdMatrix(step(x, aux))
         except NotPositiveDefiniteError as exc:
             raise SolverError(f"non-SPD intermediate at iteration {k}: {exc}") from exc
 
@@ -241,7 +228,7 @@ def karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResul
     def measure(x: SpdMatrix) -> tuple[float, np.ndarray]:
         inv_sqrt_x = apply_spectral(x, "inv_sqrt").entries
         grad = p.weights.combine(
-            apply_spectral(SpdMatrix(congruence(inv_sqrt_x, a).entries), "log").entries
+            apply_spectral(SpdMatrix(congruence(inv_sqrt_x, a)), "log").entries
             for a in p.matrices
         )
         return frobenius_norm(grad), grad
@@ -274,16 +261,12 @@ def bounds_report(p: MeanProblem) -> BoundsReport:
     arith = arithmetic_mean(p)
     opnorm_root = p.weights.combine(math.sqrt(operator_norm(a)) for a in p.matrices)
     lower = SymMatrix(2.0 * eye - _inverse_mixture(p))
-    gap = SymMatrix(2.0 * eye - arith.entries)
-    gap_eigen = eigh(gap)
-    upper_inverse: SpdMatrix | None = None
-    if gap_eigen.lam[-1] > 0.0:
-        try:
-            upper_inverse = apply_spectral(SpdMatrix(gap.entries, _eigen=gap_eigen), "inverse")
-        except NotPositiveDefiniteError:
-            # strictly positive but below the admission threshold; the bound
-            # is not invertible at working precision, so report it as absent
-            upper_inverse = None
+    try:
+        upper_inverse = apply_spectral(SpdMatrix(2.0 * eye - arith.entries), "inverse")
+    except NotPositiveDefiniteError:
+        # the gap 2I - sum_j w_j A_j is indefinite, or positive but below the
+        # admission threshold and so not invertible at working precision
+        upper_inverse = None
     return BoundsReport(
         lower_lie_trotter=lower,
         upper_arithmetic=arith,
@@ -306,18 +289,35 @@ class BoundCheck:
         object.__setattr__(self, "witness", float(self.witness))
 
 
-def check_bounds(report: BoundsReport, mean: SpdMatrix) -> tuple[BoundCheck, ...]:
-    """Loewner verdicts of every bound in ``report`` against a computed mean."""
-    checks = []
-    cmp_upper = loewner_geq(report.upper_arithmetic, mean, LOEWNER_TOL)
-    checks.append(BoundCheck("arithmetic_upper", cmp_upper.holds, cmp_upper.witness))
-    cmp_lower = loewner_geq(mean, report.lower_lie_trotter, LOEWNER_TOL)
-    checks.append(BoundCheck("lie_trotter_lower", cmp_lower.holds, cmp_lower.witness))
+def check_bounds(p: MeanProblem, report: BoundsReport, mean: SpdMatrix) -> tuple[BoundCheck, ...]:
+    """Every bound verdict: first each bound in ``report`` (= bounds_report(p))
+    against a computed mean, then the chains relating the bounds to each other.
+
+    Chains: 2I - sum w_j A_j^{-1} <= [sum w_j A_j^{-1}]^{-1} (the harmonic
+    mean), and the scalar sharpness (sum w_j ||A_j||^{1/2})^2 <= sum w_j ||A_j||;
+    when sum w_j A_j < 2I also [2I - sum w_j A_j]^{-1} >= sum w_j A_j.
+    """
+
+    def loewner(check_id: str, a: SymMatrix, b: SymMatrix) -> BoundCheck:
+        cmp = loewner_geq(a, b, LOEWNER_TOL)
+        return BoundCheck(check_id, cmp.holds, cmp.witness)
+
+    inverse = report.upper_inverse
+    checks = [
+        loewner("arithmetic_upper", report.upper_arithmetic, mean),
+        loewner("lie_trotter_lower", mean, report.lower_lie_trotter),
+    ]
     slack = report.opnorm_bound + 1e-9 - operator_norm(mean)
     checks.append(BoundCheck("operator_norm", slack >= 0.0, slack))
-    if report.upper_inverse is not None:
-        cmp_inv = loewner_geq(report.upper_inverse, mean, LOEWNER_TOL)
-        checks.append(BoundCheck("inverse_upper", cmp_inv.holds, cmp_inv.witness))
+    if inverse is not None:
+        checks.append(loewner("inverse_upper", inverse, mean))
+    checks.append(loewner("harmonic_above_lower", harmonic_mean(p), report.lower_lie_trotter))
+    opnorm_mix = p.weights.combine(operator_norm(a) for a in p.matrices)
+    slack = opnorm_mix - report.opnorm_bound
+    tol = LOEWNER_TOL * max(1.0, opnorm_mix)
+    checks.append(BoundCheck("opnorm_bound_sharper", slack >= -tol, slack))
+    if inverse is not None:
+        checks.append(loewner("inverse_above_arithmetic", inverse, report.upper_arithmetic))
     return tuple(checks)
 
 
@@ -343,27 +343,3 @@ def det_inequality_check(p: MeanProblem, mean: SpdMatrix) -> DetInequalityReport
     det_geo = math.exp(log_geo)
     holds = det_mean >= det_geo - 1e-9 * max(1.0, det_geo)
     return DetInequalityReport(det_mean, det_geo, log_geo, holds)
-
-
-def bound_ordering_checks(p: MeanProblem, report: BoundsReport) -> tuple[BoundCheck, ...]:
-    """Check the chains relating the bounds to each other; ``report`` is the
-    ``bounds_report(p)`` the caller already holds.
-
-    Always: 2I - sum w_j A_j^{-1} <= [sum w_j A_j^{-1}]^{-1} (the harmonic
-    mean), and the scalar sharpness (sum w_j ||A_j||^{1/2})^2 <= sum w_j ||A_j||.
-    When sum w_j A_j < 2I: [2I - sum w_j A_j]^{-1} >= sum w_j A_j.
-    """
-    harm = harmonic_mean(p)
-    checks = []
-    cmp_harm = loewner_geq(harm, report.lower_lie_trotter, LOEWNER_TOL)
-    checks.append(BoundCheck("harmonic_above_lower", cmp_harm.holds, cmp_harm.witness))
-    opnorm_mix = p.weights.combine(operator_norm(a) for a in p.matrices)
-    slack = opnorm_mix - report.opnorm_bound
-    tol = LOEWNER_TOL * max(1.0, opnorm_mix)
-    checks.append(BoundCheck("opnorm_bound_sharper", slack >= -tol, slack))
-    if report.upper_inverse is not None:
-        cmp_inv = loewner_geq(report.upper_inverse, report.upper_arithmetic, LOEWNER_TOL)
-        checks.append(
-            BoundCheck("inverse_above_arithmetic", cmp_inv.holds, cmp_inv.witness)
-        )
-    return tuple(checks)

@@ -2,9 +2,10 @@
 
 Subcommands: ``mean``, ``geodesic``, ``distance``, ``bounds``, ``lie-trotter``
 and ``verify``.  Exit codes: 0 success, 1 verification failures, 2 solver
-non-convergence, 3 input error.  Matrix output uses 17 significant digits so
-printed values round-trip exactly; identical invocations produce byte
-identical output.
+non-convergence or a numerical failure (``SolverError`` or
+``LinearAlgebraError``), 3 input error.  Matrix output uses 17 significant
+digits so printed values round-trip exactly; identical invocations produce
+byte identical output.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import barycenter as bc
 from . import lie_trotter as lt
 from . import means_geometry as mg
 from .problem_io import ProblemFileError, format_float, parse_problem
-from .spd_core import SpdMatrix, SymMatrix
+from .spd_core import LinearAlgebraError, SpdMatrix, SymMatrix
 from .suite import FAMILIES, EnsembleSpec, run_suite
 
 EXIT_OK = 0
@@ -107,7 +108,7 @@ def _cmd_bounds(args) -> int:
     lines.append(f"opnorm_bound: {format_float(report.opnorm_bound)}")
     lines.append("verdicts:")
     all_hold = result.converged
-    for item in bc.check_bounds(report, result.mean) + bc.bound_ordering_checks(problem, report):
+    for item in bc.check_bounds(problem, report, result.mean):
         lines.append(
             f"  {item.check_id}: {'holds' if item.holds else 'VIOLATED'}"
             f" (witness {format_float(item.witness)})"
@@ -224,6 +225,9 @@ def main(argv: list[str] | None = None) -> int:
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except (bc.SolverError, LinearAlgebraError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ map at the identity tuple by finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,9 +73,14 @@ class CurveSpec:
     def dim(self) -> int:
         return self.derivative_at_zero.dim
 
+    @cached_property
+    def _direction_norm(self) -> float:
+        """||direction||, solved once per curve on first use."""
+        return operator_norm(self.direction)
+
     def admissible(self, s: float) -> bool:
         if self.kind == "affine":
-            return abs(s) * operator_norm(self.direction) < 1.0
+            return abs(s) * self._direction_norm < 1.0
         return True
 
 

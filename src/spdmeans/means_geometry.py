@@ -50,18 +50,15 @@ def geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> SpdMatrix:
     """
     _check_pair(a, b)
     t = _check_unit_interval(t)
-    inv_sqrt_a = apply_spectral(a, "inv_sqrt")
-    inner = SpdMatrix(congruence(inv_sqrt_a.entries, b).entries)
+    inner = SpdMatrix(congruence(apply_spectral(a, "inv_sqrt").entries, b))
     inner_pow = apply_spectral(inner, "power", t)
-    sqrt_a = apply_spectral(a, "sqrt")
-    return SpdMatrix(congruence(sqrt_a.entries, inner_pow).entries)
+    return SpdMatrix(congruence(apply_spectral(a, "sqrt").entries, inner_pow))
 
 
 def riemannian_distance(a: SpdMatrix, b: SpdMatrix) -> float:
     """Trace-metric distance ||log(A^{-1/2} B A^{-1/2})||_F."""
     _check_pair(a, b)
-    inv_sqrt_a = apply_spectral(a, "inv_sqrt")
-    inner = SpdMatrix(congruence(inv_sqrt_a.entries, b).entries)
+    inner = SpdMatrix(congruence(apply_spectral(a, "inv_sqrt").entries, b))
     return math.sqrt(float(np.sum(np.log(inner.eigen.lam) ** 2)))
 
 
@@ -76,8 +73,7 @@ def wasserstein_distance(a: SpdMatrix, b: SpdMatrix) -> float:
     _check_pair(a, b)
     if np.array_equal(a.entries, b.entries):
         return 0.0
-    sqrt_a = apply_spectral(a, "sqrt")
-    mixed = SpdMatrix(congruence(sqrt_a.entries, b).entries)
+    mixed = SpdMatrix(congruence(apply_spectral(a, "sqrt").entries, b))
     fidelity = float(np.sum(np.sqrt(mixed.eigen.lam)))
     radicand = 0.5 * (trace(a) + trace(b)) - fidelity
     if radicand < -RADICAND_CLAMP:
@@ -147,7 +143,7 @@ def wasserstein_geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
         return b
     sqrt_a = apply_spectral(a, "sqrt").entries
     inv_sqrt_a = apply_spectral(a, "inv_sqrt").entries
-    mixed = SpdMatrix(congruence(sqrt_a, b).entries)
+    mixed = SpdMatrix(congruence(sqrt_a, b))
     cross = sqrt_a @ apply_spectral(mixed, "sqrt").entries @ inv_sqrt_a
     g = (1.0 - t) ** 2 * a.entries + t**2 * b.entries + t * (1.0 - t) * (cross + cross.T)
     return SpdMatrix(g)

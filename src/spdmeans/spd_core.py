@@ -311,12 +311,16 @@ def _recompose_spd(q: np.ndarray, vals: np.ndarray) -> SpdMatrix:
     return SpdMatrix(eigen.recompose(), _eigen=eigen)
 
 
-def congruence(x: np.ndarray | SymMatrix, a: SymMatrix) -> SymMatrix:
-    """X A X^T for a square matrix X; symmetric by construction."""
-    xm = x.entries if isinstance(x, SymMatrix) else np.asarray(x, dtype=float)
+def congruence(x: np.ndarray, a: SymMatrix) -> np.ndarray:
+    """X A X^T for a square array X, symmetrized as (M + M^T)/2; callers
+    that need an SPD matrix admit the result with ``SpdMatrix``."""
+    xm = np.asarray(x, dtype=float)
     if xm.shape != (a.dim, a.dim):
         raise ValueError(f"dimension mismatch: {xm.shape} vs {(a.dim, a.dim)}")
-    return SymMatrix(xm @ a.entries @ xm.T)
+    m = xm @ a.entries @ xm.T
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return (m + m.T) / 2.0
 
 
 def frobenius_norm(a: SymMatrix | np.ndarray) -> float:

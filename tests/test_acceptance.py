@@ -141,7 +141,7 @@ def test_criterion_4_bound_suite(ensemble200):
         conditional_hits = 0
         for problem, result in ensemble200[0]:
             report = bounds_report(problem)
-            verdicts = {c.check_id: c for c in check_bounds(report, result.mean)}
+            verdicts = {c.check_id: c for c in check_bounds(problem, report, result.mean)}
             assert verdicts["arithmetic_upper"].holds
             assert verdicts["lie_trotter_lower"].holds
             assert operator_norm(result.mean) <= report.opnorm_bound + 1e-9
@@ -217,13 +217,13 @@ def test_criterion_7_invariances():
             assert rel_diff(wasserstein_mean(repeated).mean.entries, base) <= 1e-9
             q = random_orthogonal(rng, problem.dim)
             rotated = MeanProblem(
-                tuple(SpdMatrix(congruence(q, m).entries) for m in problem.matrices),
+                tuple(SpdMatrix(congruence(q, m)) for m in problem.matrices),
                 problem.weights,
             )
             assert (
                 rel_diff(
                     wasserstein_mean(rotated).mean.entries,
-                    congruence(q, SymMatrix(base)).entries,
+                    congruence(q, SymMatrix(base)),
                 )
                 <= 1e-9
             )

@@ -14,7 +14,6 @@ from spdmeans import (
     SpdMatrix,
     WeightVector,
     arithmetic_mean,
-    bound_ordering_checks,
     bounds_report,
     check_bounds,
     det_inequality_check,
@@ -24,6 +23,7 @@ from spdmeans import (
     harmonic_mean,
     identity,
     loewner_geq,
+    operator_norm,
     residual,
     karcher_mean,
     wasserstein_geodesic,
@@ -100,6 +100,8 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(initial="best_guess")
+    with pytest.raises(ValueError):
+        SolverConfig(initial=identity(2))  # only the two named starts exist
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +208,28 @@ def test_solver_maps_non_spd_update_to_solver_error(solve, example_problem, monk
         solve(example_problem)
 
 
+# SPD admission fails inside the residual's congruences X^{1/2} A_j X^{1/2}
+# (Karcher: X^{-1/2} A_j X^{-1/2}), not in the update itself
+NEAR_SINGULAR = MeanProblem(
+    (
+        SpdMatrix([[1.0, 0.999999, 0.0], [0.999999, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        SpdMatrix(np.diag([1e-11, 1.0, 1e-11])),
+        SpdMatrix(np.diag([1.0, 1e-11, 1.0])),
+    ),
+    WeightVector(np.array([0.3, 0.3, 0.4])),
+)
+
+
+@SOLVERS
+def test_solver_maps_non_spd_residual_to_solver_error(solve):
+    with pytest.raises(SolverError, match="non-SPD intermediate"):
+        solve(NEAR_SINGULAR)
+
+
 def test_initial_point_options(example_problem):
     base = wasserstein_mean(example_problem)
     from_id = wasserstein_mean(example_problem, SolverConfig(initial="identity"))
     assert rel_diff(from_id.mean.entries, base.mean.entries) <= 1e-8
-    from_given = wasserstein_mean(
-        example_problem, SolverConfig(initial=SpdMatrix(np.diag([2.0, 4.0])))
-    )
-    assert rel_diff(from_given.mean.entries, base.mean.entries) <= 1e-8
-    with pytest.raises(ValueError):
-        wasserstein_mean(example_problem, SolverConfig(initial=identity(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +310,7 @@ def test_bounds_all_identity():
     np.testing.assert_allclose(rep.upper_inverse.entries, np.eye(3), atol=1e-13)
     assert rep.opnorm_bound == pytest.approx(1.0)
     mean = wasserstein_mean(p).mean
-    checks = {c.check_id: c for c in check_bounds(rep, mean)}
+    checks = {c.check_id: c for c in check_bounds(p, rep, mean)}
     assert all(c.holds for c in checks.values())
     # every bound is tight here: Loewner witnesses vanish and the operator
     # norm slack is exactly its built-in 1e-9 allowance
@@ -304,8 +318,6 @@ def test_bounds_all_identity():
     assert abs(checks["lie_trotter_lower"].witness) <= 1e-12
     assert abs(checks["inverse_upper"].witness) <= 1e-12
     assert checks["operator_norm"].witness == pytest.approx(1e-9, abs=1e-12)
-    ordering = bound_ordering_checks(p, rep)
-    assert all(c.holds for c in ordering)
 
 
 def test_bounds_golden_lower(example_problem):
@@ -315,7 +327,7 @@ def test_bounds_golden_lower(example_problem):
     )
     assert rep.upper_inverse is None  # arithmetic mean is not below 2I here
     mean = wasserstein_mean(example_problem).mean
-    assert all(c.holds for c in check_bounds(rep, mean))
+    assert all(c.holds for c in check_bounds(example_problem, rep, mean))
 
 
 def test_bounds_conditional_upper_inverse():
@@ -337,8 +349,51 @@ def test_bounds_conditional_upper_inverse():
     result = wasserstein_mean(p)
     np.testing.assert_allclose(result.mean.entries, expected, atol=1e-11)
     assert loewner_geq(rep.upper_inverse, result.mean, 1e-10).holds
-    checks = {c.check_id: c for c in check_bounds(rep, result.mean)}
+    checks = {c.check_id: c for c in check_bounds(p, rep, result.mean)}
     assert checks["inverse_upper"].holds
+
+
+def _expected_verdicts(p, rep, mean):
+    """(check_id, witness) of every bound verdict, assembled by hand."""
+
+    def loewner(check_id, a, b):
+        return check_id, loewner_geq(a, b, 1e-8).witness
+
+    out = [
+        loewner("arithmetic_upper", rep.upper_arithmetic, mean),
+        loewner("lie_trotter_lower", mean, rep.lower_lie_trotter),
+        ("operator_norm", rep.opnorm_bound + 1e-9 - operator_norm(mean)),
+    ]
+    if rep.upper_inverse is not None:
+        out.append(loewner("inverse_upper", rep.upper_inverse, mean))
+    out.append(loewner("harmonic_above_lower", harmonic_mean(p), rep.lower_lie_trotter))
+    opnorm_mix = p.weights.combine(operator_norm(a) for a in p.matrices)
+    out.append(("opnorm_bound_sharper", opnorm_mix - rep.opnorm_bound))
+    if rep.upper_inverse is not None:
+        out.append(loewner("inverse_above_arithmetic", rep.upper_inverse, rep.upper_arithmetic))
+    return out
+
+
+def test_check_bounds_ids_and_order(example_problem):
+    commuting = MeanProblem(
+        (SpdMatrix(np.diag([0.5, 0.5])), SpdMatrix(np.diag([1.0, 1.5]))),
+        WeightVector.uniform(2),
+    )
+    base_ids = ["arithmetic_upper", "lie_trotter_lower", "operator_norm"]
+    chain_ids = ["harmonic_above_lower", "opnorm_bound_sharper"]
+    for p, with_inverse in ((example_problem, False), (commuting, True)):
+        rep = bounds_report(p)
+        assert (rep.upper_inverse is not None) == with_inverse
+        mean = wasserstein_mean(p).mean
+        got = check_bounds(p, rep, mean)
+        expected_ids = (
+            base_ids + ["inverse_upper"] + chain_ids + ["inverse_above_arithmetic"]
+            if with_inverse
+            else base_ids + chain_ids
+        )
+        assert [c.check_id for c in got] == expected_ids
+        assert [(c.check_id, c.witness) for c in got] == _expected_verdicts(p, rep, mean)
+        assert all(c.holds for c in got)
 
 
 def test_bound_ordering_scalar_case():
@@ -349,7 +404,7 @@ def test_bound_ordering_scalar_case():
     # harmonic mean 0.75 sits above the lower bound 2 - 4/3
     assert rep.lower_lie_trotter.entries[0, 0] == pytest.approx(2.0 - 4.0 / 3.0)
     assert harmonic_mean(p).entries[0, 0] == pytest.approx(0.75)
-    ordering = bound_ordering_checks(p, rep)
+    ordering = check_bounds(p, rep, wasserstein_mean(p).mean)
     assert all(c.holds for c in ordering)
     by_id = {c.check_id: c for c in ordering}
     assert by_id["harmonic_above_lower"].witness == pytest.approx(0.75 - 2.0 / 3.0, abs=1e-12)
@@ -364,8 +419,7 @@ def test_bounds_hold_on_random_problems(seed):
     result = wasserstein_mean(p)
     assert result.converged
     rep = bounds_report(p)
-    assert all(c.holds for c in check_bounds(rep, result.mean))
-    assert all(c.holds for c in bound_ordering_checks(p, rep))
+    assert all(c.holds for c in check_bounds(p, rep, result.mean))
 
 
 # ---------------------------------------------------------------------------

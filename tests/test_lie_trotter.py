@@ -80,6 +80,32 @@ def test_affine_curve_admissibility():
     )
 
 
+def test_affine_admissibility_solves_direction_once(monkeypatch):
+    import spdmeans.spd_core as core
+
+    rng = np.random.default_rng(5)
+    direction = bounded_sym(rng, 3, 0.5)
+    curves = (
+        CurveSpec.affine(direction),
+        CurveSpec.power(apply_spectral(bounded_sym(rng, 3, 0.5), "exp_of_sym")),
+    )
+    real_jacobi = core._jacobi
+    direction_solves = []
+
+    def counted(matrix):
+        if np.array_equal(matrix, direction.entries):
+            direction_solves.append(1)
+        return real_jacobi(matrix)
+
+    monkeypatch.setattr(core, "_jacobi", counted)
+    w = WeightVector.uniform(2)
+    schedule = dyadic_schedule(10)
+    for negate in (False, True):
+        trace = convergence_trace(w, curves, schedule, negate=negate)
+        assert not trace.failed_s
+    assert len(direction_solves) == 1
+
+
 def test_exp_line_curve():
     direction = SymMatrix(np.diag([1.0, -1.0]))
     point = evaluate_curve(CurveSpec.exp_line(direction), 0.5)

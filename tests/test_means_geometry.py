@@ -95,10 +95,8 @@ def test_geometric_mean_congruence_invariance():
     a, b = spd_from_rng(rng, 4), spd_from_rng(rng, 4)
     x = random_orthogonal(rng, 4) * np.exp(rng.uniform(-1, 1, 4))
     direct = congruence(x, geometric_mean(a, b, 0.25))
-    transformed = geometric_mean(
-        SpdMatrix(congruence(x, a).entries), SpdMatrix(congruence(x, b).entries), 0.25
-    )
-    assert rel_diff(direct.entries, transformed.entries) <= 1e-9
+    transformed = geometric_mean(SpdMatrix(congruence(x, a)), SpdMatrix(congruence(x, b)), 0.25)
+    assert rel_diff(direct, transformed.entries) <= 1e-9
 
 
 def test_geometric_mean_rejects_bad_input():

@@ -203,11 +203,28 @@ def test_spectral_domain_errors():
 
 def test_congruence_identities():
     a = SpdMatrix([[2.0, 1.0], [1.0, 2.0]])
-    np.testing.assert_array_equal(congruence(np.eye(2), a).entries, a.entries)
+    np.testing.assert_array_equal(congruence(np.eye(2), a), a.entries)
     out = congruence(np.diag([2.0, 1.0]), identity(2))
-    np.testing.assert_allclose(out.entries, np.diag([4.0, 1.0]))
+    np.testing.assert_allclose(out, np.diag([4.0, 1.0]))
     with pytest.raises(ValueError):
         congruence(np.eye(3), a)
+
+
+def test_congruence_returns_symmetrized_array():
+    rng = np.random.default_rng(17)
+    a = spd_from_rng(rng, 5)
+    x = rng.normal(size=(5, 5))
+    m = x @ a.entries @ x.T
+    out = congruence(x, a)
+    assert type(out) is np.ndarray
+    assert np.array_equal(out, (m + m.T) / 2.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        congruence(rng.normal(size=(5, 4)), a)
+    for bad in (np.nan, np.inf):
+        x_bad = x.copy()
+        x_bad[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            congruence(x_bad, a)
 
 
 @settings(max_examples=25, deadline=None)
@@ -216,7 +233,7 @@ def test_orthogonal_congruence_preserves_spectrum(seed, dim):
     rng = np.random.default_rng(seed)
     a = spd_from_rng(rng, dim)
     q = random_orthogonal(rng, dim)
-    rotated = congruence(q, a)
+    rotated = SymMatrix(congruence(q, a))
     rel = np.max(np.abs(eigh(rotated).lam - a.eigen.lam)) / a.eigen.lam[0]
     assert rel <= 1e-12
 

@@ -302,6 +302,49 @@ def test_cli_lie_trotter_overflow_points_fail(example_file):
     assert rows[-1].split()[1:] == ["failed", "failed"]
 
 
+NEAR_SINGULAR_TRIPLE = {
+    "schema_version": 1,
+    "weights": [0.3, 0.3, 0.4],
+    "matrices": [
+        [[1, 0.999999, 0], [0.999999, 1, 0], [0, 0, 1]],
+        [[1e-11, 0, 0], [0, 1, 0], [0, 0, 1e-11]],
+        [[1, 0, 0], [0, 1e-11, 0], [0, 0, 1]],
+    ],
+}
+NEAR_SINGULAR_PAIR = {
+    "schema_version": 1,
+    "weights": [0.5, 0.5],
+    "matrices": [[[1, 0], [0, 2e-12]], [[2e-12, 0], [0, 1]]],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        (NEAR_SINGULAR_TRIPLE, ["mean", "--method", "wasserstein"]),
+        (NEAR_SINGULAR_TRIPLE, ["mean", "--method", "karcher"]),
+        (NEAR_SINGULAR_TRIPLE, ["bounds"]),
+        (NEAR_SINGULAR_PAIR, ["distance", "--metric", "riemannian"]),
+    ],
+    ids=["mean-wasserstein", "mean-karcher", "bounds", "distance-riemannian"],
+)
+def test_cli_numerical_failure_exits_2(tmp_path, doc, argv):
+    # every input passes admission, but an intermediate congruence does not
+    path = tmp_path / "near_singular.json"
+    path.write_text(json.dumps(doc))
+    root = pathlib.Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "spdmeans.cli", *argv, "--input", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=120,
+    )
+    assert done.returncode == EXIT_NO_CONVERGENCE
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
+
+
 def test_cli_verify_small(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, err = run_cli(
