@@ -22,8 +22,7 @@ from spdmeans import (
 
 
 def bounded_direction(rng, dim, radius):
-    g = rng.normal(size=(dim, dim))
-    sym = SymMatrix((g + g.T) / 2.0)
+    sym = SymMatrix(rng.normal(size=(dim, dim)))
     return SymMatrix(sym.entries * (radius / operator_norm(sym)))
 
 

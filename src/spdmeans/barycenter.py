@@ -156,11 +156,10 @@ def _residual_mixture(x: SpdMatrix, p: MeanProblem) -> tuple[float, np.ndarray]:
     """Relative Frobenius residual of X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2}
     at x, and the right-hand side at x as a raw array."""
     sqrt_x = apply_spectral(x, "sqrt").entries
-    acc = p.weights.combine(
+    s = p.weights.combine(
         apply_spectral(SpdMatrix(congruence(sqrt_x, a)), "sqrt").entries
         for a in p.matrices
     )
-    s = (acc + acc.T) / 2.0
     return frobenius_norm(x.entries - s) / frobenius_norm(x.entries), s
 
 

@@ -37,33 +37,27 @@ TRACE_SOLVER_CONFIG = SolverConfig(rel_tol=1e-13, max_iter=500)
 class CurveSpec:
     """A differentiable SPD-valued curve with gamma(0) = I.
 
-    Kinds: ``power`` is s -> base^s, ``affine`` is s -> I + s * direction
-    (admissible only while |s| * ||direction|| < 1), ``exp_line`` is
-    s -> exp(s * direction).  ``derivative_at_zero`` is stored at
-    construction (log of the base, respectively the direction).
+    Kinds: ``power`` is s -> G^s for an SPD generator G, ``affine`` is
+    s -> I + s * G (admissible only while |s| * ||G|| < 1), ``exp_line`` is
+    s -> exp(s * G).  ``derivative_at_zero`` is stored at construction (log G
+    for ``power``, G itself otherwise).
     """
 
     kind: str
-    base: SpdMatrix | None
-    direction: SymMatrix | None
+    generator: SymMatrix
     derivative_at_zero: SymMatrix
 
     @classmethod
     def power(cls, base: SpdMatrix) -> "CurveSpec":
-        return cls(
-            kind="power",
-            base=base,
-            direction=None,
-            derivative_at_zero=apply_spectral(base, "log"),
-        )
+        return cls("power", base, apply_spectral(base, "log"))
 
     @classmethod
     def affine(cls, direction: SymMatrix) -> "CurveSpec":
-        return cls(kind="affine", base=None, direction=direction, derivative_at_zero=direction)
+        return cls("affine", direction, direction)
 
     @classmethod
     def exp_line(cls, direction: SymMatrix) -> "CurveSpec":
-        return cls(kind="exp_line", base=None, direction=direction, derivative_at_zero=direction)
+        return cls("exp_line", direction, direction)
 
     def __post_init__(self) -> None:
         if self.kind not in CURVE_KINDS:
@@ -74,13 +68,13 @@ class CurveSpec:
         return self.derivative_at_zero.dim
 
     @cached_property
-    def _direction_norm(self) -> float:
-        """||direction||, solved once per curve on first use."""
-        return operator_norm(self.direction)
+    def _generator_norm(self) -> float:
+        """||G|| of an affine curve, solved once per curve on first use."""
+        return operator_norm(self.generator)
 
     def admissible(self, s: float) -> bool:
         if self.kind == "affine":
-            return abs(s) * self._direction_norm < 1.0
+            return abs(s) * self._generator_norm < 1.0
         return True
 
 
@@ -90,14 +84,14 @@ def evaluate_curve(c: CurveSpec, s: float) -> SpdMatrix:
     if s == 0.0:
         return identity(c.dim)
     if c.kind == "power":
-        return apply_spectral(c.base, "power", s)
+        return apply_spectral(c.generator, "power", s)
     if c.kind == "affine":
         if not c.admissible(s):
             raise ValueError(
                 f"s={s!r} outside the admissible interval of the affine curve"
             )
-        return SpdMatrix(np.eye(c.dim) + s * c.direction.entries)
-    return apply_spectral(SymMatrix(s * c.direction.entries), "exp_of_sym")
+        return SpdMatrix(np.eye(c.dim) + s * c.generator.entries)
+    return apply_spectral(SymMatrix(s * c.generator.entries), "exp_of_sym")
 
 
 def _check_matched(w: WeightVector, items, noun: str) -> tuple:
@@ -218,10 +212,8 @@ class DerivativeCheckReport:
     identity tuple against the weighted direction sum, for both signs of the
     step."""
 
-    t_values: tuple[float, ...]
     errors_pos: tuple[float, ...]
     errors_neg: tuple[float, ...]
-    direction_sum: SymMatrix
 
 
 def derivative_at_identity_check(
@@ -246,9 +238,4 @@ def derivative_at_identity_check(
             mean = _converged_mean(w, points, f"t={sign * t!r}")
             quotient = (mean.entries - eye) / (sign * t)
             sink.append(frobenius_norm(quotient - target))
-    return DerivativeCheckReport(
-        t_values=schedule,
-        errors_pos=tuple(errors_pos),
-        errors_neg=tuple(errors_neg),
-        direction_sum=SymMatrix(target),
-    )
+    return DerivativeCheckReport(tuple(errors_pos), tuple(errors_neg))

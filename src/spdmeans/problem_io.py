@@ -123,17 +123,13 @@ def parse_problem(text: str) -> MeanProblem:
     return MeanProblem(tuple(matrices), weights)
 
 
-def serialize_problem(p: MeanProblem, labels: tuple[str, ...] | None = None) -> str:
+def serialize_problem(p: MeanProblem) -> str:
     """Canonical text for a problem; parse(serialize(p)) reproduces p exactly."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "weights": [float(w) for w in p.weights.values],
         "matrices": [[[float(v) for v in row] for row in a.entries] for a in p.matrices],
     }
-    if labels is not None:
-        if len(labels) != p.n:
-            raise ValueError(f"{len(labels)} labels for {p.n} matrices")
-        doc["labels"] = list(labels)
     return dumps_canonical(doc) + "\n"
 
 

@@ -117,14 +117,9 @@ class EigenDecomposition:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "lam", lam)
 
-    @property
-    def dim(self) -> int:
-        return self.lam.shape[0]
-
     def recompose(self) -> np.ndarray:
-        """Q diag(lam) Q^T, symmetrized."""
-        m = (self.q * self.lam) @ self.q.T
-        return (m + m.T) / 2.0
+        """Q diag(lam) Q^T as a raw array; ``SymMatrix`` symmetrizes it."""
+        return (self.q * self.lam) @ self.q.T
 
 
 class SpdMatrix(SymMatrix):
@@ -161,6 +156,8 @@ def eigh(a: SymMatrix) -> EigenDecomposition:
     Deterministic for fixed input; SPD inputs return their cached
     decomposition.  Raises EighConvergenceError if the off-diagonal mass has
     not dropped below OFFDIAG_TARGET * ||a||_F after SWEEP_LIMIT sweeps.
+    The solve runs on A scaled by the power of two that brings its largest
+    entry into [1/2, 1), so ||A||_F can neither overflow nor underflow.
     """
     if isinstance(a, SpdMatrix):
         return a.eigen
@@ -213,7 +210,8 @@ def _rotation_params(a_pp: float, a_rr: float, a_pr: float) -> tuple[float, floa
 
 def _jacobi(matrix: np.ndarray) -> EigenDecomposition:
     m = matrix.shape[0]
-    w = np.array(matrix, dtype=float)
+    e = math.frexp(np.abs(matrix).max(initial=0.0))[1]
+    w = np.ldexp(matrix, -e)
     q = np.eye(m)
     scale = frobenius_norm(w)
     if scale != 0.0 and m == 2 and w[0, 1] != 0.0:
@@ -264,7 +262,7 @@ def _jacobi(matrix: np.ndarray) -> EigenDecomposition:
             final_off = _offdiag_norm(w)
             if final_off > target:
                 raise EighConvergenceError(final_off, SWEEP_LIMIT)
-    lam = np.diagonal(w).copy()
+    lam = np.ldexp(np.diagonal(w), e)
     order = np.argsort(-lam, kind="stable")
     return EigenDecomposition(q=q[:, order], lam=lam[order])
 
@@ -313,14 +311,19 @@ def _recompose_spd(q: np.ndarray, vals: np.ndarray) -> SpdMatrix:
 
 def congruence(x: np.ndarray, a: SymMatrix) -> np.ndarray:
     """X A X^T for a square array X, symmetrized as (M + M^T)/2; callers
-    that need an SPD matrix admit the result with ``SpdMatrix``."""
+    that need an SPD matrix admit the result with ``SpdMatrix``.  A product
+    of finite inputs that overflows raises NumericalBreakdownError."""
     xm = np.asarray(x, dtype=float)
     if xm.shape != (a.dim, a.dim):
         raise ValueError(f"dimension mismatch: {xm.shape} vs {(a.dim, a.dim)}")
-    m = xm @ a.entries @ xm.T
-    if not np.isfinite(m).all():
+    if not np.isfinite(xm).all():
         raise ValueError("matrix entries must be finite")
-    return (m + m.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = xm @ a.entries @ xm.T
+        sym = (m + m.T) / 2.0
+    if not np.isfinite(sym).all():
+        raise NumericalBreakdownError("congruence X A X^T overflows")
+    return sym
 
 
 def frobenius_norm(a: SymMatrix | np.ndarray) -> float:
@@ -347,24 +350,24 @@ def determinant(a: SymMatrix) -> float:
 class LoewnerComparison:
     """Outcome of a Loewner-order test a >= b, with its witness.
 
-    ``witness`` is the smallest eigenvalue of a - b; the comparison holds when
-    the witness is above ``-threshold``.
+    ``witness`` is the smallest eigenvalue of a - b.
     """
 
     holds: bool
     witness: float
-    threshold: float
 
 
 def loewner_geq(a: SymMatrix, b: SymMatrix, rel_tol: float = 0.0) -> LoewnerComparison:
     """Test a >= b in the Loewner order (a - b positive semidefinite).
 
     The slack is relative: lambda_min(a - b) >= -rel_tol * max(1, ||a||, ||b||)
-    with operator norms.
+    with operator norms, which are formed only when lambda_min(a - b) < 0.
+    ``rel_tol`` must be nonnegative.
     """
+    if not rel_tol >= 0.0:
+        raise ValueError(f"rel_tol must be nonnegative, got {rel_tol!r}")
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    diff = SymMatrix(a.entries - b.entries)
-    witness = float(eigh(diff).lam[-1])
-    threshold = rel_tol * max(1.0, operator_norm(a), operator_norm(b))
-    return LoewnerComparison(holds=witness >= -threshold, witness=witness, threshold=threshold)
+    witness = float(eigh(SymMatrix(a.entries - b.entries)).lam[-1])
+    holds = witness >= 0.0 or witness >= -rel_tol * max(1.0, operator_norm(a), operator_norm(b))
+    return LoewnerComparison(holds=holds, witness=witness)

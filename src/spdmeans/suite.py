@@ -9,7 +9,7 @@ reproduced in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -98,25 +98,9 @@ class SuiteReport:
     def to_json(self) -> str:
         doc = {
             "schema_version": 1,
-            "ensemble": {
-                "seed": self.spec.seed,
-                "count": self.spec.count,
-                "n_range": list(self.spec.n_range),
-                "dim_range": list(self.spec.dim_range),
-                "condition_max": self.spec.condition_max,
-            },
+            "ensemble": asdict(self.spec),
             "families": list(self.families),
-            "checks": [
-                {
-                    "check_id": r.check_id,
-                    "stream": r.stream,
-                    "index": r.index,
-                    "instance_seed": r.instance_seed,
-                    "passed": r.passed,
-                    "witness": r.witness,
-                }
-                for r in self.records
-            ],
+            "checks": [asdict(r) for r in self.records],
             "summary": {
                 "total": self.total,
                 "passes": self.passes,
@@ -424,8 +408,7 @@ def _run_invariance_problem(rng: np.random.Generator, spec: EnsembleSpec) -> lis
 
 
 def _random_direction(rng: np.random.Generator, dim: int) -> SymMatrix:
-    g = rng.normal(size=(dim, dim))
-    sym = SymMatrix((g + g.T) / 2.0)
+    sym = SymMatrix(rng.normal(size=(dim, dim)))
     radius = operator_norm(sym)
     scale = float(rng.uniform(0.25, 0.6)) / max(radius, 1e-12)
     return SymMatrix(sym.entries * scale)

@@ -396,6 +396,28 @@ def test_check_bounds_ids_and_order(example_problem):
         assert all(c.holds for c in got)
 
 
+def test_check_bounds_skips_lower_bound_norm(example_problem, monkeypatch):
+    # with both lower-bound witnesses nonnegative, no verdict needs the
+    # operator norm of the (indefinite, uncached) lower bound
+    import spdmeans.spd_core as core
+
+    rep = bounds_report(example_problem)
+    mean = wasserstein_mean(example_problem).mean
+    real_jacobi = core._jacobi
+    lower_solves = []
+
+    def counted(matrix):
+        if np.array_equal(matrix, rep.lower_lie_trotter.entries):
+            lower_solves.append(1)
+        return real_jacobi(matrix)
+
+    monkeypatch.setattr(core, "_jacobi", counted)
+    by_id = {c.check_id: c for c in check_bounds(example_problem, rep, mean)}
+    assert by_id["lie_trotter_lower"].witness >= 0.0
+    assert by_id["harmonic_above_lower"].witness >= 0.0
+    assert lower_solves == []
+
+
 def test_bound_ordering_scalar_case():
     p = MeanProblem(
         (SpdMatrix([[0.5]]), SpdMatrix([[1.5]])), WeightVector.uniform(2)

@@ -114,7 +114,7 @@ def test_exp_line_curve():
 
 def test_curve_spec_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        CurveSpec(kind="spline", base=None, direction=None, derivative_at_zero=SymMatrix(np.eye(2)))
+        CurveSpec(kind="spline", generator=SymMatrix(np.eye(2)), derivative_at_zero=SymMatrix(np.eye(2)))
 
 
 # ---------------------------------------------------------------------------

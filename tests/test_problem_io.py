@@ -80,13 +80,6 @@ def test_round_trip_is_exact(seed):
         np.testing.assert_array_equal(got.entries, expected.entries)
 
 
-def test_serialize_labels_and_validation(example_problem):
-    text = serialize_problem(example_problem, labels=("A", "B"))
-    assert json.loads(text)["labels"] == ["A", "B"]
-    with pytest.raises(ValueError):
-        serialize_problem(example_problem, labels=("only-one",))
-
-
 def test_serialize_is_deterministic(example_problem):
     assert serialize_problem(example_problem) == serialize_problem(example_problem)
 

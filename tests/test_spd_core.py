@@ -117,6 +117,25 @@ def test_eigh_invariants_on_random_symmetric(seed, dim):
     assert frobenius_norm(e.recompose() - a.entries) / scale <= 1e-12
 
 
+@pytest.mark.parametrize("k", [520, 1000, -540, -1000])
+@pytest.mark.parametrize("dim", [3, 5])
+def test_eigh_is_exact_under_power_of_two_scaling(k, dim):
+    # ||2^k A||_F overflows (k > 0) or underflows (k < 0) in the unscaled sum
+    # of squares; the solver must still return 2^k times the spectrum of A
+    a = spd_from_rng(np.random.default_rng(dim), dim)
+    base = eigh(SymMatrix(a.entries))
+    scaled = eigh(SymMatrix(np.ldexp(a.entries, k)))
+    assert np.array_equal(scaled.lam, np.ldexp(base.lam, k))
+    assert np.array_equal(scaled.q, base.q)
+
+
+@pytest.mark.parametrize("k", [520, -520])
+def test_scaled_singular_matrix_is_rejected(k):
+    singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(NotPositiveDefiniteError):
+        SpdMatrix(np.ldexp(singular, k))
+
+
 def test_eigendecomposition_validates():
     with pytest.raises(ValueError):
         EigenDecomposition(q=np.eye(2), lam=np.array([1.0, 2.0]))  # ascending
@@ -265,6 +284,19 @@ def test_loewner_known_cases():
     cmp = loewner_geq(SpdMatrix(np.diag([1.0, 3.0])), SpdMatrix(np.diag([2.0, 2.0])), 1e-9)
     assert not cmp.holds
     assert cmp.witness == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("delta, holds", [(5e-9, True), (5e-8, False)])
+def test_loewner_relative_slack(delta, holds):
+    cmp = loewner_geq(SymMatrix(np.eye(2)), SymMatrix(np.diag([1.0, 1.0 + delta])), 1e-8)
+    assert cmp.holds == holds
+    assert cmp.witness == pytest.approx(-delta)
+
+
+@pytest.mark.parametrize("rel_tol", [-1e-8, math.nan])
+def test_loewner_rejects_bad_rel_tol(rel_tol):
+    with pytest.raises(ValueError, match="rel_tol"):
+        loewner_geq(identity(2), identity(2), rel_tol)
 
 
 def test_loewner_reflexive():

@@ -318,6 +318,16 @@ NEAR_SINGULAR_PAIR = {
 }
 
 
+def _scaled_pair(scale: float) -> dict:
+    """A regular 3x3 pair whose congruences overflow at this scale."""
+    pair = ([[2, 1, 0], [1, 2, 0], [0, 0, 1]], [[2, 0, 0], [0, 3, 0], [0, 0, 2]])
+    return {
+        "schema_version": 1,
+        "weights": [0.5, 0.5],
+        "matrices": [[[scale * v for v in row] for row in m] for m in pair],
+    }
+
+
 @pytest.mark.parametrize(
     "doc, argv",
     [
@@ -325,11 +335,25 @@ NEAR_SINGULAR_PAIR = {
         (NEAR_SINGULAR_TRIPLE, ["mean", "--method", "karcher"]),
         (NEAR_SINGULAR_TRIPLE, ["bounds"]),
         (NEAR_SINGULAR_PAIR, ["distance", "--metric", "riemannian"]),
+        (_scaled_pair(1e154), ["mean", "--method", "wasserstein"]),
+        (_scaled_pair(1e200), ["bounds"]),
+        (_scaled_pair(1e154), ["geodesic", "--t", "0.5"]),
+        (_scaled_pair(1e200), ["distance", "--metric", "wasserstein"]),
     ],
-    ids=["mean-wasserstein", "mean-karcher", "bounds", "distance-riemannian"],
+    ids=[
+        "mean-wasserstein",
+        "mean-karcher",
+        "bounds",
+        "distance-riemannian",
+        "overflow-mean-wasserstein",
+        "overflow-bounds",
+        "overflow-geodesic",
+        "overflow-distance-wasserstein",
+    ],
 )
 def test_cli_numerical_failure_exits_2(tmp_path, doc, argv):
-    # every input passes admission, but an intermediate congruence does not
+    # every input passes admission, but an intermediate congruence is not
+    # SPD or overflows
     path = tmp_path / "near_singular.json"
     path.write_text(json.dumps(doc))
     root = pathlib.Path(__file__).resolve().parent.parent
