@@ -27,6 +27,7 @@ from .spd_core import (
     identity,
     loewner_geq,
     operator_norm,
+    spd_stack,
 )
 
 
@@ -157,8 +158,8 @@ def _residual_mixture(x: SpdMatrix, p: MeanProblem) -> tuple[float, np.ndarray]:
     at x, and the right-hand side at x as a raw array."""
     sqrt_x = apply_spectral(x, "sqrt").entries
     s = p.weights.combine(
-        apply_spectral(SpdMatrix(congruence(sqrt_x, a)), "sqrt").entries
-        for a in p.matrices
+        apply_spectral(c, "sqrt").entries
+        for c in spd_stack(congruence(sqrt_x, a) for a in p.matrices)
     )
     return frobenius_norm(x.entries - s) / frobenius_norm(x.entries), s
 
@@ -227,8 +228,8 @@ def karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResul
     def measure(x: SpdMatrix) -> tuple[float, np.ndarray]:
         inv_sqrt_x = apply_spectral(x, "inv_sqrt").entries
         grad = p.weights.combine(
-            apply_spectral(SpdMatrix(congruence(inv_sqrt_x, a)), "log").entries
-            for a in p.matrices
+            apply_spectral(c, "log").entries
+            for c in spd_stack(congruence(inv_sqrt_x, a) for a in p.matrices)
         )
         return frobenius_norm(grad), grad
 

@@ -11,6 +11,7 @@ LAPACK.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,18 +65,26 @@ class NumericalBreakdownError(LinearAlgebraError):
     """A quantity left its mathematically guaranteed range by more than roundoff."""
 
 
+def _symmetrized(entries) -> np.ndarray:
+    """(M + M^T)/2 of a square array, required finite after symmetrizing, so
+    finite entries whose sum overflows are rejected too."""
+    m = np.array(entries, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (m + m.T) / 2.0
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
 class SymMatrix:
     """Real symmetric matrix.  Construction symmetrizes ((M + M^T)/2) and freezes."""
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries) -> None:
-        m = np.array(entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
-        m = (m + m.T) / 2.0
+        m = _symmetrized(entries)
         m.flags.writeable = False
         self._entries = m
 
@@ -137,13 +146,43 @@ class SpdMatrix(SymMatrix):
             _eigen = _jacobi(self.entries)
         lam_max = float(_eigen.lam[0])
         lam_min = float(_eigen.lam[-1])
-        if lam_max <= 0.0 or lam_min <= SPD_ADMISSION * lam_max:
+        # written so that a NaN spectrum fails admission too
+        if not (lam_max > 0.0 and lam_min > SPD_ADMISSION * lam_max):
             raise NotPositiveDefiniteError(lam_min, lam_max)
         self._eigen = _eigen
 
     @property
     def eigen(self) -> EigenDecomposition:
         return self._eigen
+
+
+def spd_stack(arrays: Iterable) -> list[SpdMatrix]:
+    """``[SpdMatrix(a) for a in arrays]`` for square arrays of one shape, with
+    the eigensolves run as one stack (``_jacobi_stack``); each result has the
+    bits of its lone construction.
+
+    Errors surface as that loop raises them, in input order: an error raised
+    while drawing or symmetrizing item j, or slice j's EighConvergenceError or
+    NotPositiveDefiniteError, is raised only after items 0..j-1 were admitted.
+    """
+    raw, syms = [], []
+    pending = None
+    try:
+        for a in arrays:
+            syms.append(_symmetrized(a))
+            raw.append(a)
+    except (ValueError, LinearAlgebraError) as exc:
+        pending = exc
+    out = []
+    for a, eigen in zip(raw, _jacobi_stack(syms)):
+        if isinstance(eigen, EighConvergenceError):
+            raise eigen
+        # built from the raw item, as the lone construction is: symmetrizing
+        # the symmetrized array again could overflow where the first did not
+        out.append(SpdMatrix(a, _eigen=eigen))
+    if pending is not None:
+        raise pending
+    return out
 
 
 def identity(dim: int) -> SpdMatrix:
@@ -208,10 +247,39 @@ def _rotation_params(a_pp: float, a_rr: float, a_pr: float) -> tuple[float, floa
     return c, t * c
 
 
+def _rotations(
+    a_pp: np.ndarray, a_rr: np.ndarray, a_pr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise cosines and sines of the Jacobi angles annihilating the
+    (p, r) entries; both solvers call this, so their rotations round alike."""
+    theta = (a_rr - a_pp) / (2.0 * a_pr)
+    abs_theta = np.abs(theta)
+    t = np.sign(theta) / (abs_theta + np.hypot(theta, 1.0))
+    huge = abs_theta > 1e150
+    if np.count_nonzero(huge):
+        t[huge] = 0.5 / theta[huge]
+    t[theta == 0.0] = 1.0  # theta == 0 means a 45 degree rotation
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    return c, t * c
+
+
+def _prescaled(matrix: np.ndarray) -> tuple[np.ndarray, int]:
+    """The matrix scaled by the power of two 2^-e that brings its largest
+    entry into [1/2, 1), and e."""
+    e = math.frexp(np.abs(matrix).max(initial=0.0))[1]
+    return np.ldexp(matrix, -e), e
+
+
+def _decomposition(w: np.ndarray, q: np.ndarray, e: int) -> EigenDecomposition:
+    """Eigenpairs of a diagonalized, prescaled matrix, largest first."""
+    lam = np.ldexp(np.diagonal(w), e)
+    order = np.argsort(-lam, kind="stable")
+    return EigenDecomposition(q=q[:, order], lam=lam[order])
+
+
 def _jacobi(matrix: np.ndarray) -> EigenDecomposition:
     m = matrix.shape[0]
-    e = math.frexp(np.abs(matrix).max(initial=0.0))[1]
-    w = np.ldexp(matrix, -e)
+    w, e = _prescaled(matrix)
     q = np.eye(m)
     scale = frobenius_norm(w)
     if scale != 0.0 and m == 2 and w[0, 1] != 0.0:
@@ -235,18 +303,9 @@ def _jacobi(matrix: np.ndarray) -> EigenDecomposition:
                 active = np.abs(apr) > skip_level
                 if not active.any():
                     continue
-                pa, ra, va = ps[active], rs[active], apr[active]
+                pa, ra = ps[active], rs[active]
                 diag = np.diagonal(w)
-                theta = (diag[ra] - diag[pa]) / (2.0 * va)
-                abs_theta = np.abs(theta)
-                t = np.where(
-                    abs_theta > 1e150,
-                    0.5 / np.where(theta == 0.0, 1.0, theta),
-                    np.sign(theta) / (abs_theta + np.hypot(theta, 1.0)),
-                )
-                t = np.where(theta == 0.0, 1.0, t)  # theta == 0 means a 45 degree rotation
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
+                c, s = _rotations(diag[pa], diag[ra], apr[active])
                 # One rotation matrix for the whole round: the planes are
                 # disjoint, so this equals applying the rotations sequentially.
                 rot = eye.copy()
@@ -262,9 +321,82 @@ def _jacobi(matrix: np.ndarray) -> EigenDecomposition:
             final_off = _offdiag_norm(w)
             if final_off > target:
                 raise EighConvergenceError(final_off, SWEEP_LIMIT)
-    lam = np.ldexp(np.diagonal(w), e)
-    order = np.argsort(-lam, kind="stable")
-    return EigenDecomposition(q=q[:, order], lam=lam[order])
+    return _decomposition(w, q, e)
+
+
+def _jacobi_stack(arrays: list[np.ndarray]) -> list[EigenDecomposition | EighConvergenceError]:
+    """``_jacobi`` on each of k symmetric (d, d) arrays, solved together.
+
+    Every slice keeps its own prescale, target, skip level, convergence test
+    at the start of each sweep and per-round set of active planes, and it
+    leaves the stack once converged, so each result has the bits ``_jacobi``
+    gives that array alone.  A round rotates the remaining slices by one
+    ``np.matmul`` over the stack, which calls the same per-slice product as
+    the lone solver; the slices share the per-round Python and dispatch cost
+    that dominates a small solve.  A slice that does not converge yields its
+    EighConvergenceError instead of raising it, so the caller decides the
+    order in which failures surface.
+    """
+    if len(arrays) < 2 or arrays[0].shape[0] <= 2:
+        return [_jacobi(a) for a in arrays]
+    m = arrays[0].shape[0]
+    scaled = [_prescaled(a) for a in arrays]
+    exps = [e for _, e in scaled]
+    w = np.stack([x for x, _ in scaled])
+    eyes = np.broadcast_to(np.eye(m), w.shape)
+    q = eyes.copy()
+    target = OFFDIAG_TARGET * _frobenius_norms(w)
+    skip_level = target / (2.0 * m)
+    diag = np.arange(m)
+    live = np.arange(len(arrays))  # input index of each slice still in the stack
+    out: list = [None] * len(arrays)
+    for _ in range(SWEEP_LIMIT + 1):
+        off = w.copy()
+        off[:, diag, diag] = 0.0
+        done = _frobenius_norms(off) <= target
+        for i in np.flatnonzero(done):
+            out[live[i]] = _decomposition(w[i], q[i], exps[live[i]])
+        if done.all():
+            return out
+        if done.any():
+            keep = ~done
+            w, q, live = w[keep], q[keep], live[keep]
+            target, skip_level = target[keep], skip_level[keep]
+        for ps, rs in _round_robin_schedule(m):
+            k, j = np.nonzero(np.abs(w[:, ps, rs]) > skip_level[:, None])
+            if len(k) == 0:
+                continue
+            pa, ra = ps[j], rs[j]
+            c, s = _rotations(w[k, pa, pa], w[k, ra, ra], w[k, pa, ra])
+            # A slice with no active plane in this round gets the identity,
+            # where the lone solver skips the round.  The bits agree: a product
+            # with the identity is exact except that an input -0.0 becomes
+            # +0.0, no product returns -0.0, and the lone solver's first
+            # rotation of the slice makes the same change before any test
+            # could tell the two zeros apart.
+            rot = eyes[: len(w)].copy()
+            rot[k, pa, pa] = c
+            rot[k, ra, ra] = c
+            rot[k, pa, ra] = s
+            rot[k, ra, pa] = -s
+            w = np.swapaxes(rot, 1, 2) @ w @ rot
+            w[k, pa, ra] = 0.0
+            w[k, ra, pa] = 0.0
+            q = q @ rot
+    for i, x in enumerate(w):
+        final_off = _offdiag_norm(x)
+        out[live[i]] = (
+            EighConvergenceError(final_off, SWEEP_LIMIT)
+            if final_off > target[i]
+            else _decomposition(x, q[i], exps[live[i]])
+        )
+    return out
+
+
+def _frobenius_norms(w: np.ndarray) -> np.ndarray:
+    """``frobenius_norm`` of each slice of a (k, d, d) stack, with the same
+    bits: each row of d*d squares is summed by the same pairwise reduction."""
+    return np.sqrt(np.add.reduce((w * w).reshape(len(w), -1), axis=1))
 
 
 def apply_spectral(a: SymMatrix, f: str, p: float | None = None) -> SymMatrix | SpdMatrix:

@@ -19,6 +19,7 @@ from . import lie_trotter as lt
 from . import means_geometry as mg
 from .problem_io import derive_seed, dumps_canonical, random_orthogonal, spd_from_rng
 from .spd_core import (
+    LinearAlgebraError,
     SpdMatrix,
     SymMatrix,
     apply_spectral,
@@ -580,7 +581,9 @@ def run_suite(spec: EnsembleSpec, families="all") -> SuiteReport:
     200 axiom triples, 50 oracle pairs, 100 perturbation quadruples, 100
     two-matrix instances, one golden worked-pair reproduction, 200 bound
     problems, 200 determinant problems, 50 invariance instances, 20 limit
-    instances).
+    instances).  A SolverError or LinearAlgebraError inside an instance is
+    raised again as a SolverError that names the stream, index and instance
+    seed, so ``run_instance`` can reproduce it.
     """
     chosen = expand_families(families)
     records: list[CheckRecord] = []
@@ -589,5 +592,10 @@ def run_suite(spec: EnsembleSpec, families="all") -> SuiteReport:
             continue
         for index in range(stream.count_of(spec.count)):
             seed = derive_seed(spec.seed, stream.stream_id, index)
-            records.extend(run_instance(stream.stream_id, seed, spec, index))
+            try:
+                records.extend(run_instance(stream.stream_id, seed, spec, index))
+            except (bc.SolverError, LinearAlgebraError) as exc:
+                raise bc.SolverError(
+                    f"stream {stream.stream_id} index {index} (instance seed {seed}): {exc}"
+                ) from exc
     return SuiteReport(spec=spec, families=chosen, records=tuple(records))

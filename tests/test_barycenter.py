@@ -29,7 +29,8 @@ from spdmeans import (
     wasserstein_geodesic,
     wasserstein_mean,
 )
-from spdmeans.problem_io import spd_from_rng
+from spdmeans import barycenter, spd_core
+from spdmeans.problem_io import random_orthogonal, spd_from_rng
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -224,6 +225,75 @@ NEAR_SINGULAR = MeanProblem(
 def test_solver_maps_non_spd_residual_to_solver_error(solve):
     with pytest.raises(SolverError, match="non-SPD intermediate"):
         solve(NEAR_SINGULAR)
+
+
+def _rotated(q, diag):
+    return SpdMatrix((q * np.array(diag)) @ q.T)
+
+
+def test_second_congruence_failing_admission_gives_the_loop_message():
+    # X^{1/2} A_0 X^{1/2} is admitted, X^{1/2} A_1 X^{1/2} is not; the
+    # message is the one the one-congruence-at-a-time loop produced
+    q = random_orthogonal(np.random.default_rng(3), 3)
+    p = MeanProblem(
+        (_rotated(q, [1.0, 1e-3, 2.0]), _rotated(q, [1.0, 3e-12, 2.0])), WeightVector.uniform(2)
+    )
+    with pytest.raises(SolverError) as info:
+        wasserstein_mean(p)
+    assert str(info.value) == (
+        "non-SPD intermediate at iteration 0: matrix is not positive definite: "
+        "lambda_min=1.409438e-15, lambda_max=4.000000e+00"
+    )
+
+
+@pytest.mark.parametrize(
+    "solve, lone_per_iteration",
+    [(wasserstein_mean, 1), (karcher_mean, 2)],
+    ids=["wasserstein", "karcher"],
+)
+def test_each_iteration_solves_its_congruences_as_one_stack(
+    monkeypatch, solve, lone_per_iteration
+):
+    # the lone solves are the new iterate (Karcher: also exp of the gradient)
+    stacks, lone = [], []
+    real_stack, real_lone = spd_core._jacobi_stack, spd_core._jacobi
+
+    def counting_stack(arrays):
+        stacks.append(len(arrays))
+        return real_stack(arrays)
+
+    def counting_lone(matrix):
+        lone.append(matrix.shape)
+        return real_lone(matrix)
+
+    monkeypatch.setattr(spd_core, "_jacobi_stack", counting_stack)
+    monkeypatch.setattr(spd_core, "_jacobi", counting_lone)
+    p = random_problem(np.random.default_rng(12), n=4, dim=5)
+    for max_iter in (1, 2):
+        stacks.clear()
+        lone.clear()
+        result = solve(p, SolverConfig(rel_tol=1e-300, max_iter=max_iter))
+        assert result.iterations == max_iter
+        # the start point, then per iteration one stack of n and the lone solves;
+        # the residual at the last iterate makes one more stack
+        assert stacks == [4] * (max_iter + 1)
+        assert len(lone) == 1 + lone_per_iteration * max_iter
+
+
+@SOLVERS
+def test_stacked_congruences_give_the_loop_bits(monkeypatch, solve):
+    rng = np.random.default_rng(21)
+    problems = [
+        random_problem(rng, n=n, dim=d, condition_max=1e4) for n, d in ((2, 3), (3, 5), (5, 8))
+    ]
+    cfg = SolverConfig(max_iter=40)
+    stacked = [solve(p, cfg) for p in problems]
+    monkeypatch.setattr(barycenter, "spd_stack", lambda arrays: [SpdMatrix(a) for a in arrays])
+    for p, got in zip(problems, stacked):
+        want = solve(p, cfg)
+        assert got.iterations == want.iterations
+        assert got.residual_history == want.residual_history
+        assert got.mean.entries.tobytes() == want.mean.entries.tobytes()
 
 
 def test_initial_point_options(example_problem):

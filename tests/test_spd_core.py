@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from spdmeans import (
     operator_norm,
     trace,
 )
+from spdmeans import spd_core
 from spdmeans.problem_io import random_orthogonal, random_spd, spd_from_rng
+from spdmeans.spd_core import EighConvergenceError, LinearAlgebraError, spd_stack
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=10)
@@ -43,6 +46,22 @@ def test_symmatrix_rejects_nonsquare_and_nonfinite():
         SymMatrix([[math.inf, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         SymMatrix([[math.nan]])
+
+
+def test_symmetrizing_overflow_is_rejected_without_warnings():
+    # every entry is finite, but (M + M^T)/2 overflows on the diagonal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            SpdMatrix([[1.7e308, 1e308], [1e308, 1.7e308]])
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            SymMatrix([[1.0, math.inf], [-math.inf, 1.0]])
+
+
+def test_spd_admission_rejects_nan_spectrum():
+    nan_eigen = EigenDecomposition(q=np.eye(2), lam=np.array([math.nan, math.nan]))
+    with pytest.raises(NotPositiveDefiniteError):
+        SpdMatrix(np.eye(2), _eigen=nan_eigen)
 
 
 def test_symmatrix_entries_frozen():
@@ -134,6 +153,140 @@ def test_scaled_singular_matrix_is_rejected(k):
     singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(NotPositiveDefiniteError):
         SpdMatrix(np.ldexp(singular, k))
+
+
+# ---------------------------------------------------------------------------
+# stacked eigensolver
+
+
+def _stack_slice(rng, dim, kind):
+    """One symmetric array of a kind that stresses a different solver path."""
+    if kind == "spd":
+        return spd_from_rng(rng, dim, 10.0 ** rng.uniform(0.0, 6.0)).entries
+    if kind == "indefinite":
+        return SymMatrix(rng.normal(size=(dim, dim))).entries
+    if kind == "diagonal":
+        return np.diag(rng.uniform(0.1, 3.0, dim))
+    if kind == "zero":
+        return np.zeros((dim, dim))
+    if kind == "nearly_diagonal":
+        a = np.diag(rng.uniform(0.1, 3.0, dim))
+        a[0, -1] = a[-1, 0] = 1e-9 * a[0, 0]
+        return a
+    if kind == "signed_zero":
+        # -0.0 entries, and a tiny entry below the skip level, so the slice
+        # sits out rounds while the rest of the stack rotates
+        a = np.diag(rng.uniform(0.5, 2.0, dim) * rng.choice([1.0, -1.0], dim))
+        a[-1, -1] = -0.0
+        if dim > 2:
+            a[0, 1:] = a[1:, 0] = -0.0
+            a[0, -1] = a[-1, 0] = 1e-17
+            a[1, 2] = a[2, 1] = rng.uniform(0.1, 1.0)
+        return a
+    if kind == "repeated":
+        q = random_orthogonal(rng, dim)
+        return SymMatrix((q * rng.choice([1.0, 2.0], dim)) @ q.T).entries
+    # scaled by 2^±520, where the unscaled sum of squares over- or underflows
+    return np.ldexp(spd_from_rng(rng, dim).entries, int(rng.choice([-520, 520])))
+
+
+STACK_KINDS = (
+    "spd", "indefinite", "diagonal", "zero", "nearly_diagonal", "signed_zero", "repeated", "scaled"
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_jacobi_stack_is_bitwise_the_lone_solver(seed):
+    # mixed kinds in one stack converge in different sweeps and leave the
+    # stack at different times; tobytes() also compares the sign of zero
+    rng = np.random.default_rng(seed)
+    for dim in range(1, 9):
+        for k in range(1, 7):
+            kinds = rng.choice(STACK_KINDS, size=k)
+            arrays = [_stack_slice(rng, dim, kind) for kind in kinds]
+            for a, got in zip(arrays, spd_core._jacobi_stack(arrays), strict=True):
+                want = spd_core._jacobi(a)
+                assert got.q.tobytes() == want.q.tobytes(), (dim, k)
+                assert got.lam.tobytes() == want.lam.tobytes(), (dim, k)
+
+
+def test_jacobi_stack_matches_lapack_like_the_lone_solver():
+    # LAPACK serves only as an oracle here
+    rng = np.random.default_rng(9)
+    for dim in range(3, 9):
+        arrays = [spd_from_rng(rng, dim, 1e4).entries for _ in range(5)]
+        for a, got in zip(arrays, spd_core._jacobi_stack(arrays)):
+            oracle = np.linalg.eigvalsh(a)[::-1]
+            err = np.max(np.abs(got.lam - oracle)) / oracle[0]
+            lone = np.max(np.abs(spd_core._jacobi(a).lam - oracle)) / oracle[0]
+            assert err == lone
+            assert err <= 1e-13
+
+
+def test_frobenius_norms_match_frobenius_norm_bitwise():
+    rng = np.random.default_rng(4)
+    for dim in range(1, 17):
+        w = rng.normal(size=(5, dim, dim)) * np.exp(rng.uniform(-5.0, 5.0, size=(5, dim, dim)))
+        got = spd_core._frobenius_norms(w)
+        assert [float(x) for x in got] == [frobenius_norm(x) for x in w]
+
+
+def test_spd_stack_equals_lone_constructions():
+    rng = np.random.default_rng(8)
+    arrays = [rng.normal(size=(5, 5)) + 6.0 * np.eye(5) for _ in range(4)]  # not symmetric
+    for got, a in zip(spd_stack(arrays), arrays, strict=True):
+        want = SpdMatrix(a)
+        assert got.entries.tobytes() == want.entries.tobytes()
+        assert got.eigen.q.tobytes() == want.eigen.q.tobytes()
+        assert got.eigen.lam.tobytes() == want.eigen.lam.tobytes()
+    assert spd_stack([]) == []
+
+
+def _first_error(build):
+    try:
+        build()
+    except (ValueError, LinearAlgebraError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+GOOD = np.diag([2.0, 1.0, 3.0])
+NOT_PD = np.diag([1.0, -1.0, 2.0])
+NOT_FINITE = np.diag([1.0, math.nan, 2.0])
+DENSE = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "arrays, sweep_limit, raised",
+    [
+        ((GOOD, NOT_PD, NOT_FINITE), spd_core.SWEEP_LIMIT, NotPositiveDefiniteError),
+        ((GOOD, NOT_FINITE, NOT_PD), spd_core.SWEEP_LIMIT, ValueError),
+        ((DENSE, GOOD, NOT_PD), spd_core.SWEEP_LIMIT, NotPositiveDefiniteError),
+        ((NOT_PD, DENSE), 0, NotPositiveDefiniteError),
+        ((DENSE, GOOD, NOT_PD), 0, EighConvergenceError),
+        ((GOOD, DENSE, NOT_FINITE), 0, EighConvergenceError),
+    ],
+)
+def test_spd_stack_raises_what_the_loop_raises(monkeypatch, arrays, sweep_limit, raised):
+    # with no sweeps allowed the dense slice does not converge, so its
+    # EighConvergenceError must surface exactly where the loop raises it
+    monkeypatch.setattr(spd_core, "SWEEP_LIMIT", sweep_limit)
+    want = _first_error(lambda: [SpdMatrix(a) for a in arrays])
+    assert want is not None and want[0] is raised
+    assert _first_error(lambda: spd_stack(arrays)) == want
+
+
+def test_spd_stack_raises_a_drawing_error_after_the_slices_before_it():
+    def arrays(fail_at):
+        for j, a in enumerate((GOOD, NOT_PD, GOOD)):
+            if j == fail_at:
+                raise spd_core.NumericalBreakdownError("congruence X A X^T overflows")
+            yield a
+
+    with pytest.raises(NotPositiveDefiniteError):
+        spd_stack(arrays(fail_at=2))
+    with pytest.raises(spd_core.NumericalBreakdownError):
+        spd_stack(arrays(fail_at=1))
 
 
 def test_eigendecomposition_validates():

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ from spdmeans.cli import (
     EXIT_OK,
     main,
 )
+from spdmeans import suite
+from spdmeans.problem_io import derive_seed
+from spdmeans.spd_core import EighConvergenceError
 from spdmeans.suite import FAMILIES, STREAMS, CheckRecord, SuiteReport, expand_families
 
 SMALL = EnsembleSpec(seed=11, count=10)
@@ -253,6 +258,33 @@ def test_cli_bad_flag_values_exit_3(example_file, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mean", "--method", "wasserstein"),
+        ("mean", "--method", "arithmetic"),
+        ("bounds",),
+        ("distance", "--metric", "wasserstein"),
+    ],
+    ids=["mean-wasserstein", "mean-arithmetic", "bounds", "distance-wasserstein"],
+)
+def test_cli_overflowing_entries_exit_3(tmp_path, capsys, argv):
+    # finite entries whose symmetrization (M + M^T)/2 overflows
+    path = tmp_path / "overflow.json"
+    doc = {
+        "schema_version": 1,
+        "weights": [0.5, 0.5],
+        "matrices": [[[1.7e308, 1e308], [1e308, 1.7e308]], [[2.0, 1.0], [1.0, 2.0]]],
+    }
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == "error: matrix 0: matrix entries must be finite\n"
+
+
 def test_cli_bounds(example_file, capsys):
     code, out, _ = run_cli(capsys, "bounds", "--input", str(example_file))
     assert code == EXIT_OK
@@ -418,6 +450,31 @@ def test_cli_verify_failure_exit(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "metric")
     assert code == EXIT_CHECK_FAILURES
     assert err.startswith("FAIL")
+
+
+def test_cli_verify_error_names_its_instance(monkeypatch, capsys):
+    stream = next(s for s in STREAMS if s.stream_id == "det.problem")
+    calls = []
+
+    def failing_run(rng, spec):
+        calls.append(None)
+        if len(calls) == 2:
+            raise EighConvergenceError(1.5e-3, 64)
+        return stream.run(rng, spec)
+
+    streams = tuple(
+        dataclasses.replace(s, run=failing_run) if s is stream else s for s in STREAMS
+    )
+    monkeypatch.setattr(suite, "STREAMS", streams)
+    code, out, err = run_cli(capsys, "verify", "--suite", "det", "--seed", "5", "--count", "3")
+    seed = derive_seed(5, "det.problem", 1)
+    assert code == EXIT_NO_CONVERGENCE
+    assert out == ""
+    assert err == (
+        f"error: stream det.problem index 1 (instance seed {seed}): "
+        "eigensolver did not converge after 64 sweeps (off-diagonal residual 1.500e-03)\n"
+    )
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
