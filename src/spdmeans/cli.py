@@ -159,8 +159,11 @@ def _cmd_verify(args) -> int:
     report = run_suite(spec, args.suite)
     text = report.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ProblemFileError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     print(report.summary_line(), file=sys.stderr)

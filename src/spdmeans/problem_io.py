@@ -95,14 +95,14 @@ def parse_problem(text: str) -> MeanProblem:
         )
     try:
         weights = WeightVector(np.array(weights_raw, dtype=float))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFileError(f"bad weights: {exc}") from exc
     matrices = []
     dim = None
     for idx, grid in enumerate(matrices_raw):
         try:
             arr = np.array(grid, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProblemFileError(f"matrix {idx}: not a numeric grid ({exc})") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ProblemFileError(f"matrix {idx}: not square, shape {arr.shape}")

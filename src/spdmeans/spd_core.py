@@ -10,6 +10,7 @@ LAPACK.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -203,20 +204,11 @@ def eigh(a: SymMatrix) -> EigenDecomposition:
     return _jacobi(a.entries)
 
 
-def _offdiag_norm(w: np.ndarray) -> float:
-    return frobenius_norm(w - np.diag(np.diagonal(w)))
-
-
-_SCHEDULES: dict[int, tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
-
-
+@functools.cache
 def _round_robin_schedule(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Round-robin ordering of the index pairs: each sweep visits every pair
     exactly once, grouped into rounds of mutually disjoint planes so a whole
     round can be applied as a single rotation matrix."""
-    cached = _SCHEDULES.get(m)
-    if cached is not None:
-        return cached
     padded = m if m % 2 == 0 else m + 1
     players = list(range(padded))
     rounds = []
@@ -229,9 +221,7 @@ def _round_robin_schedule(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
                 rs.append(max(a, b))
         rounds.append((np.array(ps), np.array(rs)))
         players = [players[0], players[-1]] + players[1:-1]
-    schedule = tuple(rounds)
-    _SCHEDULES[m] = schedule
-    return schedule
+    return tuple(rounds)
 
 
 def _rotation_params(a_pp: float, a_rr: float, a_pr: float) -> tuple[float, float]:
@@ -251,7 +241,7 @@ def _rotations(
     a_pp: np.ndarray, a_rr: np.ndarray, a_pr: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise cosines and sines of the Jacobi angles annihilating the
-    (p, r) entries; both solvers call this, so their rotations round alike."""
+    (p, r) entries."""
     theta = (a_rr - a_pp) / (2.0 * a_pr)
     abs_theta = np.abs(theta)
     t = np.sign(theta) / (abs_theta + np.hypot(theta, 1.0))
@@ -278,125 +268,115 @@ def _decomposition(w: np.ndarray, q: np.ndarray, e: int) -> EigenDecomposition:
 
 
 def _jacobi(matrix: np.ndarray) -> EigenDecomposition:
-    m = matrix.shape[0]
-    w, e = _prescaled(matrix)
-    q = np.eye(m)
-    scale = frobenius_norm(w)
-    if scale != 0.0 and m == 2 and w[0, 1] != 0.0:
-        # A single rotation diagonalizes a 2x2 exactly.
-        a_pp, a_pr, a_rr = w[0, 0], w[0, 1], w[1, 1]
-        c, s = _rotation_params(a_pp, a_rr, a_pr)
-        t = s / c
-        w = np.diag([a_pp - t * a_pr, a_rr + t * a_pr])
-        q = np.array([[c, s], [-s, c]])
-    elif scale != 0.0 and m > 2:
-        target = OFFDIAG_TARGET * scale
-        # Entries below this level cannot push the off-diagonal mass back above
-        # the convergence target, so their rotations are skipped.
-        skip_level = target / (2.0 * m)
-        eye = np.eye(m)
-        for _ in range(SWEEP_LIMIT + 1):
-            if _offdiag_norm(w) <= target:
-                break
-            for ps, rs in _round_robin_schedule(m):
-                apr = w[ps, rs]
-                active = np.abs(apr) > skip_level
-                if not active.any():
-                    continue
-                pa, ra = ps[active], rs[active]
-                diag = np.diagonal(w)
-                c, s = _rotations(diag[pa], diag[ra], apr[active])
-                # One rotation matrix for the whole round: the planes are
-                # disjoint, so this equals applying the rotations sequentially.
-                rot = eye.copy()
-                rot[pa, pa] = c
-                rot[ra, ra] = c
-                rot[pa, ra] = s
-                rot[ra, pa] = -s
-                w = rot.T @ w @ rot
-                w[pa, ra] = 0.0
-                w[ra, pa] = 0.0
-                q = q @ rot
-        else:
-            final_off = _offdiag_norm(w)
-            if final_off > target:
-                raise EighConvergenceError(final_off, SWEEP_LIMIT)
-    return _decomposition(w, q, e)
+    """``_jacobi_stack`` on one array, raising its EighConvergenceError."""
+    (eigen,) = _jacobi_stack([matrix])
+    if isinstance(eigen, EighConvergenceError):
+        raise eigen
+    return eigen
+
+
+@functools.cache
+def _eye(m: int) -> np.ndarray:
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
 
 
 def _jacobi_stack(arrays: list[np.ndarray]) -> list[EigenDecomposition | EighConvergenceError]:
-    """``_jacobi`` on each of k symmetric (d, d) arrays, solved together.
+    """Cyclic Jacobi on each of k symmetric (d, d) arrays, solved together.
 
     Every slice keeps its own prescale, target, skip level, convergence test
     at the start of each sweep and per-round set of active planes, and it
-    leaves the stack once converged, so each result has the bits ``_jacobi``
-    gives that array alone.  A round rotates the remaining slices by one
-    ``np.matmul`` over the stack, which calls the same per-slice product as
-    the lone solver; the slices share the per-round Python and dispatch cost
-    that dominates a small solve.  A slice that does not converge yields its
-    EighConvergenceError instead of raising it, so the caller decides the
-    order in which failures surface.
+    leaves the stack once converged, so each result has the bits of that
+    array solved alone.  A round rotates the remaining slices by one
+    ``np.matmul`` over the stack, which calls the same per-slice product as a
+    lone solve; the slices share the per-round Python and dispatch cost that
+    dominates a small solve.  A lone array is solved as a 2-D array, which
+    skips the stack's indexing overhead and gives the same bits.  A slice
+    that does not converge yields its EighConvergenceError instead of raising
+    it, so the caller decides the order in which failures surface.
     """
-    if len(arrays) < 2 or arrays[0].shape[0] <= 2:
-        return [_jacobi(a) for a in arrays]
+    if not arrays:
+        return []
     m = arrays[0].shape[0]
     scaled = [_prescaled(a) for a in arrays]
     exps = [e for _, e in scaled]
-    w = np.stack([x for x, _ in scaled])
-    eyes = np.broadcast_to(np.eye(m), w.shape)
+    eye = _eye(m)
+    if len(arrays) == 1:
+        w, eyes = scaled[0][0], eye
+    else:
+        w = np.stack([x for x, _ in scaled])
+        eyes = np.broadcast_to(eye, w.shape)
     q = eyes.copy()
+    if m == 2:
+        # A single rotation diagonalizes a 2x2 exactly.
+        for x, y in zip(w.reshape(-1, 2, 2), q.reshape(-1, 2, 2)):
+            if x[0, 1] != 0.0:
+                a_pp, a_pr, a_rr = x[0, 0], x[0, 1], x[1, 1]
+                c, s = _rotation_params(a_pp, a_rr, a_pr)
+                t = s / c
+                x[0, 0], x[1, 1] = a_pp - t * a_pr, a_rr + t * a_pr
+                x[0, 1] = x[1, 0] = 0.0
+                y[0, 0] = y[1, 1] = c
+                y[0, 1], y[1, 0] = s, -s
     target = OFFDIAG_TARGET * _frobenius_norms(w)
-    skip_level = target / (2.0 * m)
-    diag = np.arange(m)
+    # Entries below this level cannot push the off-diagonal mass back above
+    # the convergence target, so their rotations are skipped.
+    skip_level = (target / (2.0 * m))[..., None]
+    off_mask = 1.0 - eye  # w * off_mask is w with its diagonal zeroed
     live = np.arange(len(arrays))  # input index of each slice still in the stack
     out: list = [None] * len(arrays)
-    for _ in range(SWEEP_LIMIT + 1):
-        off = w.copy()
-        off[:, diag, diag] = 0.0
-        done = _frobenius_norms(off) <= target
-        for i in np.flatnonzero(done):
-            out[live[i]] = _decomposition(w[i], q[i], exps[live[i]])
-        if done.all():
-            return out
-        if done.any():
+    for sweep in range(SWEEP_LIMIT + 2):
+        off_norms = _frobenius_norms(w * off_mask)
+        done = off_norms <= target
+        converged = np.count_nonzero(done)
+        if sweep > SWEEP_LIMIT or converged == len(live):
+            break
+        if converged:
+            for i in np.flatnonzero(done):
+                out[live[i]] = _decomposition(w[i], q[i], exps[live[i]])
             keep = ~done
-            w, q, live = w[keep], q[keep], live[keep]
+            w, q, eyes, live = w[keep], q[keep], eyes[keep], live[keep]
             target, skip_level = target[keep], skip_level[keep]
         for ps, rs in _round_robin_schedule(m):
-            k, j = np.nonzero(np.abs(w[:, ps, rs]) > skip_level[:, None])
-            if len(k) == 0:
+            apr = w[..., ps, rs]
+            *k, j = np.nonzero(np.abs(apr) > skip_level)
+            if len(j) == 0:
                 continue
             pa, ra = ps[j], rs[j]
-            c, s = _rotations(w[k, pa, pa], w[k, ra, ra], w[k, pa, ra])
-            # A slice with no active plane in this round gets the identity,
-            # where the lone solver skips the round.  The bits agree: a product
-            # with the identity is exact except that an input -0.0 becomes
-            # +0.0, no product returns -0.0, and the lone solver's first
-            # rotation of the slice makes the same change before any test
-            # could tell the two zeros apart.
-            rot = eyes[: len(w)].copy()
-            rot[k, pa, pa] = c
-            rot[k, ra, ra] = c
-            rot[k, pa, ra] = s
-            rot[k, ra, pa] = -s
-            w = np.swapaxes(rot, 1, 2) @ w @ rot
-            w[k, pa, ra] = 0.0
-            w[k, ra, pa] = 0.0
+            wdiag = w.diagonal(0, -2, -1)
+            c, s = _rotations(wdiag[(*k, pa)], wdiag[(*k, ra)], apr[(*k, j)])
+            # One rotation matrix per slice for the whole round: the planes are
+            # disjoint, so this equals applying the rotations sequentially.  A
+            # slice of a stack with no active plane in this round gets the
+            # identity, where a lone solve skips the round.  The bits agree: a
+            # product with the identity is exact except that an input -0.0
+            # becomes +0.0, no product returns -0.0, and a lone solve's first
+            # rotation makes the same change before any test could tell the
+            # two zeros apart.
+            rot = eyes.copy()
+            rot[(*k, pa, pa)] = c
+            rot[(*k, ra, ra)] = c
+            rot[(*k, pa, ra)] = s
+            rot[(*k, ra, pa)] = -s
+            w = rot.swapaxes(-1, -2) @ w @ rot
+            w[(*k, pa, ra)] = 0.0
+            w[(*k, ra, pa)] = 0.0
             q = q @ rot
-    for i, x in enumerate(w):
-        final_off = _offdiag_norm(x)
+    for i, (x, y) in enumerate(zip(w.reshape(-1, m, m), q.reshape(-1, m, m))):
         out[live[i]] = (
-            EighConvergenceError(final_off, SWEEP_LIMIT)
-            if final_off > target[i]
-            else _decomposition(x, q[i], exps[live[i]])
+            _decomposition(x, y, exps[live[i]])
+            if done.flat[i]
+            else EighConvergenceError(float(off_norms.flat[i]), SWEEP_LIMIT)
         )
     return out
 
 
 def _frobenius_norms(w: np.ndarray) -> np.ndarray:
-    """``frobenius_norm`` of each slice of a (k, d, d) stack, with the same
-    bits: each row of d*d squares is summed by the same pairwise reduction."""
-    return np.sqrt(np.add.reduce((w * w).reshape(len(w), -1), axis=1))
+    """``frobenius_norm`` of each (d, d) slice over the leading axes of w, with
+    the same bits: each slice's d*d squares are summed by the same pairwise
+    reduction."""
+    return np.sqrt(np.add.reduce((w * w).reshape(*w.shape[:-2], -1), axis=-1))
 
 
 def apply_spectral(a: SymMatrix, f: str, p: float | None = None) -> SymMatrix | SpdMatrix:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -194,18 +195,60 @@ STACK_KINDS = (
     "spd", "indefinite", "diagonal", "zero", "nearly_diagonal", "signed_zero", "repeated", "scaled"
 )
 
+# SHA-256 of q.tobytes() + lam.tobytes() over the solves of _pinned_pool(dim).
+# Lone and stacked solves share one loop, so comparing them cannot show that
+# the loop's bits changed; these fixed hashes can.  Lone and stacked solves of
+# the pool must both reproduce them.
+SOLVER_PINS = {
+    1: "d3966c996f45b235d796b19769dd0883e98cdc528c002e7a0020684f17f71b0c",
+    2: "cfd9cc858592cc5d11139de206e0531c94b71e43737d89220e8023ee86e9a712",
+    3: "3ba7c5095be0af6f70b9bcafd7cfb2192a1933fb0686b9bc51964bed6a0ded80",
+    4: "c8b5895c601516bcad8b38e7afd246b2a40d7d51fe751fff09831e4a93aa159e",
+    5: "ef55bf20ad66be0f88ad458a22d97c9046969751ad83800d9c3547d263abb611",
+    6: "e519b22b79db07e13b8c723e836ccce25f90adc35dd96154a14e42627c8060e2",
+    7: "6d13271f41dfc0a0b90a98c45abcc11c676cca2faf0651c97fa679d5b9dad5c7",
+    8: "4afa05c3a2f2a4d98dc1e17bbd804ab0b193625f90ccfc6f8fcb474c75c98d0d",
+}
+
+
+def _pinned_pool(dim):
+    """Stacks of k = 1..6 slices, twice over, cycling through every kind."""
+    rng = np.random.default_rng(1000 + dim)
+    kinds = iter(STACK_KINDS * 6)
+    sizes = [k for k in range(1, 7) for _ in range(2)]
+    return [[_stack_slice(rng, dim, next(kinds)) for _ in range(k)] for k in sizes]
+
+
+def _digest(results):
+    h = hashlib.sha256()
+    for r in results:
+        h.update(r.q.tobytes())
+        h.update(r.lam.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_solver_bits_are_pinned(dim):
+    stacks = _pinned_pool(dim)
+    lone = [spd_core._jacobi(a) for arrays in stacks for a in arrays]
+    stacked = [r for arrays in stacks for r in spd_core._jacobi_stack(arrays)]
+    assert _digest(lone) == SOLVER_PINS[dim]
+    assert _digest(stacked) == SOLVER_PINS[dim]
+
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_jacobi_stack_is_bitwise_the_lone_solver(seed):
-    # mixed kinds in one stack converge in different sweeps and leave the
-    # stack at different times; tobytes() also compares the sign of zero
+    # a lone solve is a stack of one; mixed kinds in one stack converge in
+    # different sweeps and leave the stack at different times; tobytes() also
+    # compares the sign of zero.  test_solver_bits_are_pinned ties both to
+    # fixed hashes.
     rng = np.random.default_rng(seed)
     for dim in range(1, 9):
         for k in range(1, 7):
             kinds = rng.choice(STACK_KINDS, size=k)
             arrays = [_stack_slice(rng, dim, kind) for kind in kinds]
             for a, got in zip(arrays, spd_core._jacobi_stack(arrays), strict=True):
-                want = spd_core._jacobi(a)
+                (want,) = spd_core._jacobi_stack([a])
                 assert got.q.tobytes() == want.q.tobytes(), (dim, k)
                 assert got.lam.tobytes() == want.lam.tobytes(), (dim, k)
 
@@ -218,7 +261,8 @@ def test_jacobi_stack_matches_lapack_like_the_lone_solver():
         for a, got in zip(arrays, spd_core._jacobi_stack(arrays)):
             oracle = np.linalg.eigvalsh(a)[::-1]
             err = np.max(np.abs(got.lam - oracle)) / oracle[0]
-            lone = np.max(np.abs(spd_core._jacobi(a).lam - oracle)) / oracle[0]
+            (alone,) = spd_core._jacobi_stack([a])
+            lone = np.max(np.abs(alone.lam - oracle)) / oracle[0]
             assert err == lone
             assert err <= 1e-13
 
@@ -229,6 +273,7 @@ def test_frobenius_norms_match_frobenius_norm_bitwise():
         w = rng.normal(size=(5, dim, dim)) * np.exp(rng.uniform(-5.0, 5.0, size=(5, dim, dim)))
         got = spd_core._frobenius_norms(w)
         assert [float(x) for x in got] == [frobenius_norm(x) for x in w]
+        assert [float(spd_core._frobenius_norms(x)) for x in w] == [float(x) for x in got]
 
 
 def test_spd_stack_equals_lone_constructions():

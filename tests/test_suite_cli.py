@@ -285,6 +285,43 @@ def test_cli_overflowing_entries_exit_3(tmp_path, capsys, argv):
     assert err == "error: matrix 0: matrix entries must be finite\n"
 
 
+BIG_INT = "1" + "0" * 400  # a JSON integer beyond the largest double
+
+
+@pytest.mark.parametrize(
+    "weights, entry, message",
+    [
+        (
+            "0.5",
+            BIG_INT,
+            "error: matrix 0: not a numeric grid (int too large to convert to float)\n",
+        ),
+        (BIG_INT, "2", "error: bad weights: int too large to convert to float\n"),
+    ],
+    ids=["matrix-entry", "weight"],
+)
+def test_cli_integer_too_large_for_a_double_exits_3(tmp_path, capsys, weights, entry, message):
+    path = tmp_path / "big.json"
+    path.write_text(
+        f'{{"schema_version": 1, "weights": [{weights}, 0.5],'
+        f' "matrices": [[[{entry}, 0], [0, 1]], [[1, 0], [0, 1]]]}}'
+    )
+    code, out, err = run_cli(capsys, "mean", "--method", "arithmetic", "--input", str(path))
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == message
+
+
+def test_cli_verify_unwritable_out_exits_3(tmp_path, capsys):
+    out_path = tmp_path / "no_such_dir" / "report.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "metric", "--count", "0", "--out", str(out_path)
+    )
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+
+
 def test_cli_bounds(example_file, capsys):
     code, out, _ = run_cli(capsys, "bounds", "--input", str(example_file))
     assert code == EXIT_OK
