@@ -17,14 +17,15 @@ import numpy as np
 
 from .means_geometry import geometric_mean
 from .spd_core import (
+    NonPositivePivotError,
     NotPositiveDefiniteError,
     SpdMatrix,
     SymMatrix,
     apply_spectral,
+    cholesky,
     congruence,
     determinant,
     frobenius_norm,
-    identity,
     loewner_geq,
     operator_norm,
     spd_stack,
@@ -153,22 +154,60 @@ def harmonic_mean(p: MeanProblem) -> SpdMatrix:
     return apply_spectral(SpdMatrix(_inverse_mixture(p)), "inverse")
 
 
-def _residual_mixture(x: SpdMatrix, p: MeanProblem) -> tuple[float, np.ndarray]:
+def _scaled(p: MeanProblem) -> tuple[int, list[SymMatrix]]:
+    """t and the matrices of p times 4^-t, for the power of four that brings
+    the largest entry into [1/4, 1); the scaling is exact."""
+    t = (math.frexp(max(float(np.abs(a.entries).max()) for a in p.matrices))[1] + 1) // 2
+    return t, [SymMatrix(np.ldexp(a.entries, -2 * t)) for a in p.matrices]
+
+
+def _residual_mixture(
+    l: np.ndarray, mats: Iterable[SymMatrix], weights: WeightVector
+) -> tuple[float, np.ndarray]:
     """Relative Frobenius residual of X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2}
-    at x, and the right-hand side at x as a raw array."""
-    sqrt_x = apply_spectral(x, "sqrt").entries
-    s = p.weights.combine(
-        apply_spectral(c, "sqrt").entries
-        for c in spd_stack(congruence(sqrt_x, a) for a in p.matrices)
-    )
-    return frobenius_norm(x.entries - s) / frobenius_norm(x.entries), s
+    at X = L L^T, and S = sum_j w_j (L^T A_j L)^{1/2} as a raw array.
+
+    L^T stands in for X^{1/2}: L^T = U X^{1/2} with U orthogonal turns X and
+    the right-hand side into L^T L and S, so ||L^T L - S||_F / ||L^T L||_F is
+    the residual in exact arithmetic.
+    """
+    s = weights.combine(_sqrt_stack(spd_stack(congruence(l.T, a) for a in mats)))
+    ref = l.T @ l
+    return frobenius_norm(ref - s) / frobenius_norm(ref), s
+
+
+def _sqrt_stack(cs: list[SpdMatrix]) -> np.ndarray:
+    """Square roots of admitted SPD matrices C_j as one (n, d, d) array.
+
+    Each root is built from the Jacobi eigenvectors Q of C_j and the
+    near-diagonal M = Q^T C_j Q: Q T Q^T with T_ii = sqrt(m_ii) and
+    T_ik = m_ik / (sqrt(m_ii) + sqrt(m_kk)), the root of M to first order
+    in its off-diagonal part.  Jacobi leaves up to 1e-14 ||C_j||_F off the
+    diagonal, and Q diag(sqrt(lambda)) Q^T, which drops it, is wrong by up to
+    that over 2 sqrt(lambda_min): about 1e-10 relative when
+    lambda_min / lambda_max is 1e-11, where this root is correct to roundoff.
+    """
+    q = np.stack([c.eigen.q for c in cs])
+    m = q.swapaxes(-1, -2) @ np.stack([c.entries for c in cs]) @ q
+    root = np.sqrt(np.diagonal(m, 0, -2, -1))
+    t = m / (root[..., :, None] + root[..., None, :])
+    diag = np.arange(m.shape[-1])
+    t[..., diag, diag] = root
+    y = q @ t @ q.swapaxes(-1, -2)
+    return (y + y.swapaxes(-1, -2)) / 2.0
 
 
 def residual(x: SpdMatrix, p: MeanProblem) -> float:
-    """Relative Frobenius residual of X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2} at x."""
+    """Relative Frobenius residual of X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2} at x.
+
+    Evaluated as ``wasserstein_mean`` evaluates its certificate (on x and p
+    scaled by 4^-t, with the Cholesky factor of x), so at a returned mean it
+    is that result's ``residual`` bit for bit.
+    """
     if x.dim != p.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {p.dim}")
-    return _residual_mixture(x, p)[0]
+    t, mats = _scaled(p)
+    return _residual_mixture(cholesky(np.ldexp(x.entries, -2 * t))[0], mats, p.weights)[0]
 
 
 def equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> float:
@@ -181,23 +220,39 @@ def equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> float:
 
 
 def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, measure, step) -> SolverResult:
-    """Shared loop of both means: ``measure(x)`` returns the certificate
-    residual r and an array ``aux`` that ``step(x, aux)`` turns into the raw
-    next iterate.  Converged only when r <= rel_tol; after max_iter updates
-    the last iterate is returned unconverged.  A matrix that fails SPD
-    admission while measuring or stepping raises SolverError."""
+    """Shared loop of both means, on the problem scaled by the power of four
+    4^-t that brings its largest entry into [1/4, 1).
+
+    Both means are homogeneous of degree 1 and the scaling is exact (square
+    roots scale by 2^-t), so only a run whose unscaled iterates would overflow
+    or underflow gets other bits.  Each iterate X is carried as its Cholesky
+    factor L (X = L L^T) and L^{-1}, never diagonalized: ``measure(l, l_inv,
+    mats)`` returns the certificate residual r and an array ``aux`` that
+    ``step(l, l_inv, aux)`` turns into the next iterate.  Converged only when
+    r <= rel_tol; after max_iter updates the last iterate is returned
+    unconverged.  The mean is scaled back and admitted once as an SpdMatrix.
+    A non-positive pivot of L or a failed SPD admission raises SolverError.
+    """
     cfg = cfg or SolverConfig()
-    x = identity(p.dim) if cfg.initial == "identity" else arithmetic_mean(p)
+    t, mats = _scaled(p)
+    if cfg.initial == "identity":
+        x = np.ldexp(np.eye(p.dim), -2 * t)
+    else:
+        x = p.weights.combine(a.entries for a in mats)
     history: list[float] = []
-    for k in range(cfg.max_iter + 1):
-        try:
-            r, aux = measure(x)
+    k = 0
+    try:
+        l, l_inv = cholesky(x)
+        for k in range(cfg.max_iter + 1):
+            r, aux = measure(l, l_inv, mats)
             history.append(r)
             if r <= cfg.rel_tol or k == cfg.max_iter:
-                return SolverResult(x, k, r, r <= cfg.rel_tol, tuple(history))
-            x = SpdMatrix(step(x, aux))
-        except NotPositiveDefiniteError as exc:
-            raise SolverError(f"non-SPD intermediate at iteration {k}: {exc}") from exc
+                mean = SpdMatrix(np.ldexp(x, 2 * t))
+                return SolverResult(mean, k, r, r <= cfg.rel_tol, tuple(history))
+            x = step(l, l_inv, aux)
+            l, l_inv = cholesky(x)
+    except (NotPositiveDefiniteError, NonPositivePivotError) as exc:
+        raise SolverError(f"non-SPD intermediate at iteration {k}: {exc}") from exc
 
 
 def wasserstein_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResult:
@@ -207,35 +262,41 @@ def wasserstein_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverR
     preserves positive definiteness and has the equation's solutions as its
     fixed points; convergence is measured by the equation's own relative
     residual, so a converged result is a certificate independent of the
-    update rule.
+    update rule.  The Cholesky factor L of X stands in for X^{1/2}: with
+    S = sum_j w_j (L^T A_j L)^{1/2} the residual is ||L^T L - S||_F / ||L^T L||_F
+    and the update is L^{-T} S^2 L^{-1}, both equal to their X^{1/2} forms in
+    exact arithmetic (A_j # X^{-1} is the optimal transport map).
     """
 
-    def step(x: SpdMatrix, s: np.ndarray) -> np.ndarray:
-        inv_sqrt_x = apply_spectral(x, "inv_sqrt").entries
-        return inv_sqrt_x @ s @ s @ inv_sqrt_x
+    def measure(l: np.ndarray, l_inv: np.ndarray, mats) -> tuple[float, np.ndarray]:
+        return _residual_mixture(l, mats, p.weights)
 
-    return _fixed_point(p, cfg, lambda x: _residual_mixture(x, p), step)
+    def step(l: np.ndarray, l_inv: np.ndarray, s: np.ndarray) -> np.ndarray:
+        b = s @ l_inv
+        return b.T @ b
+
+    return _fixed_point(p, cfg, measure, step)
 
 
 def karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResult:
     """Riemannian (trace-metric) mean by the unit-step gradient fixed point
-    X <- X^{1/2} exp(sum_j w_j log(X^{-1/2} A_j X^{-1/2})) X^{1/2}.
+    X <- X^{1/2} exp(sum_j w_j log(X^{-1/2} A_j X^{-1/2})) X^{1/2}, with the
+    Cholesky factor L of X in place of X^{1/2}:
+    G = sum_j w_j log(L^{-1} A_j L^{-T}) and X <- L exp(G) L^T.
 
-    Converged when the gradient term's Frobenius norm falls below rel_tol;
-    the residual history records that norm, which is scale free.
+    Converged when ||G||_F, which does not depend on the factor, falls below
+    rel_tol; the residual history records that norm, which is scale free.
     """
 
-    def measure(x: SpdMatrix) -> tuple[float, np.ndarray]:
-        inv_sqrt_x = apply_spectral(x, "inv_sqrt").entries
+    def measure(l: np.ndarray, l_inv: np.ndarray, mats) -> tuple[float, np.ndarray]:
         grad = p.weights.combine(
             apply_spectral(c, "log").entries
-            for c in spd_stack(congruence(inv_sqrt_x, a) for a in p.matrices)
+            for c in spd_stack(congruence(l_inv, a) for a in mats)
         )
         return frobenius_norm(grad), grad
 
-    def step(x: SpdMatrix, grad: np.ndarray) -> np.ndarray:
-        sqrt_x = apply_spectral(x, "sqrt").entries
-        return sqrt_x @ apply_spectral(SymMatrix(grad), "exp_of_sym").entries @ sqrt_x
+    def step(l: np.ndarray, l_inv: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        return congruence(l, apply_spectral(SymMatrix(grad), "exp_of_sym"))
 
     return _fixed_point(p, cfg, measure, step)
 

@@ -68,6 +68,9 @@ def _cmd_mean(args) -> int:
     lines.append(f"converged: {'true' if result.converged else 'false'}")
     lines.append(f"iterations: {result.iterations}")
     lines.append(f"residual: {format_float(result.residual)}")
+    if args.history:
+        lines.append("residual_history:")
+        lines.extend(format_float(r) for r in result.residual_history)
     lines.append("mean:")
     lines.extend(_matrix_lines(result.mean))
     print("\n".join(lines))
@@ -188,6 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mean.add_argument("--tol", type=float, default=1e-12)
     p_mean.add_argument("--max-iter", type=int, default=500)
     p_mean.add_argument("--init", choices=("arith", "identity"), default="arith")
+    p_mean.add_argument(
+        "--history",
+        action="store_true",
+        help="also print the residual after each iteration (wasserstein, karcher)",
+    )
     p_mean.set_defaults(fn=_cmd_mean)
 
     p_geo = sub.add_parser("geodesic", help="point on the transport geodesic of a 2-matrix file")

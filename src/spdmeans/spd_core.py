@@ -3,7 +3,9 @@
 Everything downstream (two-matrix means, barycenters, limit experiments) is
 spectral: square roots, logarithms, powers and Loewner comparisons are all
 obtained by diagonalising with the same solver, so this module is the single
-source of numerical truth for the package.  Matrices are small and dense
+source of numerical truth for the package.  The one factorization besides it
+is a hand-written Cholesky, which the barycenter loops use in place of the
+iterate's square root.  Matrices are small and dense
 (desk scale, dims up to a few dozen); no attempt is made to compete with
 LAPACK.
 """
@@ -66,6 +68,15 @@ class NumericalBreakdownError(LinearAlgebraError):
     """A quantity left its mathematically guaranteed range by more than roundoff."""
 
 
+class NonPositivePivotError(LinearAlgebraError):
+    """Cholesky factorization met a pivot that is not positive and finite."""
+
+    def __init__(self, index: int, pivot: float):
+        self.index = index
+        self.pivot = pivot
+        super().__init__(f"Cholesky pivot {index} is {pivot:.6e}, not positive and finite")
+
+
 def _symmetrized(entries) -> np.ndarray:
     """(M + M^T)/2 of a square array, required finite after symmetrizing, so
     finite entries whose sum overflows are rejected too."""
@@ -73,10 +84,12 @@ def _symmetrized(entries) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        m = (m + m.T) / 2.0
-    if not np.isfinite(m).all():
+        sym = (m + m.T) / 2.0
+    if not np.isfinite(sym).all():
+        if np.isfinite(m).all():
+            raise ValueError("symmetrization (M + M^T)/2 overflows")
         raise ValueError("matrix entries must be finite")
-    return m
+    return sym
 
 
 class SymMatrix:
@@ -195,7 +208,7 @@ def eigh(a: SymMatrix) -> EigenDecomposition:
 
     Deterministic for fixed input; SPD inputs return their cached
     decomposition.  Raises EighConvergenceError if the off-diagonal mass has
-    not dropped below OFFDIAG_TARGET * ||a||_F after SWEEP_LIMIT sweeps.
+    not dropped below OFFDIAG_TARGET * ||a||_F after SWEEP_LIMIT + 1 sweeps.
     The solve runs on A scaled by the power of two that brings its largest
     entry into [1/2, 1), so ||A||_F can neither overflow nor underflow.
     """
@@ -367,7 +380,7 @@ def _jacobi_stack(arrays: list[np.ndarray]) -> list[EigenDecomposition | EighCon
         out[live[i]] = (
             _decomposition(x, y, exps[live[i]])
             if done.flat[i]
-            else EighConvergenceError(float(off_norms.flat[i]), SWEEP_LIMIT)
+            else EighConvergenceError(float(off_norms.flat[i]), SWEEP_LIMIT + 1)
         )
     return out
 
@@ -436,6 +449,30 @@ def congruence(x: np.ndarray, a: SymMatrix) -> np.ndarray:
     if not np.isfinite(sym).all():
         raise NumericalBreakdownError("congruence X A X^T overflows")
     return sym
+
+
+def cholesky(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower triangular L with X = L L^T, and L^{-1}, for a symmetric array x
+    (only its lower triangle is read).
+
+    Left-looking: step j forms column j of L from the columns before it, then
+    row j of L^{-1} by forward substitution.  A pivot that is not positive and
+    finite raises NonPositivePivotError.
+    """
+    d = x.shape[0]
+    lower = np.zeros((d, d))
+    inv = np.zeros((d, d))
+    for j in range(d):
+        row = lower[j, :j]
+        pivot = float(x[j, j] - row @ row)
+        if not 0.0 < pivot < math.inf:
+            raise NonPositivePivotError(j, pivot)
+        ljj = math.sqrt(pivot)
+        lower[j, j] = ljj
+        lower[j + 1 :, j] = (x[j + 1 :, j] - lower[j + 1 :, :j] @ row) / ljj
+        inv[j, :j] = -(row @ inv[:j, :j]) / ljj
+        inv[j, j] = 1.0 / ljj
+    return lower, inv
 
 
 def frobenius_norm(a: SymMatrix | np.ndarray) -> float:

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -7,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdmeans import (
+    EigenDecomposition,
     MeanProblem,
-    NotPositiveDefiniteError,
     SolverConfig,
     SolverError,
     SpdMatrix,
     WeightVector,
+    apply_spectral,
     arithmetic_mean,
     bounds_report,
     check_bounds,
@@ -196,17 +196,25 @@ def test_solver_nonconvergence_reports(solve):
 
 @SOLVERS
 def test_solver_maps_non_spd_update_to_solver_error(solve, example_problem, monkeypatch):
-    real_init = SpdMatrix.__init__
+    real_cholesky = barycenter.cholesky
+    calls = []
 
-    def rigged_init(self, entries, _eigen=None):
-        # only the constructor call that admits the next iterate fails
-        if sys._getframe(1).f_code.co_name == "_fixed_point":
-            raise NotPositiveDefiniteError(-1.0, 1.0)
-        real_init(self, entries, _eigen)
+    def rigged_cholesky(x):
+        # the second factorization is the first update's: flip the sign of its
+        # last diagonal entry, so that its last pivot is negative
+        calls.append(None)
+        if len(calls) == 2:
+            x = x.copy()
+            x[-1, -1] = -x[-1, -1]
+        return real_cholesky(x)
 
-    monkeypatch.setattr(SpdMatrix, "__init__", rigged_init)
-    with pytest.raises(SolverError, match="non-SPD intermediate at iteration 0"):
+    monkeypatch.setattr(barycenter, "cholesky", rigged_cholesky)
+    with pytest.raises(SolverError) as info:
         solve(example_problem)
+    message = str(info.value)
+    assert message.startswith("non-SPD intermediate at iteration 0: Cholesky pivot 1 is -")
+    assert message.endswith(", not positive and finite")
+    assert isinstance(info.value.__cause__, spd_core.NonPositivePivotError)
 
 
 # SPD admission fails inside the residual's congruences X^{1/2} A_j X^{1/2}
@@ -232,8 +240,10 @@ def _rotated(q, diag):
 
 
 def test_second_congruence_failing_admission_gives_the_loop_message():
-    # X^{1/2} A_0 X^{1/2} is admitted, X^{1/2} A_1 X^{1/2} is not; the
-    # message is the one the one-congruence-at-a-time loop produced
+    # L^T A_0 L is admitted, L^T A_1 L is not; the message is the one the
+    # one-congruence-at-a-time loop produces.  The solver works on the problem
+    # scaled by 4^-1 (largest entry 2 -> 1/2), so the congruences and their
+    # eigenvalues are scaled by 16^-1: lambda_max is 4/16.
     q = random_orthogonal(np.random.default_rng(3), 3)
     p = MeanProblem(
         (_rotated(q, [1.0, 1e-3, 2.0]), _rotated(q, [1.0, 3e-12, 2.0])), WeightVector.uniform(2)
@@ -242,19 +252,20 @@ def test_second_congruence_failing_admission_gives_the_loop_message():
         wasserstein_mean(p)
     assert str(info.value) == (
         "non-SPD intermediate at iteration 0: matrix is not positive definite: "
-        "lambda_min=1.409438e-15, lambda_max=4.000000e+00"
+        "lambda_min=9.374859e-17, lambda_max=2.500000e-01"
     )
 
 
 @pytest.mark.parametrize(
     "solve, lone_per_iteration",
-    [(wasserstein_mean, 1), (karcher_mean, 2)],
+    [(wasserstein_mean, 0), (karcher_mean, 1)],
     ids=["wasserstein", "karcher"],
 )
 def test_each_iteration_solves_its_congruences_as_one_stack(
     monkeypatch, solve, lone_per_iteration
 ):
-    # the lone solves are the new iterate (Karcher: also exp of the gradient)
+    # the iterate is carried as a Cholesky factor, so the only lone solves are
+    # the admission of the returned mean and, for Karcher, exp of the gradient
     stacks, lone = [], []
     real_stack, real_lone = spd_core._jacobi_stack, spd_core._jacobi
 
@@ -269,14 +280,14 @@ def test_each_iteration_solves_its_congruences_as_one_stack(
     monkeypatch.setattr(spd_core, "_jacobi_stack", counting_stack)
     monkeypatch.setattr(spd_core, "_jacobi", counting_lone)
     p = random_problem(np.random.default_rng(12), n=4, dim=5)
-    for max_iter in (1, 2):
+    for max_iter in (1, 2, 5):
         stacks.clear()
         lone.clear()
         result = solve(p, SolverConfig(rel_tol=1e-300, max_iter=max_iter))
         assert result.iterations == max_iter
-        # the start point, then per iteration one stack of n and the lone solves;
-        # the residual at the last iterate makes one more stack.  A lone solve
-        # is a stack of one.
+        # one stack of n per measured iterate, the start included; the lone
+        # solves per iteration, and one for the returned mean.  A lone solve is
+        # a stack of one.
         assert [k for k in stacks if k != 1] == [4] * (max_iter + 1)
         assert len(lone) == 1 + lone_per_iteration * max_iter
         assert stacks.count(1) == len(lone)
@@ -296,6 +307,50 @@ def test_stacked_congruences_give_the_loop_bits(monkeypatch, solve):
         assert got.iterations == want.iterations
         assert got.residual_history == want.residual_history
         assert got.mean.entries.tobytes() == want.mean.entries.tobytes()
+
+
+def _symmetric_factor_residual(x, p):
+    """The transport residual with X^{1/2} itself as the factor, formed by an
+    eigensolve of x, where the solver uses the Cholesky factor of X."""
+    sqrt_x = apply_spectral(x, "sqrt").entries
+    s = p.weights.combine(
+        barycenter._sqrt_stack(spd_core.spd_stack(spd_core.congruence(sqrt_x, a) for a in p.matrices))
+    )
+    return frobenius_norm(x.entries - s) / frobenius_norm(x.entries)
+
+
+@pytest.mark.parametrize("condition_max, gap", [(1e2, 1e-13), (1e6, 5e-12)], ids=["k1e2", "k1e6"])
+def test_factored_certificate_agrees_with_the_symmetric_factor(condition_max, gap):
+    # the public residual evaluates the certificate itself; the symmetric
+    # factor X^{1/2} gives the same residual up to roundoff
+    rng = np.random.default_rng(41)
+    for _ in range(24):
+        p = random_problem(rng, condition_max=condition_max)
+        result = wasserstein_mean(p)
+        assert result.converged
+        assert residual(result.mean, p) == result.residual
+        symmetric = _symmetric_factor_residual(result.mean, p)
+        assert abs(symmetric - result.residual) <= gap
+        assert symmetric <= 5e-11
+
+
+def test_congruence_roots_take_in_what_jacobi_leaves_off_the_diagonal():
+    # a decomposition that leaves eps between two small eigenvalues, as
+    # Jacobi's stopping test (off-diagonal mass <= 1e-14 ||C||_F) allows:
+    # Q diag(sqrt(lambda)) Q^T drops eps and errs by eps / (sqrt(l1) + sqrt(l2));
+    # the root of the transport residual is exact to first order in eps
+    l1, l2, eps = 4e-10, 1e-10, 1e-15
+    c = np.diag([1.0, l1, l2])
+    c[1, 2] = c[2, 1] = eps
+    leaky = SpdMatrix(c, _eigen=EigenDecomposition(q=np.eye(3), lam=np.array([1.0, l1, l2])))
+    sqrt_det = math.sqrt(l1 * l2 - eps * eps)  # closed-form root of the 2x2 block
+    want = np.zeros((3, 3))
+    want[0, 0] = 1.0
+    want[1:, 1:] = (c[1:, 1:] + sqrt_det * np.eye(2)) / math.sqrt(l1 + l2 + 2.0 * sqrt_det)
+    (root,) = barycenter._sqrt_stack([leaky])
+    assert np.array_equal(root, root.T)
+    assert np.abs(root - want).max() <= 1e-15
+    assert np.abs(apply_spectral(leaky, "sqrt").entries - want).max() > 3e-11
 
 
 def test_initial_point_options(example_problem):

@@ -10,15 +10,15 @@ import pytest
 
 from spdmeans.cli import main
 
-VERIFY_SHA256 = "3efe09b774485207327a09bc6da52b1c8c2f98da9781cfb90676bd0a29e0c650"
+VERIFY_SHA256 = "49248f111739d330f1d09846ffe7e10d35c262c5b75a2fb4e0dc6e49ee4cf446"
 
 CLI_SHA256 = {
-    "bounds": "07c928a953dac0973459478d0ec09785485fb2df72c21665bac4d5867bc5d778",
-    "mean-wasserstein": "eda28986fd4d2499d2d21b8f93e2579a0dba2fff9197ec125cd5302f7f6bf05d",
-    "mean-karcher": "736e33747c837dce186816fc82f6d118c8f57313a46f01f5ceacb5817a51b3dd",
+    "bounds": "3b992ea02feef3114bf3978fdc167f0879aff01c43a6285134c2651ae80c295e",
+    "mean-wasserstein": "3527b235f0a8e1a8ae388ee96ac0e790fda2bb724342adc397c898855863ae48",
+    "mean-karcher": "84390c63d64c2f553744c1e101faa4c9b5696bf6ac051d26903c0e1b705b0a19",
     "mean-arithmetic": "74ba9884fe4c9aa827539a0151aeae97547b6523ce95cff7a64d2e12c77d7b7a",
     "mean-harmonic": "ffa5844fdf202d4bfe6292c590767adfb9d309652ffc119cbbcdbb1635c6165f",
-    "lie-trotter": "ac2dc81b2af02234cb8b2d666ead460cf01286f6b522835dd6c98cc271ab6c49",
+    "lie-trotter": "3c05fd25629ed05d3021f4673509ad165a3293da4980bc64dccdef53245795fa",
     "distance-wasserstein": "4ecdd70930069d5927cf5935b37e0fc0d8af9378750e47f31740d4f8760aad40",
     "distance-riemannian": "0aaec0745f9bfd1432eb43a533571e7ef7ba41a4cbf8c7d17f4862499af1cbfc",
     "geodesic": "0cbd2b851bdda851d7fa31887ebfae292b81dcdd240f8dfda49ef4aa3a412278",

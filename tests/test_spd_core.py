@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -50,11 +51,17 @@ def test_symmatrix_rejects_nonsquare_and_nonfinite():
 
 
 def test_symmetrizing_overflow_is_rejected_without_warnings():
-    # every entry is finite, but (M + M^T)/2 overflows on the diagonal
+    # every entry is finite, but (M + M^T)/2 overflows on the diagonal; the
+    # message names the symmetrization, not the entries
+    overflow = r"symmetrization \(M \+ M\^T\)/2 overflows"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
+        with pytest.raises(ValueError, match=overflow):
             SpdMatrix([[1.7e308, 1e308], [1e308, 1.7e308]])
+        with pytest.raises(ValueError, match=overflow):
+            SpdMatrix(np.diag([1.7e308, 1.0]))
+        with pytest.raises(ValueError, match=overflow):
+            SymMatrix(np.diag([1.7e308, 1.0]))
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             SymMatrix([[1.0, math.inf], [-math.inf, 1.0]])
 
@@ -229,6 +236,8 @@ def _digest(results):
 
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_solver_bits_are_pinned(dim):
+    # the d = 2 pin holds the bits of the 2x2 closed form, which stays: the
+    # generic sweeps take about twice as long on a lone 2x2
     stacks = _pinned_pool(dim)
     lone = [spd_core._jacobi(a) for arrays in stacks for a in arrays]
     stacked = [r for arrays in stacks for r in spd_core._jacobi_stack(arrays)]
@@ -332,6 +341,70 @@ def test_spd_stack_raises_a_drawing_error_after_the_slices_before_it():
         spd_stack(arrays(fail_at=2))
     with pytest.raises(spd_core.NumericalBreakdownError):
         spd_stack(arrays(fail_at=1))
+
+
+@pytest.mark.parametrize(
+    "matrix, sweep_limit, sweeps",
+    [(np.full((3, 3), math.nan), spd_core.SWEEP_LIMIT, 65), (DENSE, 0, 1)],
+    ids=["default-limit", "zero-limit"],
+)
+def test_convergence_error_reports_the_sweeps_run(monkeypatch, matrix, sweep_limit, sweeps):
+    # each sweep walks the round-robin schedule once; a NaN matrix never meets
+    # its target, so it runs every sweep the limit allows
+    walked = []
+    real_schedule = spd_core._round_robin_schedule
+
+    def counting_schedule(m):
+        walked.append(m)
+        return real_schedule(m)
+
+    monkeypatch.setattr(spd_core, "SWEEP_LIMIT", sweep_limit)
+    monkeypatch.setattr(spd_core, "_round_robin_schedule", counting_schedule)
+    (error,) = spd_core._jacobi_stack([matrix])
+    assert isinstance(error, EighConvergenceError)
+    assert len(walked) == error.sweeps == sweeps
+    assert f"did not converge after {sweeps} sweeps" in str(error)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_cholesky_factors_and_inverts(dim):
+    # LAPACK serves only as an oracle here
+    rng = np.random.default_rng(dim)
+    for kappa in (1e2, 1e6):
+        x = spd_from_rng(rng, dim, kappa).entries
+        lower, inv = spd_core.cholesky(x)
+        assert np.array_equal(lower, np.tril(lower))
+        assert np.array_equal(inv, np.tril(inv))
+        assert np.all(np.diagonal(lower) > 0.0)
+        scale = np.abs(x).max()
+        assert np.abs(lower @ lower.T - x).max() <= 1e-14 * scale
+        assert np.abs(lower - np.linalg.cholesky(x)).max() <= 1e-13 * math.sqrt(scale) * kappa
+        assert np.abs(inv @ lower - np.eye(dim)).max() <= 1e-14 * kappa
+        upper_noise = x + np.triu(rng.normal(size=(dim, dim)), 1)  # only the lower triangle is read
+        assert all(np.array_equal(a, b) for a, b in zip(spd_core.cholesky(upper_noise), (lower, inv)))
+
+
+def test_cholesky_rejects_a_non_positive_pivot():
+    for x, index in (
+        (np.diag([1.0, -2.0, 3.0]), 1),
+        (np.array([[1.0, 2.0], [2.0, 4.0]]), 1),  # singular: the pivot is exactly 0
+        (np.array([[0.0, 1.0], [1.0, 1.0]]), 0),
+        (np.diag([1.0, math.nan]), 1),
+    ):
+        with pytest.raises(spd_core.NonPositivePivotError) as info:
+            spd_core.cholesky(x)
+        assert info.value.index == index
+        assert str(info.value).startswith(f"Cholesky pivot {index} is ")
+        assert str(info.value).endswith(", not positive and finite")
+
+
+@pytest.mark.parametrize("module", ["spd_core", "barycenter", "means_geometry", "lie_trotter"])
+def test_solver_modules_do_not_call_lapack(module):
+    # the linear algebra is first-principles: LAPACK appears only as an oracle
+    # in tests (problem_io draws its random orthogonal matrices with a QR)
+    source = (pathlib.Path(spd_core.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    assert "np.linalg" not in source
+    assert "numpy.linalg" not in source
 
 
 def test_eigendecomposition_validates():

@@ -165,6 +165,25 @@ def test_cli_mean_other_methods(example_file, capsys, method):
     assert out.startswith(f"method: {method}")
 
 
+@pytest.mark.parametrize("method", ["wasserstein", "karcher"])
+def test_cli_mean_history(example_file, capsys, method):
+    argv = ("mean", "--method", method, "--input", str(example_file))
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, *argv, "--history")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    iterations = int(lines[2].removeprefix("iterations: "))
+    start = lines.index("residual_history:")
+    assert lines[start - 1].startswith("residual: ")
+    history = lines[start + 1 : start + iterations + 2]
+    assert lines[start + iterations + 2] == "mean:"
+    assert history[-1] == lines[start - 1].removeprefix("residual: ")
+    assert all(float(r) > 0.0 for r in history)
+    # without the flag the output is the same, less the history block
+    assert lines[:start] + lines[start + iterations + 2 :] == plain.splitlines()
+
+
 def test_cli_mean_nonconvergence_exit(example_file, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -282,7 +301,7 @@ def test_cli_overflowing_entries_exit_3(tmp_path, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--input", str(path))
     assert code == EXIT_INPUT_ERROR
     assert out == ""
-    assert err == "error: matrix 0: matrix entries must be finite\n"
+    assert err == "error: matrix 0: symmetrization (M + M^T)/2 overflows\n"
 
 
 BIG_INT = "1" + "0" * 400  # a JSON integer beyond the largest double
@@ -388,7 +407,8 @@ NEAR_SINGULAR_PAIR = {
 
 
 def _scaled_pair(scale: float) -> dict:
-    """A regular 3x3 pair whose congruences overflow at this scale."""
+    """The regular 3x3 pair [[2,1,0],[1,2,0],[0,0,1]], diag(2,3,2) times scale;
+    at 1e154 or more, its congruences X A X^T overflow."""
     pair = ([[2, 1, 0], [1, 2, 0], [0, 0, 1]], [[2, 0, 0], [0, 3, 0], [0, 0, 2]])
     return {
         "schema_version": 1,
@@ -404,8 +424,6 @@ def _scaled_pair(scale: float) -> dict:
         (NEAR_SINGULAR_TRIPLE, ["mean", "--method", "karcher"]),
         (NEAR_SINGULAR_TRIPLE, ["bounds"]),
         (NEAR_SINGULAR_PAIR, ["distance", "--metric", "riemannian"]),
-        (_scaled_pair(1e154), ["mean", "--method", "wasserstein"]),
-        (_scaled_pair(1e200), ["bounds"]),
         (_scaled_pair(1e154), ["geodesic", "--t", "0.5"]),
         (_scaled_pair(1e200), ["distance", "--metric", "wasserstein"]),
     ],
@@ -414,8 +432,6 @@ def _scaled_pair(scale: float) -> dict:
         "mean-karcher",
         "bounds",
         "distance-riemannian",
-        "overflow-mean-wasserstein",
-        "overflow-bounds",
         "overflow-geodesic",
         "overflow-distance-wasserstein",
     ],
@@ -436,6 +452,33 @@ def test_cli_numerical_failure_exits_2(tmp_path, doc, argv):
     assert done.returncode == EXIT_NO_CONVERGENCE
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, scale",
+    [
+        (["mean", "--method", "wasserstein"], 1e154),
+        (["mean", "--method", "wasserstein"], 1e-170),
+        (["bounds"], 1e200),
+    ],
+    ids=["mean-wasserstein-1e154", "mean-wasserstein-1e-170", "bounds-1e200"],
+)
+def test_cli_transport_mean_is_homogeneous_at_extreme_scales(tmp_path, capsys, argv, scale):
+    # unscaled, these congruences overflow or underflow; the solver works on
+    # the problem scaled by a power of four and scales the mean back
+    path = tmp_path / "pair.json"
+
+    def solved_mean(doc):
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+        assert code == EXIT_OK, err
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.endswith("mean:")) + 1
+        return np.array([[float(v) for v in line.split()] for line in lines[start : start + 3]])
+
+    base = solved_mean(_scaled_pair(1.0))
+    scaled = solved_mean(_scaled_pair(scale))
+    assert np.abs(scaled / scale - base).max() <= 1e-12 * np.abs(base).max()
 
 
 def test_cli_verify_small(capsys, tmp_path):
