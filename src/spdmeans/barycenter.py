@@ -21,14 +21,15 @@ from .spd_core import (
     NotPositiveDefiniteError,
     SpdMatrix,
     SymMatrix,
+    _congruences,
     apply_spectral,
     cholesky,
-    congruence,
     determinant,
     frobenius_norm,
     loewner_geq,
     operator_norm,
-    spd_stack,
+    scale_exponent,
+    spd_spectra,
 )
 
 
@@ -58,9 +59,12 @@ class WeightVector:
             raise ValueError("weights must be a nonempty vector")
         if not np.isfinite(w).all() or np.any(w <= 0.0):
             raise ValueError("weights must be finite and strictly positive")
-        total = float(w.sum())
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
             w = w / total
+        if not np.all(w > 0.0):
+            raise ValueError(f"a normalized weight is zero: the weights sum to {total!r}")
         w.flags.writeable = False
         object.__setattr__(self, "values", w)
 
@@ -154,15 +158,16 @@ def harmonic_mean(p: MeanProblem) -> SpdMatrix:
     return apply_spectral(SpdMatrix(_inverse_mixture(p)), "inverse")
 
 
-def _scaled(p: MeanProblem) -> tuple[int, list[SymMatrix]]:
-    """t and the matrices of p times 4^-t, for the power of four that brings
-    the largest entry into [1/4, 1); the scaling is exact."""
-    t = (math.frexp(max(float(np.abs(a.entries).max()) for a in p.matrices))[1] + 1) // 2
-    return t, [SymMatrix(np.ldexp(a.entries, -2 * t)) for a in p.matrices]
+def _scaled(p: MeanProblem) -> tuple[int, np.ndarray]:
+    """t = scale_exponent of the matrices of p, and the (n, d, d) stack of
+    those matrices times 4^-t."""
+    mats = np.stack([a.entries for a in p.matrices])
+    t = scale_exponent(mats)
+    return t, np.ldexp(mats, -2 * t)
 
 
 def _residual_mixture(
-    l: np.ndarray, mats: Iterable[SymMatrix], weights: WeightVector
+    l: np.ndarray, mats: np.ndarray, weights: WeightVector
 ) -> tuple[float, np.ndarray]:
     """Relative Frobenius residual of X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2}
     at X = L L^T, and S = sum_j w_j (L^T A_j L)^{1/2} as a raw array.
@@ -171,13 +176,15 @@ def _residual_mixture(
     the right-hand side into L^T L and S, so ||L^T L - S||_F / ||L^T L||_F is
     the residual in exact arithmetic.
     """
-    s = weights.combine(_sqrt_stack(spd_stack(congruence(l.T, a) for a in mats)))
+    cs = _congruences(l.T, mats)
+    s = weights.combine(_sqrt_stack(spd_spectra(cs)[0], cs))
     ref = l.T @ l
     return frobenius_norm(ref - s) / frobenius_norm(ref), s
 
 
-def _sqrt_stack(cs: list[SpdMatrix]) -> np.ndarray:
-    """Square roots of admitted SPD matrices C_j as one (n, d, d) array.
+def _sqrt_stack(q: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """Square roots of an (n, d, d) stack of admitted SPD matrices C_j, given
+    their Jacobi eigenvectors q (``spd_spectra``), as one (n, d, d) array.
 
     Each root is built from the Jacobi eigenvectors Q of C_j and the
     near-diagonal M = Q^T C_j Q: Q T Q^T with T_ii = sqrt(m_ii) and
@@ -187,8 +194,7 @@ def _sqrt_stack(cs: list[SpdMatrix]) -> np.ndarray:
     that over 2 sqrt(lambda_min): about 1e-10 relative when
     lambda_min / lambda_max is 1e-11, where this root is correct to roundoff.
     """
-    q = np.stack([c.eigen.q for c in cs])
-    m = q.swapaxes(-1, -2) @ np.stack([c.entries for c in cs]) @ q
+    m = q.swapaxes(-1, -2) @ cs @ q
     root = np.sqrt(np.diagonal(m, 0, -2, -1))
     t = m / (root[..., :, None] + root[..., None, :])
     diag = np.arange(m.shape[-1])
@@ -238,7 +244,7 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, measure, step) -> Sol
     if cfg.initial == "identity":
         x = np.ldexp(np.eye(p.dim), -2 * t)
     else:
-        x = p.weights.combine(a.entries for a in mats)
+        x = p.weights.combine(mats)
     history: list[float] = []
     k = 0
     try:
@@ -289,14 +295,13 @@ def karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResul
     """
 
     def measure(l: np.ndarray, l_inv: np.ndarray, mats) -> tuple[float, np.ndarray]:
-        grad = p.weights.combine(
-            apply_spectral(c, "log").entries
-            for c in spd_stack(congruence(l_inv, a) for a in mats)
-        )
+        q, lam = spd_spectra(_congruences(l_inv, mats))
+        logs = (q * np.log(lam)[:, None, :]) @ q.swapaxes(-1, -2)
+        grad = p.weights.combine((logs + logs.swapaxes(-1, -2)) / 2.0)
         return frobenius_norm(grad), grad
 
     def step(l: np.ndarray, l_inv: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        return congruence(l, apply_spectral(SymMatrix(grad), "exp_of_sym"))
+        return _congruences(l, apply_spectral(SymMatrix(grad), "exp_of_sym").entries)
 
     return _fixed_point(p, cfg, measure, step)
 

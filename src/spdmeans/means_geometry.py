@@ -19,6 +19,7 @@ from .spd_core import (
     apply_spectral,
     congruence,
     frobenius_norm,
+    scale_exponent,
     trace,
 )
 
@@ -66,6 +67,9 @@ def wasserstein_distance(a: SpdMatrix, b: SpdMatrix) -> float:
     """Optimal-transport distance [tr((A+B)/2) - tr(A^{1/2} B A^{1/2})^{1/2}]^{1/2}.
 
     The cross term tr(A^{1/2} B A^{1/2})^{1/2} is the fidelity of the pair.
+    It is taken from the product times 16^-s (s from ``scale_exponent``,
+    exact, so the product neither overflows nor underflows) and scaled back,
+    so the clamp window below applies to the unscaled radicand.
     Equal inputs return exactly zero: the trace difference cancels
     catastrophically there, so the formula path would only report the
     cancellation noise inflated by the outer square root.
@@ -73,8 +77,9 @@ def wasserstein_distance(a: SpdMatrix, b: SpdMatrix) -> float:
     _check_pair(a, b)
     if np.array_equal(a.entries, b.entries):
         return 0.0
-    mixed = SpdMatrix(congruence(apply_spectral(a, "sqrt").entries, b))
-    fidelity = float(np.sum(np.sqrt(mixed.eigen.lam)))
+    s = scale_exponent(a.entries, b.entries)
+    mixed = SpdMatrix(congruence(np.ldexp(apply_spectral(a, "sqrt").entries, -2 * s), b))
+    fidelity = math.ldexp(float(np.sum(np.sqrt(mixed.eigen.lam))), 2 * s)
     radicand = 0.5 * (trace(a) + trace(b)) - fidelity
     if radicand < -RADICAND_CLAMP:
         raise NumericalBreakdownError(
@@ -133,7 +138,9 @@ def wasserstein_geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
 
     Endpoints are exact.  (AB)^{1/2} is evaluated through the similarity
     reduction A^{1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}, which keeps every
-    square root inside the symmetric eigensolver's domain.
+    square root inside the symmetric eigensolver's domain.  The inner product
+    is formed times 16^-s, as in ``wasserstein_distance``, and its root
+    scaled back.
     """
     _check_pair(a, b)
     t = _check_unit_interval(t)
@@ -143,8 +150,9 @@ def wasserstein_geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
         return b
     sqrt_a = apply_spectral(a, "sqrt").entries
     inv_sqrt_a = apply_spectral(a, "inv_sqrt").entries
-    mixed = SpdMatrix(congruence(sqrt_a, b))
-    cross = sqrt_a @ apply_spectral(mixed, "sqrt").entries @ inv_sqrt_a
+    s = scale_exponent(a.entries, b.entries)
+    mixed = SpdMatrix(congruence(np.ldexp(sqrt_a, -2 * s), b))
+    cross = np.ldexp(sqrt_a @ apply_spectral(mixed, "sqrt").entries @ inv_sqrt_a, 2 * s)
     g = (1.0 - t) ** 2 * a.entries + t**2 * b.entries + t * (1.0 - t) * (cross + cross.T)
     return SpdMatrix(g)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,11 +157,7 @@ class SpdMatrix(SymMatrix):
         super().__init__(entries)
         if _eigen is None:
             _eigen = _jacobi(self.entries)
-        lam_max = float(_eigen.lam[0])
-        lam_min = float(_eigen.lam[-1])
-        # written so that a NaN spectrum fails admission too
-        if not (lam_max > 0.0 and lam_min > SPD_ADMISSION * lam_max):
-            raise NotPositiveDefiniteError(lam_min, lam_max)
+        _admit(_eigen.lam)
         self._eigen = _eigen
 
     @property
@@ -170,33 +165,27 @@ class SpdMatrix(SymMatrix):
         return self._eigen
 
 
-def spd_stack(arrays: Iterable) -> list[SpdMatrix]:
-    """``[SpdMatrix(a) for a in arrays]`` for square arrays of one shape, with
-    the eigensolves run as one stack (``_jacobi_stack``); each result has the
-    bits of its lone construction.
+def _admit(lam: np.ndarray) -> None:
+    """Raise NotPositiveDefiniteError unless the descending spectrum ``lam``
+    has lambda_min > SPD_ADMISSION * lambda_max > 0."""
+    lam_max, lam_min = float(lam[0]), float(lam[-1])
+    # written so that a NaN spectrum fails admission too
+    if not (lam_max > 0.0 and lam_min > SPD_ADMISSION * lam_max):
+        raise NotPositiveDefiniteError(lam_min, lam_max)
 
-    Errors surface as that loop raises them, in input order: an error raised
-    while drawing or symmetrizing item j, or slice j's EighConvergenceError or
-    NotPositiveDefiniteError, is raised only after items 0..j-1 were admitted.
-    """
-    raw, syms = [], []
-    pending = None
-    try:
-        for a in arrays:
-            syms.append(_symmetrized(a))
-            raw.append(a)
-    except (ValueError, LinearAlgebraError) as exc:
-        pending = exc
-    out = []
-    for a, eigen in zip(raw, _jacobi_stack(syms)):
-        if isinstance(eigen, EighConvergenceError):
-            raise eigen
-        # built from the raw item, as the lone construction is: symmetrizing
-        # the symmetrized array again could overflow where the first did not
-        out.append(SpdMatrix(a, _eigen=eigen))
-    if pending is not None:
-        raise pending
-    return out
+
+def spd_spectra(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors (k, d, d) and descending eigenvalues (k, d) of a (k, d, d)
+    stack of symmetric arrays, solved as one stack with the bits of lone
+    solves.  Each slice is admitted as ``SpdMatrix`` admits it; the first
+    failing slice, in input order, raises its EighConvergenceError or
+    NotPositiveDefiniteError."""
+    q, lam, errors = _jacobi_stack(cs)
+    for lam_j, error in zip(lam, errors):
+        if error is not None:
+            raise error
+        _admit(lam_j)
+    return q, lam
 
 
 def identity(dim: int) -> SpdMatrix:
@@ -266,26 +255,18 @@ def _rotations(
     return c, t * c
 
 
-def _prescaled(matrix: np.ndarray) -> tuple[np.ndarray, int]:
-    """The matrix scaled by the power of two 2^-e that brings its largest
-    entry into [1/2, 1), and e."""
-    e = math.frexp(np.abs(matrix).max(initial=0.0))[1]
-    return np.ldexp(matrix, -e), e
-
-
-def _decomposition(w: np.ndarray, q: np.ndarray, e: int) -> EigenDecomposition:
-    """Eigenpairs of a diagonalized, prescaled matrix, largest first."""
-    lam = np.ldexp(np.diagonal(w), e)
-    order = np.argsort(-lam, kind="stable")
-    return EigenDecomposition(q=q[:, order], lam=lam[order])
+def scale_exponent(*arrays: np.ndarray) -> int:
+    """The t for which 4^-t brings the largest entry of the arrays into
+    [1/4, 1).  Scaling by 4^-t is exact, and square roots scale by 2^-t."""
+    return (math.frexp(max(float(np.abs(a).max()) for a in arrays))[1] + 1) // 2
 
 
 def _jacobi(matrix: np.ndarray) -> EigenDecomposition:
     """``_jacobi_stack`` on one array, raising its EighConvergenceError."""
-    (eigen,) = _jacobi_stack([matrix])
-    if isinstance(eigen, EighConvergenceError):
-        raise eigen
-    return eigen
+    (q,), (lam,), (error,) = _jacobi_stack(matrix[None])
+    if error is not None:
+        raise error
+    return EigenDecomposition(q=q, lam=lam)
 
 
 @functools.cache
@@ -295,8 +276,9 @@ def _eye(m: int) -> np.ndarray:
     return eye
 
 
-def _jacobi_stack(arrays: list[np.ndarray]) -> list[EigenDecomposition | EighConvergenceError]:
-    """Cyclic Jacobi on each of k symmetric (d, d) arrays, solved together.
+def _jacobi_stack(arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Cyclic Jacobi on each slice of a (k, d, d) stack of symmetric arrays,
+    solved together.
 
     Every slice keeps its own prescale, target, skip level, convergence test
     at the start of each sweep and per-round set of active planes, and it
@@ -305,27 +287,30 @@ def _jacobi_stack(arrays: list[np.ndarray]) -> list[EigenDecomposition | EighCon
     ``np.matmul`` over the stack, which calls the same per-slice product as a
     lone solve; the slices share the per-round Python and dispatch cost that
     dominates a small solve.  A lone array is solved as a 2-D array, which
-    skips the stack's indexing overhead and gives the same bits.  A slice
-    that does not converge yields its EighConvergenceError instead of raising
-    it, so the caller decides the order in which failures surface.
+    skips the stack's indexing overhead and gives the same bits.
+
+    Returns the eigenvectors (k, d, d) and eigenvalues (k, d), each slice
+    sorted largest first, and per slice None or, for a slice that did not
+    converge, its EighConvergenceError, so the caller decides the order in
+    which failures surface.
     """
-    if not arrays:
-        return []
-    m = arrays[0].shape[0]
-    scaled = [_prescaled(a) for a in arrays]
-    exps = [e for _, e in scaled]
+    slices, m = len(arrays), arrays.shape[-1]
+    exps = np.frexp(np.abs(arrays).max(axis=(-2, -1), initial=0.0))[1]
+    w = np.ldexp(arrays, -exps[:, None, None])
+    q_out, lam_out = np.empty((slices, m, m)), np.empty((slices, m))
+    errors: list[EighConvergenceError | None] = [None] * slices
     eye = _eye(m)
-    if len(arrays) == 1:
-        w, eyes = scaled[0][0], eye
+    if slices == 1:
+        w, eyes = w[0], eye
     else:
-        w = np.stack([x for x, _ in scaled])
         eyes = np.broadcast_to(eye, w.shape)
     q = eyes.copy()
     if m == 2:
         # A single rotation diagonalizes a 2x2 exactly.
         for x, y in zip(w.reshape(-1, 2, 2), q.reshape(-1, 2, 2)):
             if x[0, 1] != 0.0:
-                a_pp, a_pr, a_rr = x[0, 0], x[0, 1], x[1, 1]
+                # Python floats: a tiny a_pr overflows theta to inf silently
+                a_pp, a_pr, a_rr = float(x[0, 0]), float(x[0, 1]), float(x[1, 1])
                 c, s = _rotation_params(a_pp, a_rr, a_pr)
                 t = s / c
                 x[0, 0], x[1, 1] = a_pp - t * a_pr, a_rr + t * a_pr
@@ -337,8 +322,7 @@ def _jacobi_stack(arrays: list[np.ndarray]) -> list[EigenDecomposition | EighCon
     # the convergence target, so their rotations are skipped.
     skip_level = (target / (2.0 * m))[..., None]
     off_mask = 1.0 - eye  # w * off_mask is w with its diagonal zeroed
-    live = np.arange(len(arrays))  # input index of each slice still in the stack
-    out: list = [None] * len(arrays)
+    live = np.arange(slices)  # input index of each slice still in the stack
     for sweep in range(SWEEP_LIMIT + 2):
         off_norms = _frobenius_norms(w * off_mask)
         done = off_norms <= target
@@ -346,8 +330,8 @@ def _jacobi_stack(arrays: list[np.ndarray]) -> list[EigenDecomposition | EighCon
         if sweep > SWEEP_LIMIT or converged == len(live):
             break
         if converged:
-            for i in np.flatnonzero(done):
-                out[live[i]] = _decomposition(w[i], q[i], exps[live[i]])
+            q_out[live[done]] = q[done]
+            lam_out[live[done]] = w[done].diagonal(0, -2, -1)
             keep = ~done
             w, q, eyes, live = w[keep], q[keep], eyes[keep], live[keep]
             target, skip_level = target[keep], skip_level[keep]
@@ -376,20 +360,23 @@ def _jacobi_stack(arrays: list[np.ndarray]) -> list[EigenDecomposition | EighCon
             w[(*k, pa, ra)] = 0.0
             w[(*k, ra, pa)] = 0.0
             q = q @ rot
-    for i, (x, y) in enumerate(zip(w.reshape(-1, m, m), q.reshape(-1, m, m))):
-        out[live[i]] = (
-            _decomposition(x, y, exps[live[i]])
-            if done.flat[i]
-            else EighConvergenceError(float(off_norms.flat[i]), SWEEP_LIMIT + 1)
-        )
-    return out
+    q_out[live] = q
+    lam_out[live] = w.diagonal(0, -2, -1)
+    for i in np.flatnonzero(~done):
+        errors[live[i]] = EighConvergenceError(float(off_norms.flat[i]), SWEEP_LIMIT + 1)
+    # unscaling and sorting are exact: once over the stack gives lone-solve bits
+    lam_out = np.ldexp(lam_out, exps[:, None])
+    order = np.argsort(-lam_out, axis=-1, kind="stable")
+    rows = np.arange(slices)[:, None]
+    q_out = q_out[rows[..., None], np.arange(m)[:, None], order[:, None, :]]
+    return q_out, lam_out[rows, order], errors
 
 
 def _frobenius_norms(w: np.ndarray) -> np.ndarray:
     """``frobenius_norm`` of each (d, d) slice over the leading axes of w, with
     the same bits: each slice's d*d squares are summed by the same pairwise
     reduction."""
-    return np.sqrt(np.add.reduce((w * w).reshape(*w.shape[:-2], -1), axis=-1))
+    return np.sqrt(np.add.reduce((w * w).reshape(*w.shape[:-2], w.shape[-1] ** 2), axis=-1))
 
 
 def apply_spectral(a: SymMatrix, f: str, p: float | None = None) -> SymMatrix | SpdMatrix:
@@ -443,9 +430,16 @@ def congruence(x: np.ndarray, a: SymMatrix) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {xm.shape} vs {(a.dim, a.dim)}")
     if not np.isfinite(xm).all():
         raise ValueError("matrix entries must be finite")
+    return _congruences(xm, a.entries)
+
+
+def _congruences(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """X A X^T symmetrized as (M + M^T)/2, over any leading axes of x and a
+    (a (d, d) x against an (n, d, d) stack of A_j gives the n congruences).
+    A product of finite inputs that overflows raises NumericalBreakdownError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        m = xm @ a.entries @ xm.T
-        sym = (m + m.T) / 2.0
+        m = x @ a @ x.swapaxes(-1, -2)
+        sym = (m + m.swapaxes(-1, -2)) / 2.0
     if not np.isfinite(sym).all():
         raise NumericalBreakdownError("congruence X A X^T overflows")
     return sym

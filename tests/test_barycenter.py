@@ -293,6 +293,39 @@ def test_each_iteration_solves_its_congruences_as_one_stack(
         assert stacks.count(1) == len(lone)
 
 
+@pytest.mark.parametrize(
+    "solve, spd_per_iteration, eigen_per_iteration",
+    [(wasserstein_mean, 0, 0), (karcher_mean, 1, 2)],
+    ids=["wasserstein", "karcher"],
+)
+def test_iterations_build_no_matrix_objects(
+    monkeypatch, solve, spd_per_iteration, eigen_per_iteration
+):
+    # the loop works on arrays: the returned mean is the one SpdMatrix (and
+    # EigenDecomposition) a transport solve builds; Karcher adds exp(G), whose
+    # decomposition is solved and then reordered, in each iteration
+    built = {SpdMatrix: 0, EigenDecomposition: 0}
+
+    def counting(cls):
+        real = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built[cls] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    counting(SpdMatrix)
+    counting(EigenDecomposition)
+    p = random_problem(np.random.default_rng(12), n=4, dim=5)
+    for max_iter in (1, 2, 5):
+        built[SpdMatrix] = built[EigenDecomposition] = 0
+        result = solve(p, SolverConfig(rel_tol=1e-300, max_iter=max_iter))
+        assert result.iterations == max_iter
+        assert built[SpdMatrix] == 1 + spd_per_iteration * max_iter
+        assert built[EigenDecomposition] == 1 + eigen_per_iteration * max_iter
+
+
 @SOLVERS
 def test_stacked_congruences_give_the_loop_bits(monkeypatch, solve):
     rng = np.random.default_rng(21)
@@ -301,7 +334,12 @@ def test_stacked_congruences_give_the_loop_bits(monkeypatch, solve):
     ]
     cfg = SolverConfig(max_iter=40)
     stacked = [solve(p, cfg) for p in problems]
-    monkeypatch.setattr(barycenter, "spd_stack", lambda arrays: [SpdMatrix(a) for a in arrays])
+
+    def lone_spectra(cs):
+        eigens = [SpdMatrix(c).eigen for c in cs]
+        return np.stack([e.q for e in eigens]), np.stack([e.lam for e in eigens])
+
+    monkeypatch.setattr(barycenter, "spd_spectra", lone_spectra)
     for p, got in zip(problems, stacked):
         want = solve(p, cfg)
         assert got.iterations == want.iterations
@@ -313,9 +351,8 @@ def _symmetric_factor_residual(x, p):
     """The transport residual with X^{1/2} itself as the factor, formed by an
     eigensolve of x, where the solver uses the Cholesky factor of X."""
     sqrt_x = apply_spectral(x, "sqrt").entries
-    s = p.weights.combine(
-        barycenter._sqrt_stack(spd_core.spd_stack(spd_core.congruence(sqrt_x, a) for a in p.matrices))
-    )
+    cs = np.stack([spd_core.congruence(sqrt_x, a) for a in p.matrices])
+    s = p.weights.combine(barycenter._sqrt_stack(spd_core.spd_spectra(cs)[0], cs))
     return frobenius_norm(x.entries - s) / frobenius_norm(x.entries)
 
 
@@ -347,7 +384,7 @@ def test_congruence_roots_take_in_what_jacobi_leaves_off_the_diagonal():
     want = np.zeros((3, 3))
     want[0, 0] = 1.0
     want[1:, 1:] = (c[1:, 1:] + sqrt_det * np.eye(2)) / math.sqrt(l1 + l2 + 2.0 * sqrt_det)
-    (root,) = barycenter._sqrt_stack([leaky])
+    (root,) = barycenter._sqrt_stack(leaky.eigen.q[None], leaky.entries[None])
     assert np.array_equal(root, root.T)
     assert np.abs(root - want).max() <= 1e-15
     assert np.abs(apply_spectral(leaky, "sqrt").entries - want).max() > 3e-11

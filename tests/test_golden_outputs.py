@@ -10,7 +10,12 @@ import pytest
 
 from spdmeans.cli import main
 
-VERIFY_SHA256 = "49248f111739d330f1d09846ffe7e10d35c262c5b75a2fb4e0dc6e49ee4cf446"
+# verify --suite all --count 10, by seed
+VERIFY_SHA256 = {
+    42: "49248f111739d330f1d09846ffe7e10d35c262c5b75a2fb4e0dc6e49ee4cf446",
+    7: "1ef0afa4e44b1df6f99357fa7359e1c9a5791e2f05e3d09fd2eb7998e11709db",
+    1: "2cf9552a4accbe1ea4db257ecd522f665795e88df625be9ab25c6d097ead263c",
+}
 
 CLI_SHA256 = {
     "bounds": "3b992ea02feef3114bf3978fdc167f0879aff01c43a6285134c2651ae80c295e",
@@ -41,12 +46,21 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_verify_report_bytes(tmp_path, capsys):
+def _verify_sha256(seed, tmp_path, capsys) -> str:
     out = tmp_path / "report.json"
-    code = main(["verify", "--suite", "all", "--seed", "42", "--count", "10", "--out", str(out)])
+    code = main(["verify", "--suite", "all", "--seed", str(seed), "--count", "10", "--out", str(out)])
     capsys.readouterr()
     assert code == 0
-    assert _sha256(out.read_bytes()) == VERIFY_SHA256
+    return _sha256(out.read_bytes())
+
+
+def test_verify_report_bytes(tmp_path, capsys):
+    assert _verify_sha256(42, tmp_path, capsys) == VERIFY_SHA256[42]
+
+
+@pytest.mark.parametrize("seed", [7, 1])
+def test_verify_report_bytes_at_more_seeds(seed, tmp_path, capsys):
+    assert _verify_sha256(seed, tmp_path, capsys) == VERIFY_SHA256[seed]
 
 
 @pytest.mark.parametrize("name", sorted(CLI_ARGV))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdmeans import MeanProblem, ProblemFileError, WeightVector, parse_problem, random_spd, serialize_problem
@@ -59,6 +59,75 @@ def test_parse_reports_lambda_min():
     doc = '{"schema_version": 1, "weights": [1.0], "matrices": [[[1, 2], [2, 1]]]}'
     with pytest.raises(ProblemFileError, match="lambda_min=-1"):
         parse_problem(doc)
+
+
+# JSON values a problem file may hold where a number is expected: floats of
+# any size (json writes NaN and Infinity, which it also reads back), integers
+# beyond the double range, and values of the wrong type.
+json_numbers = st.one_of(
+    st.floats(),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+    st.integers(min_value=-3, max_value=3),
+)
+json_entries = st.one_of(
+    json_numbers, st.none(), st.booleans(), st.text(max_size=3), st.just([]), st.just({})
+)
+
+
+@st.composite
+def square_grids(draw, dim):
+    """A dim x dim grid of numbers, or a diagonally dominant (so positive
+    definite) one at some scale, perhaps with one entry replaced; sometimes
+    with a ragged row."""
+    if draw(st.booleans()):
+        grid = [[draw(json_numbers) for _ in range(dim)] for _ in range(dim)]
+    else:
+        scale = draw(st.sampled_from([1.0, 1e-170, 1e154, 1e300]))
+        grid = [[scale * (4.0 * dim if i == j else 0.5) for j in range(dim)] for i in range(dim)]
+        if draw(st.booleans()):
+            grid[draw(st.integers(0, dim - 1))][draw(st.integers(0, dim - 1))] = draw(json_entries)
+    if not draw(st.integers(0, 5)):
+        grid[draw(st.integers(0, dim - 1))].append(draw(json_entries))
+    return grid
+
+
+@st.composite
+def problem_documents(draw):
+    """A problem of at most 3 matrices of dimension at most 4, as is or with
+    one field replaced, dropped or shortened, or any JSON value instead."""
+    n, dim = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    weights = st.floats(1e-3, 10.0) if draw(st.booleans()) else json_numbers
+    doc = {
+        "schema_version": 1,
+        "weights": [draw(weights) for _ in range(n)],
+        "matrices": [draw(square_grids(draw(st.sampled_from([dim, dim, 1, 4])))) for _ in range(n)],
+    }
+    change = draw(st.sampled_from(["", "", "", "replace", "drop", "shorten", "document"]))
+    key = draw(st.sampled_from(sorted(doc)))
+    if change == "document":
+        return draw(json_entries)
+    if change == "replace":
+        doc[key] = draw(json_entries)
+    elif change == "drop":
+        del doc[key]
+    elif change == "shorten" and key != "schema_version":
+        doc[key] = doc[key][1:]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=problem_documents())
+# weights whose sum overflows normalized to zeros and were accepted
+@example(doc={"schema_version": 1, "weights": [1.7e308, 1.7e308], "matrices": [[[1]], [[2]]]})
+def test_parse_problem_returns_a_problem_or_a_problem_file_error(doc):
+    try:
+        problem = parse_problem(json.dumps(doc))
+    except ProblemFileError:
+        return
+    assert isinstance(problem, MeanProblem)
+    weights = problem.weights.values
+    assert np.all(weights > 0.0) and abs(float(weights.sum()) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from spdmeans import (
 )
 from spdmeans import spd_core
 from spdmeans.problem_io import random_orthogonal, random_spd, spd_from_rng
-from spdmeans.spd_core import EighConvergenceError, LinearAlgebraError, spd_stack
+from spdmeans.spd_core import EighConvergenceError, LinearAlgebraError, spd_spectra
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=10)
@@ -163,6 +163,17 @@ def test_scaled_singular_matrix_is_rejected(k):
         SpdMatrix(np.ldexp(singular, k))
 
 
+def test_tiny_2x2_coupling_rotates_without_warnings():
+    # the Jacobi angle's theta overflows to -inf, which gives the identity
+    # rotation; it must do so silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = SpdMatrix([[1.0, 1e-320], [1e-320, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError):
+            SpdMatrix([[1.0, 1e-320], [1e-320, 1e-300]])
+    assert a.eigen.lam.tolist() == [1.0, 1.0]
+
+
 # ---------------------------------------------------------------------------
 # stacked eigensolver
 
@@ -226,12 +237,19 @@ def _pinned_pool(dim):
     return [[_stack_slice(rng, dim, next(kinds)) for _ in range(k)] for k in sizes]
 
 
-def _digest(results):
+def _digest(pairs):
     h = hashlib.sha256()
-    for r in results:
-        h.update(r.q.tobytes())
-        h.update(r.lam.tobytes())
+    for q, lam in pairs:
+        h.update(q.tobytes())
+        h.update(lam.tobytes())
     return h.hexdigest()
+
+
+def _solved(arrays):
+    """(q, lam) of each slice of one stacked solve, which must converge."""
+    q, lam, errors = spd_core._jacobi_stack(np.stack(arrays))
+    assert errors == [None] * len(arrays)
+    return list(zip(q, lam))
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
@@ -239,8 +257,8 @@ def test_solver_bits_are_pinned(dim):
     # the d = 2 pin holds the bits of the 2x2 closed form, which stays: the
     # generic sweeps take about twice as long on a lone 2x2
     stacks = _pinned_pool(dim)
-    lone = [spd_core._jacobi(a) for arrays in stacks for a in arrays]
-    stacked = [r for arrays in stacks for r in spd_core._jacobi_stack(arrays)]
+    lone = [(e.q, e.lam) for e in (spd_core._jacobi(a) for arrays in stacks for a in arrays)]
+    stacked = [pair for arrays in stacks for pair in _solved(arrays)]
     assert _digest(lone) == SOLVER_PINS[dim]
     assert _digest(stacked) == SOLVER_PINS[dim]
 
@@ -256,10 +274,10 @@ def test_jacobi_stack_is_bitwise_the_lone_solver(seed):
         for k in range(1, 7):
             kinds = rng.choice(STACK_KINDS, size=k)
             arrays = [_stack_slice(rng, dim, kind) for kind in kinds]
-            for a, got in zip(arrays, spd_core._jacobi_stack(arrays), strict=True):
-                (want,) = spd_core._jacobi_stack([a])
-                assert got.q.tobytes() == want.q.tobytes(), (dim, k)
-                assert got.lam.tobytes() == want.lam.tobytes(), (dim, k)
+            for a, (q, lam) in zip(arrays, _solved(arrays), strict=True):
+                ((want_q, want_lam),) = _solved([a])
+                assert q.tobytes() == want_q.tobytes(), (dim, k)
+                assert lam.tobytes() == want_lam.tobytes(), (dim, k)
 
 
 def test_jacobi_stack_matches_lapack_like_the_lone_solver():
@@ -267,11 +285,11 @@ def test_jacobi_stack_matches_lapack_like_the_lone_solver():
     rng = np.random.default_rng(9)
     for dim in range(3, 9):
         arrays = [spd_from_rng(rng, dim, 1e4).entries for _ in range(5)]
-        for a, got in zip(arrays, spd_core._jacobi_stack(arrays)):
+        for a, (_, lam) in zip(arrays, _solved(arrays)):
             oracle = np.linalg.eigvalsh(a)[::-1]
-            err = np.max(np.abs(got.lam - oracle)) / oracle[0]
-            (alone,) = spd_core._jacobi_stack([a])
-            lone = np.max(np.abs(alone.lam - oracle)) / oracle[0]
+            err = np.max(np.abs(lam - oracle)) / oracle[0]
+            ((_, alone),) = _solved([a])
+            lone = np.max(np.abs(alone - oracle)) / oracle[0]
             assert err == lone
             assert err <= 1e-13
 
@@ -285,15 +303,21 @@ def test_frobenius_norms_match_frobenius_norm_bitwise():
         assert [float(spd_core._frobenius_norms(x)) for x in w] == [float(x) for x in got]
 
 
+# An SPD stack is a (k, d, d) stack of symmetric arrays admitted slice by
+# slice by spd_spectra, as the fixed-point loops admit their congruences.
+
+
 def test_spd_stack_equals_lone_constructions():
     rng = np.random.default_rng(8)
     arrays = [rng.normal(size=(5, 5)) + 6.0 * np.eye(5) for _ in range(4)]  # not symmetric
-    for got, a in zip(spd_stack(arrays), arrays, strict=True):
+    syms = np.stack([SymMatrix(a).entries for a in arrays])
+    q, lam = spd_spectra(syms)
+    for got_q, got_lam, a in zip(q, lam, arrays, strict=True):
         want = SpdMatrix(a)
-        assert got.entries.tobytes() == want.entries.tobytes()
-        assert got.eigen.q.tobytes() == want.eigen.q.tobytes()
-        assert got.eigen.lam.tobytes() == want.eigen.lam.tobytes()
-    assert spd_stack([]) == []
+        assert got_q.tobytes() == want.eigen.q.tobytes()
+        assert got_lam.tobytes() == want.eigen.lam.tobytes()
+    q, lam = spd_spectra(np.empty((0, 5, 5)))
+    assert q.shape == (0, 5, 5) and lam.shape == (0, 5)
 
 
 def _first_error(build):
@@ -314,7 +338,7 @@ DENSE = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]])
     "arrays, sweep_limit, raised",
     [
         ((GOOD, NOT_PD, NOT_FINITE), spd_core.SWEEP_LIMIT, NotPositiveDefiniteError),
-        ((GOOD, NOT_FINITE, NOT_PD), spd_core.SWEEP_LIMIT, ValueError),
+        ((GOOD, NOT_FINITE, NOT_PD), spd_core.SWEEP_LIMIT, EighConvergenceError),
         ((DENSE, GOOD, NOT_PD), spd_core.SWEEP_LIMIT, NotPositiveDefiniteError),
         ((NOT_PD, DENSE), 0, NotPositiveDefiniteError),
         ((DENSE, GOOD, NOT_PD), 0, EighConvergenceError),
@@ -322,25 +346,31 @@ DENSE = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]])
     ],
 )
 def test_spd_stack_raises_what_the_loop_raises(monkeypatch, arrays, sweep_limit, raised):
-    # with no sweeps allowed the dense slice does not converge, so its
-    # EighConvergenceError must surface exactly where the loop raises it
+    # the first failing slice raises, in input order, what its lone solve and
+    # admission raise: with no sweeps allowed the dense slice does not
+    # converge, and a NaN slice never does
+    def lone_loop():
+        for a in arrays:
+            spd_core._admit(spd_core._jacobi(a).lam)
+
     monkeypatch.setattr(spd_core, "SWEEP_LIMIT", sweep_limit)
-    want = _first_error(lambda: [SpdMatrix(a) for a in arrays])
+    want = _first_error(lone_loop)
     assert want is not None and want[0] is raised
-    assert _first_error(lambda: spd_stack(arrays)) == want
+    assert _first_error(lambda: spd_spectra(np.stack(arrays))) == want
 
 
-def test_spd_stack_raises_a_drawing_error_after_the_slices_before_it():
-    def arrays(fail_at):
-        for j, a in enumerate((GOOD, NOT_PD, GOOD)):
-            if j == fail_at:
-                raise spd_core.NumericalBreakdownError("congruence X A X^T overflows")
-            yield a
-
+def test_stack_overflow_surfaces_before_a_non_spd_slice():
+    # the congruences of one iteration are formed as one stack before any is
+    # solved, so an overflow in slice 1 is raised ahead of the non-SPD
+    # slice 0, where forming and admitting one congruence at a time raised
+    # slice 0's NotPositiveDefiniteError
+    x = np.diag([1e160, 1.0, 1.0])
+    stack = np.stack([np.diag([0.0, -1.0, 2.0]), GOOD])
     with pytest.raises(NotPositiveDefiniteError):
-        spd_stack(arrays(fail_at=2))
-    with pytest.raises(spd_core.NumericalBreakdownError):
-        spd_stack(arrays(fail_at=1))
+        for a in stack:
+            SpdMatrix(congruence(x, SymMatrix(a)))
+    with pytest.raises(spd_core.NumericalBreakdownError, match="overflows"):
+        spd_spectra(spd_core._congruences(x, stack))
 
 
 @pytest.mark.parametrize(
@@ -360,7 +390,7 @@ def test_convergence_error_reports_the_sweeps_run(monkeypatch, matrix, sweep_lim
 
     monkeypatch.setattr(spd_core, "SWEEP_LIMIT", sweep_limit)
     monkeypatch.setattr(spd_core, "_round_robin_schedule", counting_schedule)
-    (error,) = spd_core._jacobi_stack([matrix])
+    _, _, (error,) = spd_core._jacobi_stack(matrix[None])
     assert isinstance(error, EighConvergenceError)
     assert len(walked) == error.sweeps == sweeps
     assert f"did not converge after {sweeps} sweeps" in str(error)

@@ -408,7 +408,8 @@ NEAR_SINGULAR_PAIR = {
 
 def _scaled_pair(scale: float) -> dict:
     """The regular 3x3 pair [[2,1,0],[1,2,0],[0,0,1]], diag(2,3,2) times scale;
-    at 1e154 or more, its congruences X A X^T overflow."""
+    at 1e154 or more its unscaled congruences X A X^T overflow, and at 1e-170
+    they underflow."""
     pair = ([[2, 1, 0], [1, 2, 0], [0, 0, 1]], [[2, 0, 0], [0, 3, 0], [0, 0, 2]])
     return {
         "schema_version": 1,
@@ -424,21 +425,11 @@ def _scaled_pair(scale: float) -> dict:
         (NEAR_SINGULAR_TRIPLE, ["mean", "--method", "karcher"]),
         (NEAR_SINGULAR_TRIPLE, ["bounds"]),
         (NEAR_SINGULAR_PAIR, ["distance", "--metric", "riemannian"]),
-        (_scaled_pair(1e154), ["geodesic", "--t", "0.5"]),
-        (_scaled_pair(1e200), ["distance", "--metric", "wasserstein"]),
     ],
-    ids=[
-        "mean-wasserstein",
-        "mean-karcher",
-        "bounds",
-        "distance-riemannian",
-        "overflow-geodesic",
-        "overflow-distance-wasserstein",
-    ],
+    ids=["mean-wasserstein", "mean-karcher", "bounds", "distance-riemannian"],
 )
 def test_cli_numerical_failure_exits_2(tmp_path, doc, argv):
-    # every input passes admission, but an intermediate congruence is not
-    # SPD or overflows
+    # every input passes admission, but an intermediate congruence is not SPD
     path = tmp_path / "near_singular.json"
     path.write_text(json.dumps(doc))
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -454,31 +445,49 @@ def test_cli_numerical_failure_exits_2(tmp_path, doc, argv):
     assert done.stderr.startswith("error: ")
 
 
+EXTREME_SCALES = (1e154, 1e-170, 1e200)
+GEODESIC = ["geodesic", "--t", "0.5"]
+DISTANCE = ["distance", "--metric", "wasserstein"]
+
+
 @pytest.mark.parametrize(
-    "argv, scale",
+    "argv, scale, degree",
     [
-        (["mean", "--method", "wasserstein"], 1e154),
-        (["mean", "--method", "wasserstein"], 1e-170),
-        (["bounds"], 1e200),
+        (["mean", "--method", "wasserstein"], 1e154, 1.0),
+        (["mean", "--method", "wasserstein"], 1e-170, 1.0),
+        (["bounds"], 1e200, 1.0),
+        *((GEODESIC, scale, 1.0) for scale in EXTREME_SCALES),
+        *((DISTANCE, scale, 0.5) for scale in EXTREME_SCALES),
     ],
-    ids=["mean-wasserstein-1e154", "mean-wasserstein-1e-170", "bounds-1e200"],
+    ids=[
+        "mean-wasserstein-1e154",
+        "mean-wasserstein-1e-170",
+        "bounds-1e200",
+        *(f"geodesic-{scale:g}".replace("+", "") for scale in EXTREME_SCALES),
+        *(f"distance-wasserstein-{scale:g}".replace("+", "") for scale in EXTREME_SCALES),
+    ],
 )
-def test_cli_transport_mean_is_homogeneous_at_extreme_scales(tmp_path, capsys, argv, scale):
-    # unscaled, these congruences overflow or underflow; the solver works on
-    # the problem scaled by a power of four and scales the mean back
+def test_cli_transport_mean_is_homogeneous_at_extreme_scales(
+    tmp_path, capsys, argv, scale, degree
+):
+    # unscaled, these congruences overflow or underflow; the means, geodesic
+    # and distance form them scaled by a power of four and scale the result
+    # back (a mean or geodesic point is homogeneous of degree 1 in the pair,
+    # the distance of degree 1/2)
     path = tmp_path / "pair.json"
 
-    def solved_mean(doc):
+    def solved(doc):
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, *argv, "--input", str(path))
         assert code == EXIT_OK, err
         lines = out.splitlines()
-        start = next(i for i, line in enumerate(lines) if line.endswith("mean:")) + 1
+        starts = [i + 1 for i, line in enumerate(lines) if line.endswith("mean:")]
+        start = starts[0] if starts else 0
         return np.array([[float(v) for v in line.split()] for line in lines[start : start + 3]])
 
-    base = solved_mean(_scaled_pair(1.0))
-    scaled = solved_mean(_scaled_pair(scale))
-    assert np.abs(scaled / scale - base).max() <= 1e-12 * np.abs(base).max()
+    base = solved(_scaled_pair(1.0))
+    scaled = solved(_scaled_pair(scale))
+    assert np.abs(scaled / scale**degree - base).max() <= 1e-12 * np.abs(base).max()
 
 
 def test_cli_verify_small(capsys, tmp_path):
