@@ -17,6 +17,7 @@ import numpy as np
 
 from .means_geometry import geometric_mean
 from .spd_core import (
+    LinearAlgebraError,
     NonPositivePivotError,
     NotPositiveDefiniteError,
     SpdMatrix,
@@ -30,6 +31,7 @@ from .spd_core import (
     operator_norm,
     scale_exponent,
     spd_spectra,
+    spd_spectra_each,
 )
 
 
@@ -166,18 +168,19 @@ def _scaled(p: MeanProblem) -> tuple[int, np.ndarray]:
     return t, np.ldexp(mats, -2 * t)
 
 
-def _residual_mixture(
-    l: np.ndarray, mats: np.ndarray, weights: WeightVector
+def _transport_residual(
+    l: np.ndarray, cs: np.ndarray, q: np.ndarray, lam: np.ndarray, weights: WeightVector
 ) -> tuple[float, np.ndarray]:
     """Relative Frobenius residual of X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2}
-    at X = L L^T, and S = sum_j w_j (L^T A_j L)^{1/2} as a raw array.
+    at X = L L^T, and S = sum_j w_j (L^T A_j L)^{1/2} as a raw array, from
+    the congruences cs = L^T A_j L and their Jacobi eigenvectors q (the
+    roots do not read the eigenvalues lam).
 
     L^T stands in for X^{1/2}: L^T = U X^{1/2} with U orthogonal turns X and
     the right-hand side into L^T L and S, so ||L^T L - S||_F / ||L^T L||_F is
     the residual in exact arithmetic.
     """
-    cs = _congruences(l.T, mats)
-    s = weights.combine(_sqrt_stack(spd_spectra(cs)[0], cs))
+    s = weights.combine(_sqrt_stack(q, cs))
     ref = l.T @ l
     return frobenius_norm(ref - s) / frobenius_norm(ref), s
 
@@ -213,7 +216,9 @@ def residual(x: SpdMatrix, p: MeanProblem) -> float:
     if x.dim != p.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {p.dim}")
     t, mats = _scaled(p)
-    return _residual_mixture(cholesky(np.ldexp(x.entries, -2 * t))[0], mats, p.weights)[0]
+    l = cholesky(np.ldexp(x.entries, -2 * t))[0]
+    cs = _congruences(l.T, mats)
+    return _transport_residual(l, cs, *spd_spectra(cs), p.weights)[0]
 
 
 def equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> float:
@@ -225,40 +230,160 @@ def equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> float:
     return frobenius_norm(np.eye(p.dim) - acc)
 
 
-def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, measure, step) -> SolverResult:
-    """Shared loop of both means, on the problem scaled by the power of four
-    4^-t that brings its largest entry into [1/4, 1).
+class _Transport:
+    """The transport map of ``wasserstein_mean``, split around the eigensolve
+    of its congruences: ``congruences`` forms the (n, d, d) stack L^T A_j L
+    at X = L L^T, ``measure`` turns their admitted spectra into the residual
+    and S, and ``step`` returns the next iterate L^{-T} S^2 L^{-1}."""
+
+    @staticmethod
+    def congruences(l: np.ndarray, l_inv: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        return _congruences(l.T, mats)
+
+    measure = staticmethod(_transport_residual)
+
+    @staticmethod
+    def step(l: np.ndarray, l_inv: np.ndarray, s: np.ndarray) -> np.ndarray:
+        b = s @ l_inv
+        return b.T @ b
+
+
+class _Karcher:
+    """The gradient map of ``karcher_mean``, split as ``_Transport`` is: the
+    congruences L^{-1} A_j L^{-T}, the gradient G = sum_j w_j log of them
+    with ||G||_F as residual, and the step L exp(G) L^T."""
+
+    @staticmethod
+    def congruences(l: np.ndarray, l_inv: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        return _congruences(l_inv, mats)
+
+    @staticmethod
+    def measure(l, cs, q: np.ndarray, lam: np.ndarray, weights: WeightVector):
+        logs = (q * np.log(lam)[:, None, :]) @ q.swapaxes(-1, -2)
+        grad = weights.combine((logs + logs.swapaxes(-1, -2)) / 2.0)
+        return frobenius_norm(grad), grad
+
+    @staticmethod
+    def step(l: np.ndarray, l_inv: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        return _congruences(l, apply_spectral(SymMatrix(grad), "exp_of_sym").entries)
+
+
+class _Run:
+    """One problem in the lockstep loop: the problem scaled by 4^-t, the
+    iterate x with its Cholesky factor (l, l_inv), the congruences cs of its
+    next measurement, and the residual history."""
+
+    __slots__ = (
+        "index", "cfg", "method", "weights", "t", "mats", "x", "l", "l_inv", "cs", "history"
+    )
+
+    def __init__(self, index: int, p: MeanProblem, cfg: SolverConfig, method: type) -> None:
+        self.index, self.cfg, self.method = index, cfg, method
+        self.weights, self.history = p.weights, []
+        self.t, self.mats = _scaled(p)
+        if cfg.initial == "identity":
+            self._move_to(np.ldexp(np.eye(p.dim), -2 * self.t))
+        else:
+            self._move_to(p.weights.combine(self.mats))
+
+    def _move_to(self, x: np.ndarray) -> None:
+        self.x = x
+        self.l, self.l_inv = cholesky(x)
+        self.cs = self.method.congruences(self.l, self.l_inv, self.mats)
+
+    def advance(self, k: int, q: np.ndarray, lam: np.ndarray, errors: list) -> SolverResult | None:
+        """Measure iterate k from the spectra (q, lam, errors) of its
+        congruences: the result once converged or at max_iter, else None
+        after the step to iterate k + 1."""
+        for error in errors:
+            if error is not None:
+                raise error
+        r, aux = self.method.measure(self.l, self.cs, q, lam, self.weights)
+        self.history.append(r)
+        if r <= self.cfg.rel_tol or k == self.cfg.max_iter:
+            mean = SpdMatrix(np.ldexp(self.x, 2 * self.t))
+            return SolverResult(mean, k, r, r <= self.cfg.rel_tol, tuple(self.history))
+        self._move_to(self.method.step(self.l, self.l_inv, aux))
+        return None
+
+
+def _failure(exc: LinearAlgebraError, k: int) -> Exception:
+    """The error a solve ends in at iteration k: a non-SPD intermediate (a
+    failed SPD admission or Cholesky pivot) as SolverError, any other
+    numerical failure as itself."""
+    if isinstance(exc, (NotPositiveDefiniteError, NonPositivePivotError)):
+        error = SolverError(f"non-SPD intermediate at iteration {k}: {exc}")
+        error.__cause__ = exc
+        return error
+    return exc
+
+
+def _fixed_points(
+    problems: list[MeanProblem], cfg: SolverConfig | None, method: type
+) -> list[SolverResult | Exception]:
+    """The loop of both means (``method`` is ``_Transport`` or ``_Karcher``),
+    run in lockstep over problems of one dimension, each scaled by the power
+    of four 4^-t that brings its largest entry into [1/4, 1).
 
     Both means are homogeneous of degree 1 and the scaling is exact (square
     roots scale by 2^-t), so only a run whose unscaled iterates would overflow
     or underflow gets other bits.  Each iterate X is carried as its Cholesky
-    factor L (X = L L^T) and L^{-1}, never diagonalized: ``measure(l, l_inv,
-    mats)`` returns the certificate residual r and an array ``aux`` that
-    ``step(l, l_inv, aux)`` turns into the next iterate.  Converged only when
-    r <= rel_tol; after max_iter updates the last iterate is returned
-    unconverged.  The mean is scaled back and admitted once as an SpdMatrix.
-    A non-positive pivot of L or a failed SPD admission raises SolverError.
+    factor L (X = L L^T) and L^{-1}, never diagonalized.  Each iteration
+    solves the congruences of every live problem as one Jacobi stack, whose
+    slices have the bits of lone solves, then admits each problem's slices in
+    input order and measures and steps that problem alone.  A problem leaves
+    once r <= rel_tol (converged) or after max_iter updates (returned
+    unconverged); its mean is scaled back and admitted once as an SpdMatrix.
+
+    Returns per problem, in input order, its SolverResult or the error it
+    ended in: a non-positive pivot of L or a failed SPD admission as
+    SolverError, any other LinearAlgebraError as itself.  Problems of more
+    than one dimension raise ValueError.
     """
     cfg = cfg or SolverConfig()
-    t, mats = _scaled(p)
-    if cfg.initial == "identity":
-        x = np.ldexp(np.eye(p.dim), -2 * t)
-    else:
-        x = p.weights.combine(mats)
-    history: list[float] = []
-    k = 0
-    try:
-        l, l_inv = cholesky(x)
-        for k in range(cfg.max_iter + 1):
-            r, aux = measure(l, l_inv, mats)
-            history.append(r)
-            if r <= cfg.rel_tol or k == cfg.max_iter:
-                mean = SpdMatrix(np.ldexp(x, 2 * t))
-                return SolverResult(mean, k, r, r <= cfg.rel_tol, tuple(history))
-            x = step(l, l_inv, aux)
-            l, l_inv = cholesky(x)
-    except (NotPositiveDefiniteError, NonPositivePivotError) as exc:
-        raise SolverError(f"non-SPD intermediate at iteration {k}: {exc}") from exc
+    dims = sorted({p.dim for p in problems})
+    if len(dims) > 1:
+        raise ValueError(f"problems must share one dimension, got {dims}")
+    outcomes: list[SolverResult | Exception | None] = [None] * len(problems)
+    live: list[_Run] = []
+    for i, p in enumerate(problems):
+        try:
+            live.append(_Run(i, p, cfg, method))
+        except LinearAlgebraError as exc:
+            outcomes[i] = _failure(exc, 0)
+    for k in range(cfg.max_iter + 1):
+        if not live:
+            break
+        q, lam, errors = spd_spectra_each(np.concatenate([run.cs for run in live]))
+        still, start = [], 0
+        for run in live:
+            end = start + len(run.cs)
+            try:
+                outcome = run.advance(k, q[start:end], lam[start:end], errors[start:end])
+            except LinearAlgebraError as exc:
+                outcome = _failure(exc, k)
+            if outcome is None:
+                still.append(run)
+            else:
+                outcomes[run.index] = outcome
+            start = end
+        live = still
+    return outcomes
+
+
+def _solved(outcome: SolverResult | Exception) -> SolverResult:
+    """The SolverResult of one ``_fixed_points`` outcome; its error is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _wasserstein_means(
+    problems: list[MeanProblem], cfg: SolverConfig | None = None
+) -> list[SolverResult | Exception]:
+    """``wasserstein_mean`` of each problem, solved in lockstep; per problem
+    its SolverResult or, where ``wasserstein_mean`` raises, that error."""
+    return _fixed_points(problems, cfg, _Transport)
 
 
 def wasserstein_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResult:
@@ -273,15 +398,7 @@ def wasserstein_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverR
     and the update is L^{-T} S^2 L^{-1}, both equal to their X^{1/2} forms in
     exact arithmetic (A_j # X^{-1} is the optimal transport map).
     """
-
-    def measure(l: np.ndarray, l_inv: np.ndarray, mats) -> tuple[float, np.ndarray]:
-        return _residual_mixture(l, mats, p.weights)
-
-    def step(l: np.ndarray, l_inv: np.ndarray, s: np.ndarray) -> np.ndarray:
-        b = s @ l_inv
-        return b.T @ b
-
-    return _fixed_point(p, cfg, measure, step)
+    return _solved(_fixed_points([p], cfg, _Transport)[0])
 
 
 def karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResult:
@@ -293,17 +410,7 @@ def karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResul
     Converged when ||G||_F, which does not depend on the factor, falls below
     rel_tol; the residual history records that norm, which is scale free.
     """
-
-    def measure(l: np.ndarray, l_inv: np.ndarray, mats) -> tuple[float, np.ndarray]:
-        q, lam = spd_spectra(_congruences(l_inv, mats))
-        logs = (q * np.log(lam)[:, None, :]) @ q.swapaxes(-1, -2)
-        grad = p.weights.combine((logs + logs.swapaxes(-1, -2)) / 2.0)
-        return frobenius_norm(grad), grad
-
-    def step(l: np.ndarray, l_inv: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        return _congruences(l, apply_spectral(SymMatrix(grad), "exp_of_sym").entries)
-
-    return _fixed_point(p, cfg, measure, step)
+    return _solved(_fixed_points([p], cfg, _Karcher)[0])
 
 
 @dataclass(frozen=True)

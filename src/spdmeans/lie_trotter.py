@@ -14,8 +14,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .barycenter import MeanProblem, SolverConfig, SolverError, WeightVector, wasserstein_mean
+from .barycenter import (
+    MeanProblem,
+    SolverConfig,
+    SolverError,
+    WeightVector,
+    _solved,
+    _wasserstein_means,
+)
 from .spd_core import (
+    EigenDecomposition,
     NotPositiveDefiniteError,
     SpdMatrix,
     SpectralDomainError,
@@ -24,9 +32,13 @@ from .spd_core import (
     frobenius_norm,
     identity,
     operator_norm,
+    spd_spectra_each,
 )
 
 CURVE_KINDS = ("power", "affine", "exp_line")
+
+# Failures that make a limit trace record its parameter in ``failed_s``.
+_POINT_FAILURES = (SolverError, SpectralDomainError, NotPositiveDefiniteError)
 
 # Fixed-point error must stay well below the discretization error of the
 # limit, so every solve in this module uses this tightened tolerance.
@@ -106,13 +118,25 @@ def _check_matched(w: WeightVector, items, noun: str) -> tuple:
     return items
 
 
-def _converged_mean(w: WeightVector, points: tuple[SpdMatrix, ...], at: str) -> SpdMatrix:
-    """Barycenter of ``points`` under TRACE_SOLVER_CONFIG; SolverError naming
-    the parameter ``at`` when it does not converge."""
-    result = wasserstein_mean(MeanProblem(points, w), TRACE_SOLVER_CONFIG)
+def _converged_means(w: WeightVector, point_sets: list[tuple[SpdMatrix, ...]]) -> list:
+    """``wasserstein_mean`` under TRACE_SOLVER_CONFIG of each tuple of points,
+    solved in lockstep: per tuple its SolverResult or the error it ended in."""
+    problems = [MeanProblem(points, w) for points in point_sets]
+    return _wasserstein_means(problems, TRACE_SOLVER_CONFIG)
+
+
+def _converged_mean(outcome, at: str) -> SpdMatrix:
+    """The mean of one ``_converged_means`` outcome; its error is raised, and
+    a SolverError naming the parameter ``at`` when it did not converge."""
+    result = _solved(outcome)
     if not result.converged:
         raise SolverError(f"barycenter did not converge at {at} (residual {result.residual:.3e})")
     return result.mean
+
+
+def _powered(outcome, s: float) -> SpdMatrix:
+    """The converged mean of an outcome at parameter s, raised to the power 1/s."""
+    return apply_spectral(_converged_mean(outcome, f"s={s!r}"), "power", 1.0 / s)
 
 
 def lie_trotter_value(
@@ -123,8 +147,8 @@ def lie_trotter_value(
     s = float(s)
     if s == 0.0:
         raise ValueError("s must be nonzero")
-    mean = _converged_mean(w, tuple(evaluate_curve(c, s) for c in curves), f"s={s!r}")
-    return apply_spectral(mean, "power", 1.0 / s)
+    (outcome,) = _converged_means(w, [tuple(evaluate_curve(c, s) for c in curves)])
+    return _powered(outcome, s)
 
 
 def lie_trotter_target(
@@ -182,16 +206,28 @@ def convergence_trace(
     ):
         raise ValueError("schedule must be positive and strictly descending")
     target = lie_trotter_target(w, curves)
+    signed = [-s if negate else s for s in schedule]
+    # the points of every s are solved together; None marks an s whose
+    # curve points could not be formed
+    point_sets: list[tuple[SpdMatrix, ...] | None] = []
+    for s in signed:
+        try:
+            point_sets.append(tuple(evaluate_curve(c, s) for c in curves))
+        except _POINT_FAILURES:
+            point_sets.append(None)
+    outcomes = iter(_converged_means(w, [points for points in point_sets if points is not None]))
     s_ok: list[float] = []
     errors: list[float] = []
     failed: list[float] = []
-    for s in schedule:
-        try:
-            value = lie_trotter_value(w, curves, -s if negate else s)
-            with np.errstate(over="ignore"):
-                error = frobenius_norm(value.entries - target.entries)
-        except (SolverError, SpectralDomainError, NotPositiveDefiniteError):
-            error = np.inf
+    for s, s_signed, points in zip(schedule, signed, point_sets):
+        error = np.inf
+        if points is not None:
+            try:
+                value = _powered(next(outcomes), s_signed)
+                with np.errstate(over="ignore"):
+                    error = frobenius_norm(value.entries - target.entries)
+            except _POINT_FAILURES:
+                pass
         if np.isfinite(error):
             s_ok.append(s)
             errors.append(error)
@@ -230,12 +266,31 @@ def derivative_at_identity_check(
         raise ValueError("largest step leaves the SPD cone for these directions")
     target = w.combine(d.entries for d in directions)
     eye = np.eye(directions[0].dim)
+    steps = [sign * t for t in schedule for sign in (1.0, -1.0)]
+    # I + t X_j is exactly symmetric, so it is its own symmetrization; all
+    # points are diagonalized as one stack
+    grids = np.stack([eye + step * d.entries for step in steps for d in directions])
+    q, lam, failures = spd_spectra_each(grids)
+
+    def point(j: int) -> SpdMatrix:
+        return SpdMatrix(grids[j], _eigen=EigenDecomposition(q=q[j], lam=lam[j]))
+
+    point_sets: list[tuple[SpdMatrix, ...] | Exception] = []
+    for i in range(len(steps)):
+        span = range(i * len(directions), (i + 1) * len(directions))
+        failure = next((failures[j] for j in span if failures[j] is not None), None)
+        point_sets.append(failure if failure is not None else tuple(map(point, span)))
+    outcomes = iter(
+        _converged_means(w, [points for points in point_sets if isinstance(points, tuple)])
+    )
     errors_pos: list[float] = []
     errors_neg: list[float] = []
-    for t in schedule:
-        for sign, sink in ((1.0, errors_pos), (-1.0, errors_neg)):
-            points = tuple(SpdMatrix(eye + sign * t * d.entries) for d in directions)
-            mean = _converged_mean(w, points, f"t={sign * t!r}")
-            quotient = (mean.entries - eye) / (sign * t)
-            sink.append(frobenius_norm(quotient - target))
+    # the first failure in (t, sign) order is raised, as stepping one point
+    # at a time raises it
+    for i, (step, points) in enumerate(zip(steps, point_sets)):
+        if isinstance(points, Exception):
+            raise points
+        mean = _converged_mean(next(outcomes), f"t={step!r}")
+        quotient = (mean.entries - eye) / step
+        (errors_neg if i % 2 else errors_pos).append(frobenius_norm(quotient - target))
     return DerivativeCheckReport(tuple(errors_pos), tuple(errors_neg))

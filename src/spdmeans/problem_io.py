@@ -70,6 +70,13 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _not_a_number(value) -> bool:
+    """Whether a JSON scalar is a string or a boolean, which numpy would
+    convert to a float ("1" and true both read as 1.0) but a problem file
+    must spell as a number."""
+    return isinstance(value, (str, bool))
+
+
 def parse_problem(text: str) -> MeanProblem:
     """Parse a problem document; every failure carries an index and reason."""
     try:
@@ -79,7 +86,7 @@ def parse_problem(text: str) -> MeanProblem:
     if not isinstance(doc, dict):
         raise ProblemFileError("top level must be an object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if _not_a_number(version) or version != SCHEMA_VERSION:
         raise ProblemFileError(
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
@@ -93,6 +100,9 @@ def parse_problem(text: str) -> MeanProblem:
         raise ProblemFileError(
             f"{len(weights_raw)} weights for {len(matrices_raw)} matrices"
         )
+    bad = next((w for w in weights_raw if _not_a_number(w)), None)
+    if bad is not None:
+        raise ProblemFileError(f"bad weights: {bad!r} is not a number")
     try:
         weights = WeightVector(np.array(weights_raw, dtype=float))
     except (TypeError, ValueError, OverflowError) as exc:
@@ -106,6 +116,10 @@ def parse_problem(text: str) -> MeanProblem:
             raise ProblemFileError(f"matrix {idx}: not a numeric grid ({exc})") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ProblemFileError(f"matrix {idx}: not square, shape {arr.shape}")
+        # a 2-D grid is a list of rows of scalars
+        bad = next((v for row in grid for v in row if _not_a_number(v)), None)
+        if bad is not None:
+            raise ProblemFileError(f"matrix {idx}: not a numeric grid ({bad!r} is not a number)")
         if dim is None:
             dim = arr.shape[0]
         elif arr.shape[0] != dim:

@@ -174,17 +174,28 @@ def _admit(lam: np.ndarray) -> None:
         raise NotPositiveDefiniteError(lam_min, lam_max)
 
 
-def spd_spectra(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def spd_spectra_each(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Eigenvectors (k, d, d) and descending eigenvalues (k, d) of a (k, d, d)
     stack of symmetric arrays, solved as one stack with the bits of lone
-    solves.  Each slice is admitted as ``SpdMatrix`` admits it; the first
-    failing slice, in input order, raises its EighConvergenceError or
-    NotPositiveDefiniteError."""
+    solves, and per slice None or the EighConvergenceError or
+    NotPositiveDefiniteError that ``SpdMatrix`` raises on that slice."""
     q, lam, errors = _jacobi_stack(cs)
-    for lam_j, error in zip(lam, errors):
+    for j, lam_j in enumerate(lam):
+        if errors[j] is None:
+            try:
+                _admit(lam_j)
+            except NotPositiveDefiniteError as exc:
+                errors[j] = exc
+    return q, lam, errors
+
+
+def spd_spectra(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``spd_spectra_each`` that raises the error of the first failing slice,
+    in input order."""
+    q, lam, errors = spd_spectra_each(cs)
+    for error in errors:
         if error is not None:
             raise error
-        _admit(lam_j)
     return q, lam
 
 

@@ -337,14 +337,97 @@ def test_stacked_congruences_give_the_loop_bits(monkeypatch, solve):
 
     def lone_spectra(cs):
         eigens = [SpdMatrix(c).eigen for c in cs]
-        return np.stack([e.q for e in eigens]), np.stack([e.lam for e in eigens])
+        return np.stack([e.q for e in eigens]), np.stack([e.lam for e in eigens]), [None] * len(cs)
 
-    monkeypatch.setattr(barycenter, "spd_spectra", lone_spectra)
+    monkeypatch.setattr(barycenter, "spd_spectra_each", lone_spectra)
     for p, got in zip(problems, stacked):
         want = solve(p, cfg)
         assert got.iterations == want.iterations
         assert got.residual_history == want.residual_history
         assert got.mean.entries.tobytes() == want.mean.entries.tobytes()
+
+
+LOCKSTEP = pytest.mark.parametrize(
+    "solve, method",
+    [(wasserstein_mean, barycenter._Transport), (karcher_mean, barycenter._Karcher)],
+    ids=["wasserstein", "karcher"],
+)
+
+
+def _lockstep_batch():
+    """Problems of dimension 3: NEAR_SINGULAR ends in a SolverError, and at
+    max_iter 12 some others converge and some stop unconverged."""
+    rng = np.random.default_rng(5)
+    drawn = [
+        random_problem(rng, n=n, dim=3, condition_max=kappa)
+        for n, kappa in ((2, 1e2), (4, 1e6), (3, 1e4), (5, 1e2), (2, 1e6))
+    ]
+    return [drawn[0], drawn[1], NEAR_SINGULAR, *drawn[2:]], SolverConfig(max_iter=12)
+
+
+def _outcome_of(solve, p, cfg):
+    try:
+        return solve(p, cfg)
+    except SolverError as exc:
+        return exc
+
+
+@LOCKSTEP
+def test_lockstep_loop_gives_the_sequential_results(solve, method):
+    problems, cfg = _lockstep_batch()
+    batch = barycenter._fixed_points(problems, cfg, method)
+    assert len(batch) == len(problems)
+    for p, got in zip(problems, batch):
+        want = _outcome_of(solve, p, cfg)
+        assert type(got) is type(want)
+        if isinstance(want, SolverError):
+            assert str(got) == str(want)
+            assert type(got.__cause__) is type(want.__cause__)
+            continue
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        assert got.residual_history == want.residual_history
+        assert got.mean.entries.tobytes() == want.mean.entries.tobytes()
+    # the batch holds a failure, a truncated solve and a converged one
+    assert isinstance(batch[2], SolverError)
+    assert str(batch[2]).startswith("non-SPD intermediate at iteration ")
+    results = [r for r in batch if isinstance(r, barycenter.SolverResult)]
+    assert any(not r.converged and r.iterations == cfg.max_iter for r in results)
+    assert any(r.converged and r.iterations < cfg.max_iter for r in results)
+
+
+@LOCKSTEP
+def test_lockstep_solves_all_live_congruences_as_one_stack(monkeypatch, solve, method):
+    problems, cfg = _lockstep_batch()
+    stacks = []
+    real_stack = spd_core._jacobi_stack
+
+    def counting_stack(arrays):
+        stacks.append(len(arrays))
+        return real_stack(arrays)
+
+    monkeypatch.setattr(spd_core, "_jacobi_stack", counting_stack)
+    batch = barycenter._fixed_points(problems, cfg, method)
+    # a problem is live at iteration k up to the iteration it ends in; every
+    # problem has n >= 2, so the stacks of one are the lone solves
+    last = [
+        int(str(r).split("iteration ")[1].split(":")[0])
+        if isinstance(r, SolverError)
+        else r.iterations
+        for r in batch
+    ]
+    want = [
+        sum(p.n for p, end in zip(problems, last) if k <= end) for k in range(max(last) + 1)
+    ]
+    assert [k for k in stacks if k != 1] == want
+
+
+def test_lockstep_rejects_problems_of_different_dimensions():
+    problems, cfg = _lockstep_batch()
+    other = random_problem(np.random.default_rng(6), n=2, dim=4)
+    with pytest.raises(ValueError, match=r"one dimension, got \[3, 4\]"):
+        barycenter._fixed_points([*problems, other], cfg, barycenter._Transport)
+    assert barycenter._fixed_points([], cfg, barycenter._Transport) == []
 
 
 def _symmetric_factor_residual(x, p):

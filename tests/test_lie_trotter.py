@@ -230,20 +230,31 @@ def test_trace_schedule_validation(mixed_instance):
 
 
 def test_trace_records_solver_failures(mixed_instance, monkeypatch):
+    # the trace solves its whole schedule in one lockstep call; the rig makes
+    # that call end the solve at |s| = 0.25 in a SolverError
     w, curves = mixed_instance
     from spdmeans import lie_trotter as module
 
-    real = module.lie_trotter_value
+    real = module._wasserstein_means
+    calls = []
 
-    def flaky(w_, curves_, s):
-        if abs(s) == 0.25:
-            raise SolverError("rigged failure")
-        return real(w_, curves_, s)
+    def flaky(problems, cfg=None):
+        calls.append(len(problems))
+        rigged = [evaluate_curve(curves[0], s).entries for s in (0.25, -0.25)]
+        return [
+            SolverError("rigged failure")
+            if any(np.array_equal(p.matrices[0].entries, r) for r in rigged)
+            else outcome
+            for p, outcome in zip(problems, real(problems, cfg))
+        ]
 
-    monkeypatch.setattr(module, "lie_trotter_value", flaky)
-    trace = module.convergence_trace(w, curves, dyadic_schedule(4))
-    assert trace.failed_s == (0.25,)
-    assert len(trace.errors) == 3
+    monkeypatch.setattr(module, "_wasserstein_means", flaky)
+    for negate in (False, True):
+        calls.clear()
+        trace = module.convergence_trace(w, curves, dyadic_schedule(4), negate=negate)
+        assert trace.failed_s == (0.25,)
+        assert len(trace.errors) == 3
+        assert calls == [4]
 
 
 def test_dyadic_schedule():
@@ -299,3 +310,22 @@ def test_derivative_rejects_inadmissible_steps():
     big = SymMatrix(np.diag([3.0, -3.0]))
     with pytest.raises(ValueError):
         derivative_at_identity_check(w, (big,), (0.5,))
+
+
+def test_derivative_raises_the_failure_of_the_earliest_step(monkeypatch):
+    # every step is solved in one lockstep call, yet the error raised is the
+    # one of the earliest step in (t, sign) order, as when each step is
+    # formed and solved in turn: an inadmissible point at a later step does
+    # not hide an unconverged solve at an earlier one, nor the reverse
+    from spdmeans import lie_trotter as module
+    from spdmeans.spd_core import NotPositiveDefiniteError
+
+    unconverged = module.SolverConfig(rel_tol=1e-300, max_iter=1)
+    monkeypatch.setattr(module, "TRACE_SOLVER_CONFIG", unconverged)
+    w = WeightVector.uniform(2)
+    directions = (SymMatrix(np.diag([1.0, -1.0])), SymMatrix([[0.0, 0.5], [0.5, 0.0]]))
+    edge = 1.0 - 1e-13  # I + edge X_1 has lambda_min 1e-13: not admitted
+    with pytest.raises(SolverError, match=r"^barycenter did not converge at t=0\.5 "):
+        derivative_at_identity_check(w, directions, (0.5, edge))
+    with pytest.raises(NotPositiveDefiniteError):
+        derivative_at_identity_check(w, directions, (edge, 0.5))

@@ -120,12 +120,19 @@ def problem_documents(draw):
 @given(doc=problem_documents())
 # weights whose sum overflows normalized to zeros and were accepted
 @example(doc={"schema_version": 1, "weights": [1.7e308, 1.7e308], "matrices": [[[1]], [[2]]]})
+# JSON booleans and quoted numbers were read as if they were 1
+@example(doc={"schema_version": True, "weights": [1], "matrices": [[[1]]]})
+@example(doc={"schema_version": 1, "weights": [True], "matrices": [[[1]]]})
+@example(doc={"schema_version": 1, "weights": [1], "matrices": [[["1"]]]})
 def test_parse_problem_returns_a_problem_or_a_problem_file_error(doc):
     try:
         problem = parse_problem(json.dumps(doc))
     except ProblemFileError:
         return
     assert isinstance(problem, MeanProblem)
+    scalars = [doc["schema_version"], *doc["weights"]]
+    scalars += [v for grid in doc["matrices"] for row in grid for v in row]
+    assert not any(isinstance(v, (bool, str)) for v in scalars)
     weights = problem.weights.values
     assert np.all(weights > 0.0) and abs(float(weights.sum()) - 1.0) <= 1e-12
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -8,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdmeans import EnsembleSpec, run_instance, run_suite
 from spdmeans.cli import (
@@ -94,6 +97,10 @@ def test_spec_validation():
         EnsembleSpec(dim_range=(5, 3))
     with pytest.raises(ValueError):
         EnsembleSpec(condition_max=0.1)
+    assert EnsembleSpec(condition_max=1e6).condition_max == 1e6
+    for above in (1.000001e6, 1e7, math.inf, math.nan):
+        with pytest.raises(ValueError, match="condition_max must be at most 1e[+]06"):
+            EnsembleSpec(condition_max=above)
 
 
 @pytest.mark.parametrize(
@@ -109,6 +116,30 @@ def test_accepted_ranges_run(spec):
     # streams that cap the dimension or the count must still draw inside
     # ranges lying wholly above their cap
     run_suite(spec, "all")
+
+
+@st.composite
+def small_specs(draw):
+    """An EnsembleSpec of at most 4 instances per stream, any condition
+    number it accepts, n <= 6 and dimension <= 10."""
+    n_lo, dim_lo = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    return EnsembleSpec(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        count=draw(st.integers(0, 4)),
+        n_range=(n_lo, draw(st.integers(n_lo, 6))),
+        dim_range=(dim_lo, draw(st.integers(dim_lo, 10))),
+        condition_max=draw(
+            st.one_of(st.sampled_from([1.0, 1e6]), st.floats(0.0, 6.0).map(lambda e: 10.0**e))
+        ),
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=small_specs())
+def test_every_accepted_spec_runs_every_family(spec):
+    # checks may fail (see ROADMAP), but no accepted spec ends in an error
+    report = run_suite(spec, "all")
+    assert report.families == FAMILIES
 
 
 def test_bounds_instance_computes_one_report(monkeypatch):
@@ -325,6 +356,33 @@ def test_cli_integer_too_large_for_a_double_exits_3(tmp_path, capsys, weights, e
         f'{{"schema_version": 1, "weights": [{weights}, 0.5],'
         f' "matrices": [[[{entry}, 0], [0, 1]], [[1, 0], [0, 1]]]}}'
     )
+    code, out, err = run_cli(capsys, "mean", "--method", "arithmetic", "--input", str(path))
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"schema_version": 1, "weights": [0.5, 0.5], "matrices": [[["2"]], [[1]]]}',
+            "error: matrix 0: not a numeric grid ('2' is not a number)\n",
+        ),
+        (
+            '{"schema_version": 1, "weights": [true, 0.5], "matrices": [[[2]], [[1]]]}',
+            "error: bad weights: True is not a number\n",
+        ),
+        (
+            '{"schema_version": true, "weights": [0.5, 0.5], "matrices": [[[2]], [[1]]]}',
+            "error: unsupported schema_version True, expected 1\n",
+        ),
+    ],
+    ids=["quoted-entry", "boolean-weight", "boolean-version"],
+)
+def test_cli_quoted_numbers_and_booleans_exit_3(tmp_path, capsys, text, message):
+    path = tmp_path / "strings.json"
+    path.write_text(text)
     code, out, err = run_cli(capsys, "mean", "--method", "arithmetic", "--input", str(path))
     assert code == EXIT_INPUT_ERROR
     assert out == ""
