@@ -10,7 +10,7 @@ size.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Generator, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,122 +268,94 @@ class _Karcher:
         return _congruences(l, apply_spectral(SymMatrix(grad), "exp_of_sym").entries)
 
 
-class _Run:
-    """One problem in the lockstep loop: the problem scaled by 4^-t, the
-    iterate x with its Cholesky factor (l, l_inv), the congruences cs of its
-    next measurement, and the residual history."""
-
-    __slots__ = (
-        "index", "cfg", "method", "weights", "t", "mats", "x", "l", "l_inv", "cs", "history"
-    )
-
-    def __init__(self, index: int, p: MeanProblem, cfg: SolverConfig, method: type) -> None:
-        self.index, self.cfg, self.method = index, cfg, method
-        self.weights, self.history = p.weights, []
-        self.t, self.mats = _scaled(p)
-        if cfg.initial == "identity":
-            self._move_to(np.ldexp(np.eye(p.dim), -2 * self.t))
-        else:
-            self._move_to(p.weights.combine(self.mats))
-
-    def _move_to(self, x: np.ndarray) -> None:
-        self.x = x
-        self.l, self.l_inv = cholesky(x)
-        self.cs = self.method.congruences(self.l, self.l_inv, self.mats)
-
-    def advance(self, k: int, q: np.ndarray, lam: np.ndarray, errors: list) -> SolverResult | None:
-        """Measure iterate k from the spectra (q, lam, errors) of its
-        congruences: the result once converged or at max_iter, else None
-        after the step to iterate k + 1."""
-        for error in errors:
-            if error is not None:
-                raise error
-        r, aux = self.method.measure(self.l, self.cs, q, lam, self.weights)
-        self.history.append(r)
-        if r <= self.cfg.rel_tol or k == self.cfg.max_iter:
-            mean = SpdMatrix(np.ldexp(self.x, 2 * self.t))
-            return SolverResult(mean, k, r, r <= self.cfg.rel_tol, tuple(self.history))
-        self._move_to(self.method.step(self.l, self.l_inv, aux))
-        return None
-
-
-def _failure(exc: LinearAlgebraError, k: int) -> Exception:
-    """The error a solve ends in at iteration k: a non-SPD intermediate (a
-    failed SPD admission or Cholesky pivot) as SolverError, any other
-    numerical failure as itself."""
-    if isinstance(exc, (NotPositiveDefiniteError, NonPositivePivotError)):
-        error = SolverError(f"non-SPD intermediate at iteration {k}: {exc}")
-        error.__cause__ = exc
-        return error
-    return exc
-
-
-def _fixed_points(
-    problems: list[MeanProblem], cfg: SolverConfig | None, method: type
-) -> list[SolverResult | Exception]:
-    """The loop of both means (``method`` is ``_Transport`` or ``_Karcher``),
-    run in lockstep over problems of one dimension, each scaled by the power
-    of four 4^-t that brings its largest entry into [1/4, 1).
+def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Generator:
+    """The loop of both means (``method`` is ``_Transport`` or ``_Karcher``)
+    as a generator, on the problem scaled by the power of four 4^-t that
+    brings its largest entry into [1/4, 1).
 
     Both means are homogeneous of degree 1 and the scaling is exact (square
     roots scale by 2^-t), so only a run whose unscaled iterates would overflow
     or underflow gets other bits.  Each iterate X is carried as its Cholesky
-    factor L (X = L L^T) and L^{-1}, never diagonalized.  Each iteration
-    solves the congruences of every live problem as one Jacobi stack, whose
-    slices have the bits of lone solves, then admits each problem's slices in
-    input order and measures and steps that problem alone.  A problem leaves
-    once r <= rel_tol (converged) or after max_iter updates (returned
-    unconverged); its mean is scaled back and admitted once as an SpdMatrix.
-
-    Returns per problem, in input order, its SolverResult or the error it
-    ended in: a non-positive pivot of L or a failed SPD admission as
-    SolverError, any other LinearAlgebraError as itself.  Problems of more
-    than one dimension raise ValueError.
+    factor L (X = L L^T) and L^{-1}, never diagonalized.  Each measurement
+    yields its (n, d, d) congruence stack and is sent back its Jacobi spectra
+    (q, lam, errors) as ``spd_spectra_each`` gives them, so that ``_lockstep``
+    can solve the stacks of many runs as one.  Converged only when
+    r <= rel_tol; after max_iter updates the last iterate is returned
+    unconverged.  The mean is scaled back and admitted once as an SpdMatrix.
+    A non-positive pivot of L or a failed SPD admission raises SolverError.
     """
     cfg = cfg or SolverConfig()
-    dims = sorted({p.dim for p in problems})
-    if len(dims) > 1:
-        raise ValueError(f"problems must share one dimension, got {dims}")
-    outcomes: list[SolverResult | Exception | None] = [None] * len(problems)
-    live: list[_Run] = []
-    for i, p in enumerate(problems):
-        try:
-            live.append(_Run(i, p, cfg, method))
-        except LinearAlgebraError as exc:
-            outcomes[i] = _failure(exc, 0)
-    for k in range(cfg.max_iter + 1):
-        if not live:
-            break
-        q, lam, errors = spd_spectra_each(np.concatenate([run.cs for run in live]))
-        still, start = [], 0
-        for run in live:
-            end = start + len(run.cs)
+    t, mats = _scaled(p)
+    if cfg.initial == "identity":
+        x = np.ldexp(np.eye(p.dim), -2 * t)
+    else:
+        x = p.weights.combine(mats)
+    history: list[float] = []
+    k = 0
+    try:
+        l, l_inv = cholesky(x)
+        for k in range(cfg.max_iter + 1):
+            cs = method.congruences(l, l_inv, mats)
+            q, lam, errors = yield cs
+            for error in errors:
+                if error is not None:
+                    raise error
+            r, aux = method.measure(l, cs, q, lam, p.weights)
+            history.append(r)
+            if r <= cfg.rel_tol or k == cfg.max_iter:
+                mean = SpdMatrix(np.ldexp(x, 2 * t))
+                return SolverResult(mean, k, r, r <= cfg.rel_tol, tuple(history))
+            x = method.step(l, l_inv, aux)
+            l, l_inv = cholesky(x)
+    except (NotPositiveDefiniteError, NonPositivePivotError) as exc:
+        raise SolverError(f"non-SPD intermediate at iteration {k}: {exc}") from exc
+
+
+def _transport(p: MeanProblem, cfg: SolverConfig | None = None) -> Generator:
+    """The run of ``wasserstein_mean`` on p, for ``_lockstep``."""
+    return _fixed_point(p, cfg, _Transport)
+
+
+def _lockstep(runs: list[Generator]) -> list[SolverResult | Exception]:
+    """Drive ``_fixed_point`` runs of one dimension together: each round
+    solves the congruence stacks that every live run yielded as one Jacobi
+    stack, whose slices have the bits of lone solves, and sends each run its
+    own slices, in input order.
+
+    Returns per run, in input order, the SolverResult it returned or the
+    SolverError or LinearAlgebraError it raised.  Stacks of more than one
+    dimension in a round raise ValueError.
+    """
+    outcomes: list[SolverResult | Exception | None] = [None] * len(runs)
+    live = [(i, run, None) for i, run in enumerate(runs)]
+    while live:
+        asked = []
+        for i, run, reply in live:
             try:
-                outcome = run.advance(k, q[start:end], lam[start:end], errors[start:end])
-            except LinearAlgebraError as exc:
-                outcome = _failure(exc, k)
-            if outcome is None:
-                still.append(run)
-            else:
-                outcomes[run.index] = outcome
+                asked.append((i, run, run.send(reply)))
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except (SolverError, LinearAlgebraError) as exc:
+                outcomes[i] = exc
+        if not asked:
+            break
+        dims = sorted({cs.shape[-1] for _, _, cs in asked})
+        if len(dims) > 1:
+            raise ValueError(f"problems must share one dimension, got {dims}")
+        q, lam, errors = spd_spectra_each(np.concatenate([cs for _, _, cs in asked]))
+        live, start = [], 0
+        for i, run, cs in asked:
+            end = start + len(cs)
+            live.append((i, run, (q[start:end], lam[start:end], errors[start:end])))
             start = end
-        live = still
     return outcomes
 
 
 def _solved(outcome: SolverResult | Exception) -> SolverResult:
-    """The SolverResult of one ``_fixed_points`` outcome; its error is raised."""
+    """The SolverResult of one ``_lockstep`` outcome; its error is raised."""
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-def _wasserstein_means(
-    problems: list[MeanProblem], cfg: SolverConfig | None = None
-) -> list[SolverResult | Exception]:
-    """``wasserstein_mean`` of each problem, solved in lockstep; per problem
-    its SolverResult or, where ``wasserstein_mean`` raises, that error."""
-    return _fixed_points(problems, cfg, _Transport)
 
 
 def wasserstein_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResult:
@@ -398,7 +370,7 @@ def wasserstein_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverR
     and the update is L^{-T} S^2 L^{-1}, both equal to their X^{1/2} forms in
     exact arithmetic (A_j # X^{-1} is the optimal transport map).
     """
-    return _solved(_fixed_points([p], cfg, _Transport)[0])
+    return _solved(_lockstep([_transport(p, cfg)])[0])
 
 
 def karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResult:
@@ -410,7 +382,7 @@ def karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResul
     Converged when ||G||_F, which does not depend on the factor, falls below
     rel_tol; the residual history records that norm, which is scale free.
     """
-    return _solved(_fixed_points([p], cfg, _Karcher)[0])
+    return _solved(_lockstep([_fixed_point(p, cfg, _Karcher)])[0])
 
 
 @dataclass(frozen=True)

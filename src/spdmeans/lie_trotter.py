@@ -9,6 +9,7 @@ map at the identity tuple by finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,8 +20,9 @@ from .barycenter import (
     SolverConfig,
     SolverError,
     WeightVector,
+    _lockstep,
     _solved,
-    _wasserstein_means,
+    _transport,
 )
 from .spd_core import (
     EigenDecomposition,
@@ -121,8 +123,7 @@ def _check_matched(w: WeightVector, items, noun: str) -> tuple:
 def _converged_means(w: WeightVector, point_sets: list[tuple[SpdMatrix, ...]]) -> list:
     """``wasserstein_mean`` under TRACE_SOLVER_CONFIG of each tuple of points,
     solved in lockstep: per tuple its SolverResult or the error it ended in."""
-    problems = [MeanProblem(points, w) for points in point_sets]
-    return _wasserstein_means(problems, TRACE_SOLVER_CONFIG)
+    return _lockstep([_transport(MeanProblem(pts, w), TRACE_SOLVER_CONFIG) for pts in point_sets])
 
 
 def _converged_mean(outcome, at: str) -> SpdMatrix:
@@ -167,6 +168,15 @@ def dyadic_schedule(depth: int) -> tuple[float, ...]:
     return tuple(2.0**-k for k in range(1, depth + 1))
 
 
+def _schedule(values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, or ``dyadic_schedule(10)`` when None;
+    ValueError unless it is nonempty and every entry is finite and > 0."""
+    schedule = dyadic_schedule(10) if values is None else tuple(float(v) for v in values)
+    if not schedule or not all(0.0 < v < math.inf for v in schedule):
+        raise ValueError(f"schedule must be nonempty, finite and positive, got {schedule}")
+    return schedule
+
+
 @dataclass(frozen=True)
 class LieTrotterTrace:
     """Error of the powered barycenter against the limit target along a
@@ -200,11 +210,9 @@ def convergence_trace(
     """Evaluate the limit error along a schedule; set ``negate`` for the
     mirrored one-sided limit s -> 0^-."""
     curves = _check_matched(w, curves, "curves")
-    schedule = tuple(float(s) for s in (s_schedule or dyadic_schedule(10)))
-    if any(s <= 0.0 for s in schedule) or any(
-        schedule[i] <= schedule[i + 1] for i in range(len(schedule) - 1)
-    ):
-        raise ValueError("schedule must be positive and strictly descending")
+    schedule = _schedule(s_schedule)
+    if any(schedule[i] <= schedule[i + 1] for i in range(len(schedule) - 1)):
+        raise ValueError(f"schedule must be strictly descending, got {schedule}")
     target = lie_trotter_target(w, curves)
     signed = [-s if negate else s for s in schedule]
     # the points of every s are solved together; None marks an s whose
@@ -260,7 +268,7 @@ def derivative_at_identity_check(
     """Compare (barycenter(I + t X_1, ..., I + t X_n) - I) / t with
     sum_j w_j X_j over a schedule of steps t, both signs."""
     directions = _check_matched(w, directions, "directions")
-    schedule = tuple(float(t) for t in (t_schedule or dyadic_schedule(10)))
+    schedule = _schedule(t_schedule)
     radius = max(operator_norm(d) for d in directions)
     if radius > 0.0 and max(schedule) * radius >= 1.0:
         raise ValueError("largest step leaves the SPD cone for these directions")

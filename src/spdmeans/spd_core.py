@@ -384,10 +384,10 @@ def _jacobi_stack(arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
 
 
 def _frobenius_norms(w: np.ndarray) -> np.ndarray:
-    """``frobenius_norm`` of each (d, d) slice over the leading axes of w, with
-    the same bits: each slice's d*d squares are summed by the same pairwise
-    reduction."""
-    return np.sqrt(np.add.reduce((w * w).reshape(*w.shape[:-2], w.shape[-1] ** 2), axis=-1))
+    """Frobenius norm of each slice over the trailing two axes of w (of the
+    whole of w when it has fewer): its squares, in row-major order whatever
+    the memory layout of w, are summed by one pairwise reduction."""
+    return np.sqrt(np.add.reduce((w * w).reshape(*w.shape[:-2], math.prod(w.shape[-2:])), axis=-1))
 
 
 def apply_spectral(a: SymMatrix, f: str, p: float | None = None) -> SymMatrix | SpdMatrix:
@@ -482,7 +482,7 @@ def cholesky(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def frobenius_norm(a: SymMatrix | np.ndarray) -> float:
     m = a.entries if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
-    return math.sqrt(float(np.sum(m * m)))
+    return float(_frobenius_norms(m))
 
 
 def operator_norm(a: SymMatrix) -> float:

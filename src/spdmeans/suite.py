@@ -342,7 +342,7 @@ def _run_det_problem(rng: np.random.Generator, spec: EnsembleSpec) -> list:
     # equality case: all matrices equal forces equality of the determinants
     first = problem.matrices[0]
     equal_problem = bc.MeanProblem((first,) * problem.n, problem.weights)
-    outcome, equal_outcome = bc._wasserstein_means([problem, equal_problem])
+    outcome, equal_outcome = bc._lockstep([bc._transport(problem), bc._transport(equal_problem)])
     result = bc._solved(outcome)
     rep = bc.det_inequality_check(problem, result.mean)
     checks = [
@@ -390,10 +390,9 @@ def _run_invariance_problem(rng: np.random.Generator, spec: EnsembleSpec) -> lis
         tuple(SpdMatrix(congruence(q, a)) for a in problem.matrices),
         problem.weights,
     )
-    # the six default-start means are solved in lockstep, then the one from
-    # the identity; the first failure in this order is raised
-    outcomes = bc._wasserstein_means([problem, *scaled, permuted, repeated, rotated])
-    outcomes += bc._wasserstein_means([problem], bc.SolverConfig(initial="identity"))
+    # the seven means are solved in lockstep; the first failure in order is raised
+    runs = [bc._transport(p) for p in (problem, *scaled, permuted, repeated, rotated)]
+    outcomes = bc._lockstep([*runs, bc._transport(problem, bc.SolverConfig(initial="identity"))])
     base, *scaled_means, perm_mean, rep_mean, rot_mean, identity_mean = (
         bc._solved(outcome).mean for outcome in outcomes
     )

@@ -372,13 +372,9 @@ def _outcome_of(solve, p, cfg):
         return exc
 
 
-@LOCKSTEP
-def test_lockstep_loop_gives_the_sequential_results(solve, method):
-    problems, cfg = _lockstep_batch()
-    batch = barycenter._fixed_points(problems, cfg, method)
-    assert len(batch) == len(problems)
-    for p, got in zip(problems, batch):
-        want = _outcome_of(solve, p, cfg)
+def _assert_same_outcomes(got_outcomes, want_outcomes):
+    assert len(got_outcomes) == len(want_outcomes)
+    for got, want in zip(got_outcomes, want_outcomes):
         assert type(got) is type(want)
         if isinstance(want, SolverError):
             assert str(got) == str(want)
@@ -388,12 +384,36 @@ def test_lockstep_loop_gives_the_sequential_results(solve, method):
         assert got.converged == want.converged
         assert got.residual_history == want.residual_history
         assert got.mean.entries.tobytes() == want.mean.entries.tobytes()
+
+
+@LOCKSTEP
+def test_lockstep_loop_gives_the_sequential_results(solve, method):
+    problems, cfg = _lockstep_batch()
+    batch = barycenter._lockstep([barycenter._fixed_point(p, cfg, method) for p in problems])
+    _assert_same_outcomes(batch, [_outcome_of(solve, p, cfg) for p in problems])
     # the batch holds a failure, a truncated solve and a converged one
     assert isinstance(batch[2], SolverError)
     assert str(batch[2]).startswith("non-SPD intermediate at iteration ")
     results = [r for r in batch if isinstance(r, barycenter.SolverResult)]
     assert any(not r.converged and r.iterations == cfg.max_iter for r in results)
     assert any(r.converged and r.iterations < cfg.max_iter for r in results)
+
+    # each run carries its own config: identity starts, other iteration caps
+    # and the default config share one batch
+    configs = [
+        SolverConfig(max_iter=12, initial="identity"),
+        SolverConfig(max_iter=3),
+        None,
+        SolverConfig(max_iter=7, initial="identity"),
+        cfg,
+        SolverConfig(rel_tol=1e-8, max_iter=5),
+        None,
+    ]
+    batch = barycenter._lockstep(
+        [barycenter._fixed_point(p, c, method) for p, c in zip(problems, configs)]
+    )
+    _assert_same_outcomes(batch, [_outcome_of(solve, p, c) for p, c in zip(problems, configs)])
+    assert batch[1].iterations == 3
 
 
 @LOCKSTEP
@@ -407,7 +427,7 @@ def test_lockstep_solves_all_live_congruences_as_one_stack(monkeypatch, solve, m
         return real_stack(arrays)
 
     monkeypatch.setattr(spd_core, "_jacobi_stack", counting_stack)
-    batch = barycenter._fixed_points(problems, cfg, method)
+    batch = barycenter._lockstep([barycenter._fixed_point(p, cfg, method) for p in problems])
     # a problem is live at iteration k up to the iteration it ends in; every
     # problem has n >= 2, so the stacks of one are the lone solves
     last = [
@@ -426,8 +446,8 @@ def test_lockstep_rejects_problems_of_different_dimensions():
     problems, cfg = _lockstep_batch()
     other = random_problem(np.random.default_rng(6), n=2, dim=4)
     with pytest.raises(ValueError, match=r"one dimension, got \[3, 4\]"):
-        barycenter._fixed_points([*problems, other], cfg, barycenter._Transport)
-    assert barycenter._fixed_points([], cfg, barycenter._Transport) == []
+        barycenter._lockstep([barycenter._transport(p, cfg) for p in [*problems, other]])
+    assert barycenter._lockstep([]) == []
 
 
 def _symmetric_factor_residual(x, p):

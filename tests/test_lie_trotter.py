@@ -219,41 +219,43 @@ def test_trace_two_sided_limits_agree(mixed_instance):
     assert max(pos.errors[-1], neg.errors[-1]) <= 2.0 * min(pos.errors[-1], neg.errors[-1])
 
 
+INADMISSIBLE_SCHEDULES = [(), [], (-0.5,), (0.0,), (0.5, 0.0), (math.nan,), (0.5, math.nan), (math.inf,)]
+
+
 def test_trace_schedule_validation(mixed_instance):
     w, curves = mixed_instance
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly descending"):
         convergence_trace(w, curves, (0.5, 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly descending"):
         convergence_trace(w, curves, (0.25, 0.5))
-    with pytest.raises(ValueError):
-        convergence_trace(w, curves, (-0.5,))
+    # None is the one way to select the default schedule
+    for schedule in INADMISSIBLE_SCHEDULES:
+        with pytest.raises(ValueError, match="nonempty, finite and positive"):
+            convergence_trace(w, curves, schedule)
 
 
 def test_trace_records_solver_failures(mixed_instance, monkeypatch):
     # the trace solves its whole schedule in one lockstep call; the rig makes
-    # that call end the solve at |s| = 0.25 in a SolverError
+    # that call end the solve at |s| = 0.25, the second of the four, in a
+    # SolverError
     w, curves = mixed_instance
     from spdmeans import lie_trotter as module
 
-    real = module._wasserstein_means
+    real = module._lockstep
     calls = []
 
-    def flaky(problems, cfg=None):
-        calls.append(len(problems))
-        rigged = [evaluate_curve(curves[0], s).entries for s in (0.25, -0.25)]
-        return [
-            SolverError("rigged failure")
-            if any(np.array_equal(p.matrices[0].entries, r) for r in rigged)
-            else outcome
-            for p, outcome in zip(problems, real(problems, cfg))
-        ]
+    def flaky(runs):
+        calls.append(len(runs))
+        outcomes = real(runs)
+        outcomes[1] = SolverError("rigged failure")
+        return outcomes
 
-    monkeypatch.setattr(module, "_wasserstein_means", flaky)
+    monkeypatch.setattr(module, "_lockstep", flaky)
     for negate in (False, True):
         calls.clear()
         trace = module.convergence_trace(w, curves, dyadic_schedule(4), negate=negate)
         assert trace.failed_s == (0.25,)
-        assert len(trace.errors) == 3
+        assert trace.s_values == (0.5, 0.125, 0.0625)
         assert calls == [4]
 
 
@@ -308,8 +310,12 @@ def test_derivative_first_order_ratios(mixed_instance):
 def test_derivative_rejects_inadmissible_steps():
     w = WeightVector.uniform(1)
     big = SymMatrix(np.diag([3.0, -3.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="leaves the SPD cone"):
         derivative_at_identity_check(w, (big,), (0.5,))
+    small = SymMatrix(np.diag([0.3, -0.3]))
+    for schedule in INADMISSIBLE_SCHEDULES:
+        with pytest.raises(ValueError, match="nonempty, finite and positive"):
+            derivative_at_identity_check(w, (small,), schedule)
 
 
 def test_derivative_raises_the_failure_of_the_earliest_step(monkeypatch):

@@ -303,6 +303,15 @@ def test_frobenius_norms_match_frobenius_norm_bitwise():
         assert [float(spd_core._frobenius_norms(x)) for x in w] == [float(x) for x in got]
 
 
+def test_frobenius_norm_does_not_depend_on_memory_order():
+    # a transposed view is column-major; its squares are summed in the order
+    # of its contiguous copy, so the two norms have the same bits
+    rng = np.random.default_rng(4)
+    for dim in range(2, 17):
+        w = rng.normal(size=(dim, dim)) * np.exp(rng.uniform(-5.0, 5.0, size=(dim, dim)))
+        assert frobenius_norm(w.T) == frobenius_norm(np.ascontiguousarray(w.T))
+
+
 # An SPD stack is a (k, d, d) stack of symmetric arrays admitted slice by
 # slice by spd_spectra, as the fixed-point loops admit their congruences.
 
@@ -428,11 +437,17 @@ def test_cholesky_rejects_a_non_positive_pivot():
         assert str(info.value).endswith(", not positive and finite")
 
 
-@pytest.mark.parametrize("module", ["spd_core", "barycenter", "means_geometry", "lie_trotter"])
+PACKAGE = pathlib.Path(spd_core.__file__).parent
+
+
+# problem_io draws its random orthogonal matrices with a QR
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "problem_io")
+)
 def test_solver_modules_do_not_call_lapack(module):
     # the linear algebra is first-principles: LAPACK appears only as an oracle
-    # in tests (problem_io draws its random orthogonal matrices with a QR)
-    source = (pathlib.Path(spd_core.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    # in tests
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     assert "np.linalg" not in source
     assert "numpy.linalg" not in source
 
@@ -560,6 +575,8 @@ def test_orthogonal_congruence_preserves_spectrum(seed, dim):
 
 def test_norms_on_known_values():
     assert frobenius_norm(identity(3)) == pytest.approx(math.sqrt(3.0))
+    assert frobenius_norm(np.array([3.0, 4.0])) == 5.0
+    assert frobenius_norm(np.array([[3.0, 0.0, 4.0]])) == 5.0
     assert operator_norm(SymMatrix(np.diag([5.0, -7.0]))) == pytest.approx(7.0)
 
 

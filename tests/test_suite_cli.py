@@ -137,9 +137,12 @@ def small_specs(draw):
 @settings(max_examples=20, deadline=None)
 @given(spec=small_specs())
 def test_every_accepted_spec_runs_every_family(spec):
-    # checks may fail (see ROADMAP), but no accepted spec ends in an error
+    # checks may fail (see ROADMAP), but no accepted spec ends in an error;
+    # at count <= 4 the suite runs no limit instance, so one runs alone
     report = run_suite(spec, "all")
     assert report.families == FAMILIES
+    seed = derive_seed(spec.seed, "lie_trotter.instance", 0)
+    assert run_instance("lie_trotter.instance", seed, spec)
 
 
 def test_bounds_instance_computes_one_report(monkeypatch):
@@ -155,6 +158,21 @@ def test_bounds_instance_computes_one_report(monkeypatch):
     monkeypatch.setattr(bc, "bounds_report", counted)
     run_instance("bounds.problem", 12345, EnsembleSpec())
     assert len(calls) == 1
+
+
+def test_invariance_instance_solves_its_seven_means_in_one_lockstep_call(monkeypatch):
+    import spdmeans.barycenter as bc
+
+    calls = []
+    original = bc._lockstep
+
+    def counted(runs):
+        calls.append(len(runs))
+        return original(runs)
+
+    monkeypatch.setattr(bc, "_lockstep", counted)
+    run_instance("invariance.problem", 12345, EnsembleSpec())
+    assert calls == [7]
 
 
 def test_report_json_layout(small_report):
