@@ -1,13 +1,24 @@
-"""Byte-identity gate on the verify report and the CLI output.
+"""Byte-identity gate on the verify report, the CLI output and the limit
+experiments.
 
-Each hash pins the exact bytes a command produces.  A change that alters
+Each hash pins the exact bytes of one output.  A change that alters
 them on purpose updates the hash here and states why in CHANGES.md.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from spdmeans import (
+    CurveSpec,
+    SymMatrix,
+    WeightVector,
+    apply_spectral,
+    convergence_trace,
+    derivative_at_identity_check,
+    operator_norm,
+)
 from spdmeans.cli import main
 
 # verify --suite all --count 10, by seed
@@ -68,3 +79,50 @@ def test_cli_output_bytes(name, example_file, capsys):
     code = main([*CLI_ARGV[name], "--input", str(example_file)])
     stdout = capsys.readouterr().out
     assert _sha256(f"{stdout}exit {code}\n".encode("utf-8")) == CLI_SHA256[name]
+
+
+# Limit instances: (seed, dim, curve kinds), one curve per kind listed.
+LIMIT_INSTANCES = {
+    "d3": (301, 3, ("power", "affine", "exp_line")),
+    "d5": (502, 5, ("exp_line", "power")),
+    "d6": (603, 6, ("affine", "exp_line", "power", "affine")),
+}
+
+# convergence_trace at +s and -s (s_values, errors, failed_s), and
+# derivative_at_identity_check (errors_pos, errors_neg), on the default schedules
+LIMIT_SHA256 = {
+    "d3": "59773828c6a0d2aac5f64ea04e435ac2e2047515efc832b5c2d5f3e0bd07dc1c",
+    "d5": "efd52a4fff1620ed85f5bf4a17bd6ba6dcc5ea8893cf94cf700069ba4d2d381b",
+    "d6": "8faabb5dd894cd9e5f33e8ffd2ef5df0de8dfdd25f8685bb2bce2af2b9f95e35",
+}
+
+
+def _limit_instance(seed, dim, kinds):
+    """Weights and curves drawn with the package's own eigensolver only, so
+    the inputs do not depend on LAPACK."""
+    rng = np.random.default_rng(seed)
+    curves = []
+    for kind in kinds:
+        g = rng.normal(size=(dim, dim))
+        sym = SymMatrix((g + g.T) / 2.0)
+        direction = SymMatrix(sym.entries * (float(rng.uniform(0.25, 0.6)) / operator_norm(sym)))
+        if kind == "power":
+            curves.append(CurveSpec.power(apply_spectral(direction, "exp_of_sym")))
+        elif kind == "affine":
+            curves.append(CurveSpec.affine(direction))
+        else:
+            curves.append(CurveSpec.exp_line(direction))
+    return WeightVector(rng.uniform(0.2, 1.0, size=len(kinds))), tuple(curves)
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_INSTANCES))
+def test_limit_output_bits(name):
+    w, curves = _limit_instance(*LIMIT_INSTANCES[name])
+    traces = [convergence_trace(w, curves, negate=negate) for negate in (False, True)]
+    deriv = derivative_at_identity_check(w, tuple(c.derivative_at_zero for c in curves))
+    assert not any(t.failed_s for t in traces)
+    outputs = (
+        *((t.s_values, t.errors, t.failed_s) for t in traces),
+        (deriv.errors_pos, deriv.errors_neg),
+    )
+    assert _sha256(repr(outputs).encode("utf-8")) == LIMIT_SHA256[name]
