@@ -10,6 +10,7 @@ size.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Generator, Iterable
 from dataclasses import dataclass, field
 
@@ -17,12 +18,14 @@ import numpy as np
 
 from .means_geometry import geometric_mean
 from .spd_core import (
+    EigenDecomposition,
     LinearAlgebraError,
     NonPositivePivotError,
     NotPositiveDefiniteError,
     SpdMatrix,
     SymMatrix,
     _congruences,
+    _symmetrized,
     apply_spectral,
     cholesky,
     determinant,
@@ -37,6 +40,11 @@ from .spd_core import (
 
 # Relative slack of every Loewner verdict on the bounds.
 LOEWNER_TOL = 1e-8
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (a bool is not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class SolverError(Exception):
@@ -126,6 +134,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be finite and positive")
+        if not _is_integer(self.max_iter):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.initial not in ("arithmetic_mean", "identity"):
@@ -268,6 +278,19 @@ class _Karcher:
         return _congruences(l, apply_spectral(SymMatrix(grad), "exp_of_sym").entries)
 
 
+def _admitted(arrays) -> Generator:
+    """Run step: ``arrays`` admitted as SpdMatrix objects from the spectra of
+    one ``_lockstep`` round, with the bits and errors of ``SpdMatrix(a)``:
+    each array is symmetrized and checked as ``SymMatrix`` does before the
+    solve, and the error of a slice that fails to converge or to be admitted
+    is thrown in.
+    """
+    sym = np.stack([_symmetrized(a) for a in arrays])
+    q, lam = yield sym
+    eigens = (EigenDecomposition(q=q_j, lam=lam_j) for q_j, lam_j in zip(q, lam))
+    return tuple(SpdMatrix(a, _eigen=eigen) for a, eigen in zip(sym, eigens))
+
+
 def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Generator:
     """The loop of both means (``method`` is ``_Transport`` or ``_Karcher``)
     as a generator, on the problem scaled by the power of four 4^-t that
@@ -277,12 +300,11 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
     roots scale by 2^-t), so only a run whose unscaled iterates would overflow
     or underflow gets other bits.  Each iterate X is carried as its Cholesky
     factor L (X = L L^T) and L^{-1}, never diagonalized.  Each measurement
-    yields its (n, d, d) congruence stack and is sent back its Jacobi spectra
-    (q, lam, errors) as ``spd_spectra_each`` gives them, so that ``_lockstep``
-    can solve the stacks of many runs as one.  Converged only when
-    r <= rel_tol; after max_iter updates the last iterate is returned
-    unconverged.  The mean is scaled back and admitted once as an SpdMatrix.
-    A non-positive pivot of L or a failed SPD admission raises SolverError.
+    yields its (n, d, d) congruence stack and is sent back its admitted
+    spectra (q, lam).  Converged only when r <= rel_tol; after max_iter
+    updates the last iterate is returned unconverged.  The mean is scaled
+    back and admitted in the next round.  A non-positive pivot of L or a
+    failed SPD admission raises SolverError.
     """
     cfg = cfg or SolverConfig()
     t, mats = _scaled(p)
@@ -296,14 +318,11 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
         l, l_inv = cholesky(x)
         for k in range(cfg.max_iter + 1):
             cs = method.congruences(l, l_inv, mats)
-            q, lam, errors = yield cs
-            for error in errors:
-                if error is not None:
-                    raise error
+            q, lam = yield cs
             r, aux = method.measure(l, cs, q, lam, p.weights)
             history.append(r)
             if r <= cfg.rel_tol or k == cfg.max_iter:
-                mean = SpdMatrix(np.ldexp(x, 2 * t))
+                (mean,) = yield from _admitted([np.ldexp(x, 2 * t)])
                 return SolverResult(mean, k, r, r <= cfg.rel_tol, tuple(history))
             x = method.step(l, l_inv, aux)
             l, l_inv = cholesky(x)
@@ -316,23 +335,26 @@ def _transport(p: MeanProblem, cfg: SolverConfig | None = None) -> Generator:
     return _fixed_point(p, cfg, _Transport)
 
 
-def _lockstep(runs: list[Generator]) -> list[SolverResult | Exception]:
-    """Drive ``_fixed_point`` runs of one dimension together: each round
-    solves the congruence stacks that every live run yielded as one Jacobi
-    stack, whose slices have the bits of lone solves, and sends each run its
-    own slices, in input order.
+def _lockstep(runs: list[Generator]) -> list:
+    """Drive runs of one dimension together: generators, built on
+    ``_fixed_point`` and ``_admitted``, that yield (k, d, d) stacks of
+    symmetric arrays to admit as SPD.  Each round solves the stacks of every
+    live run as one Jacobi stack, whose slices have the bits of lone solves,
+    and sends each run its admitted spectra (q, lam) or throws in the first
+    error among its slices.
 
-    Returns per run, in input order, the SolverResult it returned or the
+    Returns per run, in input order, the value it returned or the
     SolverError or LinearAlgebraError it raised.  Stacks of more than one
     dimension in a round raise ValueError.
     """
-    outcomes: list[SolverResult | Exception | None] = [None] * len(runs)
+    outcomes: list = [None] * len(runs)
     live = [(i, run, None) for i, run in enumerate(runs)]
     while live:
         asked = []
         for i, run, reply in live:
             try:
-                asked.append((i, run, run.send(reply)))
+                resume = run.throw if isinstance(reply, Exception) else run.send
+                asked.append((i, run, resume(reply)))
             except StopIteration as stop:
                 outcomes[i] = stop.value
             except (SolverError, LinearAlgebraError) as exc:
@@ -346,13 +368,14 @@ def _lockstep(runs: list[Generator]) -> list[SolverResult | Exception]:
         live, start = [], 0
         for i, run, cs in asked:
             end = start + len(cs)
-            live.append((i, run, (q[start:end], lam[start:end], errors[start:end])))
+            failed = [e for e in errors[start:end] if e is not None]
+            live.append((i, run, failed[0] if failed else (q[start:end], lam[start:end])))
             start = end
     return outcomes
 
 
-def _solved(outcome: SolverResult | Exception) -> SolverResult:
-    """The SolverResult of one ``_lockstep`` outcome; its error is raised."""
+def _solved(outcome):
+    """The value of one ``_lockstep`` outcome; its error is raised."""
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -10,6 +10,7 @@ map at the identity tuple by finite differences.
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,12 +21,12 @@ from .barycenter import (
     SolverConfig,
     SolverError,
     WeightVector,
+    _admitted,
     _lockstep,
     _solved,
     _transport,
 )
 from .spd_core import (
-    EigenDecomposition,
     NotPositiveDefiniteError,
     SpdMatrix,
     SpectralDomainError,
@@ -34,7 +35,6 @@ from .spd_core import (
     frobenius_norm,
     identity,
     operator_norm,
-    spd_spectra_each,
 )
 
 CURVE_KINDS = ("power", "affine", "exp_line")
@@ -93,8 +93,11 @@ class CurveSpec:
 
 
 def evaluate_curve(c: CurveSpec, s: float) -> SpdMatrix:
-    """gamma(s); exact identity at s = 0 for every kind."""
+    """gamma(s); exact identity at s = 0 for every kind.  A non-finite s
+    raises ValueError."""
     s = float(s)
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
     if s == 0.0:
         return identity(c.dim)
     if c.kind == "power":
@@ -120,24 +123,20 @@ def _check_matched(w: WeightVector, items, noun: str) -> tuple:
     return items
 
 
-def _converged_means(w: WeightVector, point_sets: list[tuple[SpdMatrix, ...]]) -> list:
-    """``wasserstein_mean`` under TRACE_SOLVER_CONFIG of each tuple of points,
-    solved in lockstep: per tuple its SolverResult or the error it ended in."""
-    return _lockstep([_transport(MeanProblem(pts, w), TRACE_SOLVER_CONFIG) for pts in point_sets])
-
-
-def _converged_mean(outcome, at: str) -> SpdMatrix:
-    """The mean of one ``_converged_means`` outcome; its error is raised, and
-    a SolverError naming the parameter ``at`` when it did not converge."""
-    result = _solved(outcome)
+def _converged_mean(w: WeightVector, points: tuple[SpdMatrix, ...], at: str) -> Generator:
+    """Run step: ``wasserstein_mean`` of the points under TRACE_SOLVER_CONFIG;
+    a SolverError naming the parameter ``at`` when it does not converge."""
+    result = yield from _transport(MeanProblem(points, w), TRACE_SOLVER_CONFIG)
     if not result.converged:
         raise SolverError(f"barycenter did not converge at {at} (residual {result.residual:.3e})")
     return result.mean
 
 
-def _powered(outcome, s: float) -> SpdMatrix:
-    """The converged mean of an outcome at parameter s, raised to the power 1/s."""
-    return apply_spectral(_converged_mean(outcome, f"s={s!r}"), "power", 1.0 / s)
+def _powered_mean(w: WeightVector, curves: tuple[CurveSpec, ...], s: float) -> Generator:
+    """``_lockstep`` run: the converged barycenter of the curve points at s,
+    raised to the power 1/s."""
+    mean = yield from _converged_mean(w, tuple(evaluate_curve(c, s) for c in curves), f"s={s!r}")
+    return apply_spectral(mean, "power", 1.0 / s)
 
 
 def lie_trotter_value(
@@ -148,8 +147,7 @@ def lie_trotter_value(
     s = float(s)
     if s == 0.0:
         raise ValueError("s must be nonzero")
-    (outcome,) = _converged_means(w, [tuple(evaluate_curve(c, s) for c in curves)])
-    return _powered(outcome, s)
+    return _solved(_lockstep([_powered_mean(w, curves, s)])[0])
 
 
 def lie_trotter_target(
@@ -214,28 +212,17 @@ def convergence_trace(
     if any(schedule[i] <= schedule[i + 1] for i in range(len(schedule) - 1)):
         raise ValueError(f"schedule must be strictly descending, got {schedule}")
     target = lie_trotter_target(w, curves)
-    signed = [-s if negate else s for s in schedule]
-    # the points of every s are solved together; None marks an s whose
-    # curve points could not be formed
-    point_sets: list[tuple[SpdMatrix, ...] | None] = []
-    for s in signed:
-        try:
-            point_sets.append(tuple(evaluate_curve(c, s) for c in curves))
-        except _POINT_FAILURES:
-            point_sets.append(None)
-    outcomes = iter(_converged_means(w, [points for points in point_sets if points is not None]))
+    # the points of every s are formed and solved in one lockstep call
+    outcomes = _lockstep([_powered_mean(w, curves, -s if negate else s) for s in schedule])
     s_ok: list[float] = []
     errors: list[float] = []
     failed: list[float] = []
-    for s, s_signed, points in zip(schedule, signed, point_sets):
-        error = np.inf
-        if points is not None:
-            try:
-                value = _powered(next(outcomes), s_signed)
-                with np.errstate(over="ignore"):
-                    error = frobenius_norm(value.entries - target.entries)
-            except _POINT_FAILURES:
-                pass
+    for s, outcome in zip(schedule, outcomes):
+        try:
+            with np.errstate(over="ignore"):
+                error = frobenius_norm(_solved(outcome).entries - target.entries)
+        except _POINT_FAILURES:
+            error = np.inf
         if np.isfinite(error):
             s_ok.append(s)
             errors.append(error)
@@ -274,31 +261,15 @@ def derivative_at_identity_check(
         raise ValueError("largest step leaves the SPD cone for these directions")
     target = w.combine(d.entries for d in directions)
     eye = np.eye(directions[0].dim)
-    steps = [sign * t for t in schedule for sign in (1.0, -1.0)]
-    # I + t X_j is exactly symmetric, so it is its own symmetrization; all
-    # points are diagonalized as one stack
-    grids = np.stack([eye + step * d.entries for step in steps for d in directions])
-    q, lam, failures = spd_spectra_each(grids)
 
-    def point(j: int) -> SpdMatrix:
-        return SpdMatrix(grids[j], _eigen=EigenDecomposition(q=q[j], lam=lam[j]))
+    def quotient_error(step: float) -> Generator:
+        # I + t X_j is exactly symmetric, so admission keeps its bits
+        points = yield from _admitted([eye + step * d.entries for d in directions])
+        mean = yield from _converged_mean(w, points, f"t={step!r}")
+        return frobenius_norm((mean.entries - eye) / step - target)
 
-    point_sets: list[tuple[SpdMatrix, ...] | Exception] = []
-    for i in range(len(steps)):
-        span = range(i * len(directions), (i + 1) * len(directions))
-        failure = next((failures[j] for j in span if failures[j] is not None), None)
-        point_sets.append(failure if failure is not None else tuple(map(point, span)))
-    outcomes = iter(
-        _converged_means(w, [points for points in point_sets if isinstance(points, tuple)])
-    )
-    errors_pos: list[float] = []
-    errors_neg: list[float] = []
+    outcomes = _lockstep([quotient_error(sign * t) for t in schedule for sign in (1.0, -1.0)])
     # the first failure in (t, sign) order is raised, as stepping one point
     # at a time raises it
-    for i, (step, points) in enumerate(zip(steps, point_sets)):
-        if isinstance(points, Exception):
-            raise points
-        mean = _converged_mean(next(outcomes), f"t={step!r}")
-        quotient = (mean.entries - eye) / step
-        (errors_neg if i % 2 else errors_pos).append(frobenius_norm(quotient - target))
-    return DerivativeCheckReport(tuple(errors_pos), tuple(errors_neg))
+    errors = [_solved(outcome) for outcome in outcomes]
+    return DerivativeCheckReport(tuple(errors[0::2]), tuple(errors[1::2]))

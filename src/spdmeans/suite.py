@@ -51,14 +51,18 @@ class EnsembleSpec:
     condition_max: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.count < 0:
-            raise ValueError("count must be nonnegative")
-        if self.n_range[0] < 1 or self.n_range[0] > self.n_range[1]:
-            raise ValueError(f"bad n_range {self.n_range}")
-        if self.dim_range[0] < 1 or self.dim_range[0] > self.dim_range[1]:
-            raise ValueError(f"bad dim_range {self.dim_range}")
+        for name in ("seed", "count"):
+            value = getattr(self, name)
+            if not bc._is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative")
+        for name in ("n_range", "dim_range"):
+            bounds = getattr(self, name)
+            if not (isinstance(bounds, tuple) and len(bounds) == 2 and all(map(bc._is_integer, bounds))):
+                raise ValueError(f"{name} must be a pair of integers, got {bounds!r}")
+            if bounds[0] < 1 or bounds[0] > bounds[1]:
+                raise ValueError(f"bad {name} {bounds}")
         if self.condition_max < 1.0:
             raise ValueError("condition_max must be at least 1")
         if not self.condition_max <= CONDITION_MAX_LIMIT:

@@ -99,6 +99,11 @@ def test_solver_config_validation():
             SolverConfig(rel_tol=bad_tol)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    # integers only; numpy integers count as integers
+    for bad_iter in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="^max_iter must be an integer, got "):
+            SolverConfig(max_iter=bad_iter)
+    assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
     with pytest.raises(ValueError):
         SolverConfig(initial="best_guess")
     with pytest.raises(ValueError):
@@ -264,33 +269,45 @@ def test_second_congruence_failing_admission_gives_the_loop_message():
 def test_each_iteration_solves_its_congruences_as_one_stack(
     monkeypatch, solve, lone_per_iteration
 ):
-    # the iterate is carried as a Cholesky factor, so the only lone solves are
-    # the admission of the returned mean and, for Karcher, exp of the gradient
-    stacks, lone = [], []
-    real_stack, real_lone = spd_core._jacobi_stack, spd_core._jacobi
+    # the iterate is carried as a Cholesky factor and the returned mean is
+    # admitted in a round of its own, so the only lone solve is Karcher's exp
+    # of the gradient in each iteration
+    stacks, rounds, lone = [], [], []
+    real_stack, real_spectra, real_lone = (
+        spd_core._jacobi_stack,
+        barycenter.spd_spectra_each,
+        spd_core._jacobi,
+    )
 
     def counting_stack(arrays):
         stacks.append(len(arrays))
         return real_stack(arrays)
+
+    def counting_spectra(cs):
+        rounds.append(len(cs))
+        return real_spectra(cs)
 
     def counting_lone(matrix):
         lone.append(matrix.shape)
         return real_lone(matrix)
 
     monkeypatch.setattr(spd_core, "_jacobi_stack", counting_stack)
+    monkeypatch.setattr(barycenter, "spd_spectra_each", counting_spectra)
     monkeypatch.setattr(spd_core, "_jacobi", counting_lone)
     p = random_problem(np.random.default_rng(12), n=4, dim=5)
     for max_iter in (1, 2, 5):
         stacks.clear()
+        rounds.clear()
         lone.clear()
         result = solve(p, SolverConfig(rel_tol=1e-300, max_iter=max_iter))
         assert result.iterations == max_iter
-        # one stack of n per measured iterate, the start included; the lone
-        # solves per iteration, and one for the returned mean.  A lone solve is
-        # a stack of one.
-        assert [k for k in stacks if k != 1] == [4] * (max_iter + 1)
-        assert len(lone) == 1 + lone_per_iteration * max_iter
-        assert stacks.count(1) == len(lone)
+        # one round of n per measured iterate, the start included, then one
+        # round of one that admits the returned mean; every other eigensolve
+        # is a lone solve, and a lone solve is a stack of one
+        assert rounds == [4] * (max_iter + 1) + [1]
+        assert len(lone) == lone_per_iteration * max_iter
+        assert len(stacks) == len(rounds) + len(lone)
+        assert stacks.count(1) == 1 + len(lone)
 
 
 @pytest.mark.parametrize(
@@ -419,27 +436,31 @@ def test_lockstep_loop_gives_the_sequential_results(solve, method):
 @LOCKSTEP
 def test_lockstep_solves_all_live_congruences_as_one_stack(monkeypatch, solve, method):
     problems, cfg = _lockstep_batch()
-    stacks = []
-    real_stack = spd_core._jacobi_stack
+    rounds = []
+    real_spectra = barycenter.spd_spectra_each
 
-    def counting_stack(arrays):
-        stacks.append(len(arrays))
-        return real_stack(arrays)
+    def counting_spectra(cs):
+        rounds.append(len(cs))
+        return real_spectra(cs)
 
-    monkeypatch.setattr(spd_core, "_jacobi_stack", counting_stack)
+    monkeypatch.setattr(barycenter, "spd_spectra_each", counting_spectra)
     batch = barycenter._lockstep([barycenter._fixed_point(p, cfg, method) for p in problems])
-    # a problem is live at iteration k up to the iteration it ends in; every
-    # problem has n >= 2, so the stacks of one are the lone solves
+    # a problem measures at iteration k up to the iteration it ends in, and
+    # its returned mean is admitted in the round after its last measurement:
+    # round k stacks the n congruences of every problem that measures at k
+    # and one mean for every problem that returned at k - 1
     last = [
         int(str(r).split("iteration ")[1].split(":")[0])
         if isinstance(r, SolverError)
         else r.iterations
         for r in batch
     ]
+    returned = [r.iterations for r in batch if isinstance(r, barycenter.SolverResult)]
     want = [
-        sum(p.n for p, end in zip(problems, last) if k <= end) for k in range(max(last) + 1)
+        sum(p.n for p, end in zip(problems, last) if k <= end) + returned.count(k - 1)
+        for k in range(max(returned) + 2)
     ]
-    assert [k for k in stacks if k != 1] == want
+    assert rounds == want
 
 
 def test_lockstep_rejects_problems_of_different_dimensions():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,20 @@ def test_value_rejects_bad_input(mixed_instance):
         lie_trotter_value(w, curves, 0.0)
     with pytest.raises(ValueError):
         lie_trotter_value(WeightVector.uniform(2), curves, 0.5)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_parameter_is_an_input_error(mixed_instance, s):
+    # rejected before any curve arithmetic, so no numpy warning precedes it
+    _, curves = mixed_instance
+    assert [c.kind for c in curves] == ["power", "affine", "exp_line"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for curve in curves:
+            with pytest.raises(ValueError, match="^s must be finite, got "):
+                evaluate_curve(curve, s)
+            with pytest.raises(ValueError, match="^s must be finite, got "):
+                lie_trotter_value(WeightVector.uniform(1), (curve,), s)
 
 
 def test_commuting_diagonal_scalar_oracle():
@@ -316,6 +331,41 @@ def test_derivative_rejects_inadmissible_steps():
     for schedule in INADMISSIBLE_SCHEDULES:
         with pytest.raises(ValueError, match="nonempty, finite and positive"):
             derivative_at_identity_check(w, (small,), schedule)
+
+
+def test_derivative_check_admits_and_solves_in_one_lockstep_call(monkeypatch):
+    # every step's points and mean are admitted in the rounds of one lockstep
+    # call, the first of which stacks all 2 T n points; the only lone solves
+    # are the operator norms that bound the steps, before that call
+    from spdmeans import lie_trotter as module
+    from spdmeans import spd_core
+
+    calls, stacks, lone = [], [], []
+    real_lockstep, real_stack, real_lone = module._lockstep, spd_core._jacobi_stack, spd_core._jacobi
+
+    def counted_lockstep(runs):
+        calls.append(len(runs))
+        return real_lockstep(runs)
+
+    def counting_stack(arrays):
+        stacks.append((len(calls), len(arrays)))
+        return real_stack(arrays)
+
+    def counting_lone(matrix):
+        lone.append(len(calls))
+        return real_lone(matrix)
+
+    monkeypatch.setattr(module, "_lockstep", counted_lockstep)
+    monkeypatch.setattr(spd_core, "_jacobi_stack", counting_stack)
+    monkeypatch.setattr(spd_core, "_jacobi", counting_lone)
+    rng = np.random.default_rng(31)
+    n, steps = 3, 5
+    directions = tuple(bounded_sym(rng, 4, 0.5) for _ in range(n))
+    derivative_at_identity_check(WeightVector.uniform(n), directions, dyadic_schedule(steps))
+    assert calls == [2 * steps]
+    assert lone == [0] * n
+    assert stacks[: n + 1] == [(0, 1)] * n + [(1, 2 * steps * n)]
+    assert all(called == 1 for called, _ in stacks[n:])
 
 
 def test_derivative_raises_the_failure_of_the_earliest_step(monkeypatch):

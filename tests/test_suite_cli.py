@@ -95,6 +95,17 @@ def test_spec_validation():
         EnsembleSpec(n_range=(0, 4))
     with pytest.raises(ValueError):
         EnsembleSpec(dim_range=(5, 3))
+    # integers only; numpy integers count as integers
+    for field in ("seed", "count"):
+        for bad in (1.5, 2.0, True, "3", None):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+                EnsembleSpec(**{field: bad})
+    for field in ("n_range", "dim_range"):
+        for bad in ((2, 4.5), (2.0, 4), (True, 4), (2,), (2, 3, 4), [2, 4], 3):
+            with pytest.raises(ValueError, match=f"^{field} must be a pair of integers, got "):
+                EnsembleSpec(**{field: bad})
+    spec = EnsembleSpec(seed=np.int64(3), count=np.int32(2), n_range=(np.int8(2), 3))
+    assert (spec.seed, spec.count, spec.n_range) == (3, 2, (2, 3))
     with pytest.raises(ValueError):
         EnsembleSpec(condition_max=0.1)
     assert EnsembleSpec(condition_max=1e6).condition_max == 1e6
