@@ -47,6 +47,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real number (a bool is not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class SolverError(Exception):
     """Iteration produced a non-SPD intermediate or was asked not to tolerate
     non-convergence."""
@@ -132,6 +137,8 @@ class SolverConfig:
     initial: str = "arithmetic_mean"
 
     def __post_init__(self) -> None:
+        if not _is_real(self.rel_tol):
+            raise ValueError(f"rel_tol must be a real number, got {self.rel_tol!r}")
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be finite and positive")
         if not _is_integer(self.max_iter):
@@ -336,41 +343,56 @@ def _transport(p: MeanProblem, cfg: SolverConfig | None = None) -> Generator:
 
 
 def _lockstep(runs: list[Generator]) -> list:
-    """Drive runs of one dimension together: generators, built on
-    ``_fixed_point`` and ``_admitted``, that yield (k, d, d) stacks of
-    symmetric arrays to admit as SPD.  Each round solves the stacks of every
-    live run as one Jacobi stack, whose slices have the bits of lone solves,
-    and sends each run its admitted spectra (q, lam) or throws in the first
-    error among its slices.
+    """Drive runs together: generators, built on ``_fixed_point`` and
+    ``_admitted``, that yield (k, d, d) stacks of symmetric arrays to admit
+    as SPD, or a list of child runs, driven with all the others, whose
+    outcomes they are sent in order once every child has ended.  Each round
+    solves the stacks of every live run as one Jacobi stack per dimension,
+    whose slices have the bits of lone solves, and sends each run its
+    admitted spectra (q, lam) or throws in the first error among its slices.
 
     Returns per run, in input order, the value it returned or the
-    SolverError or LinearAlgebraError it raised.  Stacks of more than one
-    dimension in a round raise ValueError.
+    SolverError or LinearAlgebraError it raised; so is a child's outcome.
     """
     outcomes: list = [None] * len(runs)
-    live = [(i, run, None) for i, run in enumerate(runs)]
-    while live:
-        asked = []
-        for i, run, reply in live:
+    # a join is [outcomes, runs not yet ended, (parent, its join, its slot) or None]
+    root = [outcomes, len(runs), None]
+    ready = [(run, None, root, i) for i, run in enumerate(runs)]
+    while ready:
+        asked: dict[int, list] = {}
+        # forked children and resumed parents are appended to ``ready`` and
+        # so are resumed in this same pass
+        for run, reply, join, slot in ready:
             try:
                 resume = run.throw if isinstance(reply, Exception) else run.send
-                asked.append((i, run, resume(reply)))
+                got = resume(reply)
             except StopIteration as stop:
-                outcomes[i] = stop.value
+                outcome = stop.value
             except (SolverError, LinearAlgebraError) as exc:
-                outcomes[i] = exc
-        if not asked:
-            break
-        dims = sorted({cs.shape[-1] for _, _, cs in asked})
-        if len(dims) > 1:
-            raise ValueError(f"problems must share one dimension, got {dims}")
-        q, lam, errors = spd_spectra_each(np.concatenate([cs for _, _, cs in asked]))
-        live, start = [], 0
-        for i, run, cs in asked:
-            end = start + len(cs)
-            failed = [e for e in errors[start:end] if e is not None]
-            live.append((i, run, failed[0] if failed else (q[start:end], lam[start:end])))
-            start = end
+                outcome = exc
+            else:
+                if not isinstance(got, list):
+                    asked.setdefault(got.shape[-1], []).append((run, join, slot, got))
+                elif got:
+                    fork = [[None] * len(got), len(got), (run, join, slot)]
+                    ready.extend((child, None, fork, i) for i, child in enumerate(got))
+                else:
+                    ready.append((run, [], join, slot))
+                continue
+            join[0][slot] = outcome
+            join[1] -= 1
+            if join[1] == 0 and join[2] is not None:
+                parent, parent_join, parent_slot = join[2]
+                ready.append((parent, join[0], parent_join, parent_slot))
+        ready = []
+        for asking in asked.values():
+            q, lam, errors = spd_spectra_each(np.concatenate([cs for _, _, _, cs in asking]))
+            start = 0
+            for run, join, slot, cs in asking:
+                end = start + len(cs)
+                failed = [e for e in errors[start:end] if e is not None]
+                ready.append((run, failed[0] if failed else (q[start:end], lam[start:end]), join, slot))
+                start = end
     return outcomes
 
 

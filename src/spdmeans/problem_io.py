@@ -167,9 +167,10 @@ def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * signs
 
 
-def spd_from_rng(rng: np.random.Generator, dim: int, condition_max: float = 100.0) -> SpdMatrix:
-    """Random SPD draw: eigenvalues log-uniform in [1/sqrt(k), sqrt(k)],
-    orthogonal factor from a seeded Gaussian QR."""
+def spd_array_from_rng(rng: np.random.Generator, dim: int, condition_max: float = 100.0) -> np.ndarray:
+    """Random SPD draw, as the array ``spd_from_rng`` admits: eigenvalues
+    log-uniform in [1/sqrt(k), sqrt(k)], orthogonal factor from a seeded
+    Gaussian QR."""
     if dim < 1:
         raise ValueError("dim must be at least 1")
     if condition_max < 1.0:
@@ -177,7 +178,12 @@ def spd_from_rng(rng: np.random.Generator, dim: int, condition_max: float = 100.
     half_log = 0.5 * math.log(condition_max)
     lam = np.exp(rng.uniform(-half_log, half_log, size=dim))
     q = random_orthogonal(rng, dim)
-    return SpdMatrix((q * lam) @ q.T)
+    return (q * lam) @ q.T
+
+
+def spd_from_rng(rng: np.random.Generator, dim: int, condition_max: float = 100.0) -> SpdMatrix:
+    """``spd_array_from_rng`` admitted as an SpdMatrix."""
+    return SpdMatrix(spd_array_from_rng(rng, dim, condition_max))
 
 
 def random_spd(seed: int, dim: int, condition_max: float = 100.0) -> SpdMatrix:

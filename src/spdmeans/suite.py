@@ -9,6 +9,7 @@ reproduced in isolation.
 
 from __future__ import annotations
 
+from collections.abc import Generator
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -17,9 +18,8 @@ import numpy as np
 from . import barycenter as bc
 from . import lie_trotter as lt
 from . import means_geometry as mg
-from .problem_io import derive_seed, dumps_canonical, random_orthogonal, spd_from_rng
+from .problem_io import derive_seed, dumps_canonical, random_orthogonal, spd_array_from_rng
 from .spd_core import (
-    LinearAlgebraError,
     SpdMatrix,
     SymMatrix,
     apply_spectral,
@@ -63,6 +63,8 @@ class EnsembleSpec:
                 raise ValueError(f"{name} must be a pair of integers, got {bounds!r}")
             if bounds[0] < 1 or bounds[0] > bounds[1]:
                 raise ValueError(f"bad {name} {bounds}")
+        if not bc._is_real(self.condition_max):
+            raise ValueError(f"condition_max must be a real number, got {self.condition_max!r}")
         if self.condition_max < 1.0:
             raise ValueError("condition_max must be at least 1")
         if not self.condition_max <= CONDITION_MAX_LIMIT:
@@ -134,12 +136,18 @@ def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     return frobenius_norm(a - b) / max(frobenius_norm(b), 1e-300)
 
 
-def _draw_problem(rng: np.random.Generator, spec: EnsembleSpec) -> bc.MeanProblem:
+def _draw_spd(rng: np.random.Generator, spec: EnsembleSpec, dim: int, count: int) -> Generator:
+    """Run step: ``count`` SPD draws of dimension dim, admitted in one round."""
+    arrays = [spd_array_from_rng(rng, dim, spec.condition_max) for _ in range(count)]
+    return (yield from bc._admitted(arrays))
+
+
+def _draw_problem(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
+    """Run step: a drawn mean problem."""
     n = int(rng.integers(spec.n_range[0], spec.n_range[1] + 1))
     dim = int(rng.integers(spec.dim_range[0], spec.dim_range[1] + 1))
-    mats = tuple(spd_from_rng(rng, dim, spec.condition_max) for _ in range(n))
-    weights = bc.WeightVector(rng.uniform(0.2, 1.0, size=n))
-    return bc.MeanProblem(mats, weights)
+    mats = yield from _draw_spd(rng, spec, dim, n)
+    return bc.MeanProblem(mats, bc.WeightVector(rng.uniform(0.2, 1.0, size=n)))
 
 
 def _check(name: str, passed, witness: dict[str, float]) -> tuple[str, bool, dict[str, float]]:
@@ -150,11 +158,9 @@ def _check(name: str, passed, witness: dict[str, float]) -> tuple[str, bool, dic
 # metric family
 
 
-def _run_metric_axioms(rng: np.random.Generator, spec: EnsembleSpec) -> list:
+def _run_metric_axioms(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
     dim = int(rng.integers(spec.dim_range[0], spec.dim_range[1] + 1))
-    a = spd_from_rng(rng, dim, spec.condition_max)
-    b = spd_from_rng(rng, dim, spec.condition_max)
-    c = spd_from_rng(rng, dim, spec.condition_max)
+    a, b, c = yield from _draw_spd(rng, spec, dim, 3)
     d_ab = mg.wasserstein_distance(a, b)
     d_ba = mg.wasserstein_distance(b, a)
     d_bc = mg.wasserstein_distance(b, c)
@@ -179,9 +185,8 @@ def _run_metric_axioms(rng: np.random.Generator, spec: EnsembleSpec) -> list:
     return checks
 
 
-def _run_metric_oracle(rng: np.random.Generator, spec: EnsembleSpec) -> list:
-    a = spd_from_rng(rng, 2, spec.condition_max)
-    b = spd_from_rng(rng, 2, spec.condition_max)
+def _run_metric_oracle(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
+    a, b = yield from _draw_spd(rng, spec, 2, 2)
     formula = mg.wasserstein_distance(a, b)
     oracle = mg.wasserstein_distance_oracle_2x2(a, b)
     diff = abs(formula - oracle)
@@ -193,11 +198,9 @@ def _capped_draw(rng: np.random.Generator, lo: int, hi: int, cap: int) -> int:
     return int(rng.integers(lo, max(lo, min(hi, cap)) + 1))
 
 
-def _run_metric_perturbation(rng: np.random.Generator, spec: EnsembleSpec) -> list:
+def _run_metric_perturbation(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
     dim = _capped_draw(rng, *spec.dim_range, 6)
-    a = spd_from_rng(rng, dim, spec.condition_max)
-    b = spd_from_rng(rng, dim, spec.condition_max)
-    c = spd_from_rng(rng, dim, spec.condition_max)
+    a, b, c = yield from _draw_spd(rng, spec, dim, 3)
     t = float(rng.uniform(0.0, 1.0))
     rep = mg.geodesic_perturbation_bound(a, b, c, t)
     return [
@@ -213,10 +216,9 @@ def _run_metric_perturbation(rng: np.random.Generator, spec: EnsembleSpec) -> li
 # geomean family
 
 
-def _run_geomean_pair(rng: np.random.Generator, spec: EnsembleSpec) -> list:
+def _run_geomean_pair(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
     dim = int(rng.integers(spec.dim_range[0], spec.dim_range[1] + 1))
-    a = spd_from_rng(rng, dim, spec.condition_max)
-    b = spd_from_rng(rng, dim, spec.condition_max)
+    a, b = yield from _draw_spd(rng, spec, dim, 2)
     t = float(rng.uniform(0.05, 0.95))
     checks = []
 
@@ -231,7 +233,7 @@ def _run_geomean_pair(rng: np.random.Generator, spec: EnsembleSpec) -> list:
 
     # congruence invariance under a random nonsingular transform
     x = random_orthogonal(rng, dim) * np.exp(rng.uniform(-1.0, 1.0, size=dim))
-    xa, xb = SpdMatrix(congruence(x, a)), SpdMatrix(congruence(x, b))
+    xa, xb = yield from bc._admitted([congruence(x, a), congruence(x, b)])
     cong = _rel_diff(congruence(x, gm_t), mg.geometric_mean(xa, xb, t).entries)
     checks.append(_check("geomean.congruence", cong <= REL_TOL, {"diff": cong}))
 
@@ -269,7 +271,7 @@ def _run_geomean_pair(rng: np.random.Generator, spec: EnsembleSpec) -> list:
 
     # two-point closed form: the barycenter solver must land on the geodesic
     problem = bc.MeanProblem((a, b), bc.WeightVector(np.array([1.0 - t, t])))
-    solved = bc.wasserstein_mean(problem)
+    solved = yield from bc._transport(problem)
     two_point = _rel_diff(solved.mean.entries, geo.entries)
     checks.append(
         _check(
@@ -285,13 +287,14 @@ def _run_geomean_pair(rng: np.random.Generator, spec: EnsembleSpec) -> list:
 # bounds family
 
 
-def _run_bounds_golden(rng: np.random.Generator, spec: EnsembleSpec) -> list:
+def _run_bounds_golden(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
     """Fixed worked 2x2 pair with known means and determinants, reproduced
     regardless of the ensemble parameters."""
     a = SpdMatrix([[1.0, 2.0], [2.0, 5.0]])
     b = SpdMatrix([[4.0, 4.0], [4.0, 5.0]])
     problem = bc.MeanProblem((a, b), bc.WeightVector.uniform(2))
-    result = bc.wasserstein_mean(problem)
+    outcomes = yield [bc._transport(problem), bc._fixed_point(problem, None, bc._Karcher)]
+    result, karcher = map(bc._solved, outcomes)
     golden = np.array([[9.0, 12.0], [12.0, 20.0]]) / 4.0
     mean_err = float(np.max(np.abs(result.mean.entries - golden)))
     det_mean = determinant(result.mean)
@@ -303,7 +306,6 @@ def _run_bounds_golden(rng: np.random.Generator, spec: EnsembleSpec) -> list:
         ),
         _check("bounds.golden_det", abs(det_mean - 2.25) <= 1e-8, {"det": det_mean}),
     ]
-    karcher = bc.karcher_mean(problem)
     karcher_err = float(
         np.max(np.abs(karcher.mean.entries - np.array([[1.6641, 2.2188], [2.2188, 4.1603]])))
     )
@@ -318,9 +320,9 @@ def _run_bounds_golden(rng: np.random.Generator, spec: EnsembleSpec) -> list:
     return checks
 
 
-def _run_bounds_problem(rng: np.random.Generator, spec: EnsembleSpec) -> list:
-    problem = _draw_problem(rng, spec)
-    result = bc.wasserstein_mean(problem)
+def _run_bounds_problem(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
+    problem = yield from _draw_problem(rng, spec)
+    result = yield from bc._transport(problem)
     checks = [
         _check(
             "bounds.fixed_point_residual",
@@ -341,12 +343,12 @@ def _run_bounds_problem(rng: np.random.Generator, spec: EnsembleSpec) -> list:
 # det family
 
 
-def _run_det_problem(rng: np.random.Generator, spec: EnsembleSpec) -> list:
-    problem = _draw_problem(rng, spec)
+def _run_det_problem(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
+    problem = yield from _draw_problem(rng, spec)
     # equality case: all matrices equal forces equality of the determinants
     first = problem.matrices[0]
     equal_problem = bc.MeanProblem((first,) * problem.n, problem.weights)
-    outcome, equal_outcome = bc._lockstep([bc._transport(problem), bc._transport(equal_problem)])
+    outcome, equal_outcome = yield [bc._transport(problem), bc._transport(equal_problem)]
     result = bc._solved(outcome)
     rep = bc.det_inequality_check(problem, result.mean)
     checks = [
@@ -372,14 +374,8 @@ def _run_det_problem(rng: np.random.Generator, spec: EnsembleSpec) -> list:
 # invariance family
 
 
-def _run_invariance_problem(rng: np.random.Generator, spec: EnsembleSpec) -> list:
-    problem = _draw_problem(rng, spec)
-    scaled = [
-        bc.MeanProblem(
-            tuple(SpdMatrix(alpha * a.entries) for a in problem.matrices), problem.weights
-        )
-        for alpha in (0.1, 3.0)
-    ]
+def _run_invariance_problem(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
+    problem = yield from _draw_problem(rng, spec)
     perm = rng.permutation(problem.n)
     permuted = bc.MeanProblem(
         tuple(problem.matrices[i] for i in perm),
@@ -390,13 +386,14 @@ def _run_invariance_problem(rng: np.random.Generator, spec: EnsembleSpec) -> lis
         bc.WeightVector(np.concatenate([problem.weights.values] * 2) / 2.0),
     )
     q = random_orthogonal(rng, problem.dim)
-    rotated = bc.MeanProblem(
-        tuple(SpdMatrix(congruence(q, a)) for a in problem.matrices),
-        problem.weights,
-    )
+    # the matrices scaled by 0.1 and 3, and rotated by q, admitted in one round
+    mats, n = problem.matrices, problem.n
+    arrays = [alpha * a.entries for alpha in (0.1, 3.0) for a in mats] + [congruence(q, a) for a in mats]
+    admitted = yield from bc._admitted(arrays)
+    *scaled, rotated = (bc.MeanProblem(admitted[k * n : (k + 1) * n], problem.weights) for k in range(3))
     # the seven means are solved in lockstep; the first failure in order is raised
     runs = [bc._transport(p) for p in (problem, *scaled, permuted, repeated, rotated)]
-    outcomes = bc._lockstep([*runs, bc._transport(problem, bc.SolverConfig(initial="identity"))])
+    outcomes = yield [*runs, bc._transport(problem, bc.SolverConfig(initial="identity"))]
     base, *scaled_means, perm_mean, rep_mean, rot_mean, identity_mean = (
         bc._solved(outcome).mean for outcome in outcomes
     )
@@ -540,7 +537,8 @@ class CheckStream:
     stream_id: str
     family: str
     count_of: Callable[[int], int]
-    run: Callable[[np.random.Generator, EnsembleSpec], list]
+    # the checks of one instance, or a ``bc._lockstep`` run that returns them
+    run: Callable[[np.random.Generator, EnsembleSpec], list | Generator]
 
 
 STREAMS: tuple[CheckStream, ...] = (
@@ -570,25 +568,24 @@ def expand_families(selection) -> tuple[str, ...]:
     return tuple(chosen)
 
 
+def _records(stream: CheckStream, instance_seed: int, spec: EnsembleSpec, index: int) -> Generator:
+    """Run of one instance for ``bc._lockstep``: its check records."""
+    checks = stream.run(np.random.default_rng(instance_seed), spec)
+    if isinstance(checks, Generator):
+        checks = yield from checks
+    return [
+        CheckRecord(check_id, stream.stream_id, index, instance_seed, passed, witness)
+        for check_id, passed, witness in checks
+    ]
+
+
 def run_instance(stream_id: str, instance_seed: int, spec: EnsembleSpec, index: int = -1) -> list[CheckRecord]:
-    """Re-run one instance of one stream from its recorded seed."""
+    """Re-run one instance of one stream from its recorded seed, as a batch
+    of one."""
     stream = next((s for s in STREAMS if s.stream_id == stream_id), None)
     if stream is None:
         raise ValueError(f"unknown stream {stream_id!r}")
-    rng = np.random.default_rng(instance_seed)
-    out = []
-    for check_id, passed, witness in stream.run(rng, spec):
-        out.append(
-            CheckRecord(
-                check_id=check_id,
-                stream=stream_id,
-                index=index,
-                instance_seed=instance_seed,
-                passed=passed,
-                witness=witness,
-            )
-        )
-    return out
+    return bc._solved(bc._lockstep([_records(stream, instance_seed, spec, index)])[0])
 
 
 def run_suite(spec: EnsembleSpec, families="all") -> SuiteReport:
@@ -598,21 +595,27 @@ def run_suite(spec: EnsembleSpec, families="all") -> SuiteReport:
     200 axiom triples, 50 oracle pairs, 100 perturbation quadruples, 100
     two-matrix instances, one golden worked-pair reproduction, 200 bound
     problems, 200 determinant problems, 50 invariance instances, 20 limit
-    instances).  A SolverError or LinearAlgebraError inside an instance is
-    raised again as a SolverError that names the stream, index and instance
-    seed, so ``run_instance`` can reproduce it.
+    instances).  Every instance is a run of one ``bc._lockstep`` call, so
+    the means of all instances share their eigensolve rounds; each draws
+    from its own generator, so the records are those of ``run_instance``.
+    Once all have ended, the SolverError or LinearAlgebraError of the first
+    failing instance in stream and index order is raised again as a
+    SolverError that names the stream, index and instance seed, so
+    ``run_instance`` can reproduce it.
     """
     chosen = expand_families(families)
+    instances = [
+        (stream, index, derive_seed(spec.seed, stream.stream_id, index))
+        for stream in STREAMS
+        if stream.family in chosen
+        for index in range(stream.count_of(spec.count))
+    ]
+    outcomes = bc._lockstep([_records(stream, seed, spec, index) for stream, index, seed in instances])
     records: list[CheckRecord] = []
-    for stream in STREAMS:
-        if stream.family not in chosen:
-            continue
-        for index in range(stream.count_of(spec.count)):
-            seed = derive_seed(spec.seed, stream.stream_id, index)
-            try:
-                records.extend(run_instance(stream.stream_id, seed, spec, index))
-            except (bc.SolverError, LinearAlgebraError) as exc:
-                raise bc.SolverError(
-                    f"stream {stream.stream_id} index {index} (instance seed {seed}): {exc}"
-                ) from exc
+    for (stream, index, seed), outcome in zip(instances, outcomes):
+        if isinstance(outcome, Exception):
+            raise bc.SolverError(
+                f"stream {stream.stream_id} index {index} (instance seed {seed}): {outcome}"
+            ) from outcome
+        records.extend(outcome)
     return SuiteReport(spec=spec, families=chosen, records=tuple(records))

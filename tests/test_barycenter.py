@@ -110,6 +110,17 @@ def test_solver_config_validation():
         SolverConfig(initial=identity(2))  # only the two named starts exist
 
 
+@pytest.mark.parametrize("bad", [True, "1e-3", None, 1e-3j], ids=["bool", "str", "none", "complex"])
+def test_solver_config_rel_tol_must_be_real(bad):
+    with pytest.raises(ValueError, match="^rel_tol must be a real number, got "):
+        SolverConfig(rel_tol=bad)
+
+
+@pytest.mark.parametrize("good", [np.float64(1e-3), np.float32(1e-3), 1e-3])
+def test_solver_config_rel_tol_accepts_python_and_numpy_reals(good):
+    assert SolverConfig(rel_tol=good).rel_tol == good
+
+
 # ---------------------------------------------------------------------------
 # arithmetic and harmonic means
 
@@ -463,12 +474,58 @@ def test_lockstep_solves_all_live_congruences_as_one_stack(monkeypatch, solve, m
     assert rounds == want
 
 
-def test_lockstep_rejects_problems_of_different_dimensions():
+@LOCKSTEP
+def test_lockstep_batch_of_two_dimensions_gives_the_sequential_results(monkeypatch, solve, method):
+    # the dimension-3 batch (a failure, truncated and converged solves)
+    # interleaved with dimension-4 problems: each round solves one stack per
+    # dimension, and every outcome keeps the bits of a lone solve
+    problems, cfg = _lockstep_batch()
+    rng = np.random.default_rng(6)
+    others = [random_problem(rng, n=n, dim=4, condition_max=1e4) for n in (2, 4, 3)]
+    mixed = [others[0], *problems[:3], others[1], *problems[3:], others[2]]
+    want = [_outcome_of(solve, p, cfg) for p in mixed]
+    dims = []
+    real_spectra = barycenter.spd_spectra_each
+
+    def one_dimension_spectra(cs):
+        dims.append(cs.shape[-1])
+        return real_spectra(cs)
+
+    monkeypatch.setattr(barycenter, "spd_spectra_each", one_dimension_spectra)
+    batch = barycenter._lockstep([barycenter._fixed_point(p, cfg, method) for p in mixed])
+    _assert_same_outcomes(batch, want)
+    assert set(dims) == {3, 4}
+    assert barycenter._lockstep([]) == []
+
+
+def test_lockstep_forks_child_runs_and_joins_their_outcomes():
     problems, cfg = _lockstep_batch()
     other = random_problem(np.random.default_rng(6), n=2, dim=4)
-    with pytest.raises(ValueError, match=r"one dimension, got \[3, 4\]"):
-        barycenter._lockstep([barycenter._transport(p, cfg) for p in [*problems, other]])
-    assert barycenter._lockstep([]) == []
+    want = [_outcome_of(wasserstein_mean, p, cfg) for p in problems]
+    other_want = _outcome_of(wasserstein_mean, other, cfg)
+    seen = []
+
+    def parent():
+        # a fork of forks, a solve run inline between forks, and an empty fork
+        outer = yield [child(problems[:3]), barycenter._transport(problems[3], cfg), child(problems[4:])]
+        inline = yield from barycenter._transport(other, cfg)
+        seen.append((outer, inline, (yield [])))
+        return "done"
+
+    def child(ps):
+        return (yield [barycenter._transport(p, cfg) for p in ps])
+
+    def failing():
+        yield [barycenter._transport(problems[0], cfg)]
+        raise SolverError("after the join")
+
+    done, failed, lone = barycenter._lockstep([parent(), failing(), barycenter._transport(other, cfg)])
+    assert done == "done"
+    assert str(failed) == "after the join"
+    _assert_same_outcomes([lone], [other_want])
+    (outer, inline, empty), = seen
+    _assert_same_outcomes([*outer[0], outer[1], *outer[2], inline], [*want, other_want])
+    assert empty == []
 
 
 def _symmetric_factor_residual(x, p):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdmeans import EnsembleSpec, run_instance, run_suite
+from spdmeans import EnsembleSpec, SolverError, run_instance, run_suite
 from spdmeans.cli import (
     EXIT_CHECK_FAILURES,
     EXIT_INPUT_ERROR,
@@ -114,6 +114,17 @@ def test_spec_validation():
             EnsembleSpec(condition_max=above)
 
 
+@pytest.mark.parametrize("bad", [True, "5", None, 1e2j], ids=["bool", "str", "none", "complex"])
+def test_spec_condition_max_must_be_real(bad):
+    with pytest.raises(ValueError, match="^condition_max must be a real number, got "):
+        EnsembleSpec(condition_max=bad)
+
+
+@pytest.mark.parametrize("good", [np.float64(5.0), np.float32(5.0), np.int64(5), 5])
+def test_spec_condition_max_accepts_python_and_numpy_reals(good):
+    assert EnsembleSpec(condition_max=good).condition_max == 5.0
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -171,9 +182,43 @@ def test_bounds_instance_computes_one_report(monkeypatch):
     assert len(calls) == 1
 
 
-def test_invariance_instance_solves_its_seven_means_in_one_lockstep_call(monkeypatch):
+def test_invariance_instance_solves_its_seven_means_in_one_stack(monkeypatch):
     import spdmeans.barycenter as bc
 
+    calls, stacks = [], []
+    original, real_spectra = bc._lockstep, bc.spd_spectra_each
+
+    def counted(runs):
+        calls.append(len(runs))
+        return original(runs)
+
+    def recorded(cs):
+        stacks.append(len(cs))
+        return real_spectra(cs)
+
+    monkeypatch.setattr(bc, "_lockstep", counted)
+    monkeypatch.setattr(bc, "spd_spectra_each", recorded)
+    run_instance("invariance.problem", 12345, EnsembleSpec())
+    # the instance is one run: one round admits its n drawn matrices, the
+    # next the 3n scaled and rotated ones, and its seven means share the
+    # third: six problems of n matrices and the repeated problem of 2n
+    n = int(np.random.default_rng(12345).integers(2, 6))
+    assert calls == [1]
+    assert stacks[:3] == [n, 3 * n, 8 * n]
+
+
+def _every_instance(spec):
+    return [
+        (stream.stream_id, index, derive_seed(spec.seed, stream.stream_id, index))
+        for stream in STREAMS
+        for index in range(stream.count_of(spec.count))
+    ]
+
+
+def test_suite_batch_gives_the_records_of_one_instance_at_a_time(monkeypatch):
+    import spdmeans.barycenter as bc
+
+    spec = EnsembleSpec(seed=3, count=10)
     calls = []
     original = bc._lockstep
 
@@ -182,8 +227,51 @@ def test_invariance_instance_solves_its_seven_means_in_one_lockstep_call(monkeyp
         return original(runs)
 
     monkeypatch.setattr(bc, "_lockstep", counted)
-    run_instance("invariance.problem", 12345, EnsembleSpec())
-    assert calls == [7]
+    report = run_suite(spec, "all")
+    instances = _every_instance(spec)
+    assert calls == [len(instances)]
+    one_at_a_time = [
+        record
+        for stream_id, index, seed in instances
+        for record in run_instance(stream_id, seed, spec, index)
+    ]
+    assert list(report.records) == one_at_a_time
+
+
+def test_suite_raises_the_first_failing_instance_in_stream_order(monkeypatch):
+    # det index 1 fails on its first step, bounds index 3 only after its
+    # solve; bounds comes first in stream order, so its failure is raised
+    spec = EnsembleSpec(seed=5, count=4)
+    runs = {s.stream_id: s.run for s in STREAMS}
+    started = {"bounds.problem": 0, "det.problem": 0}
+    late = SolverError("failed after its solve")
+
+    def bounds_run(rng, spec):
+        started["bounds.problem"] += 1
+        index = started["bounds.problem"] - 1
+        checks = yield from runs["bounds.problem"](rng, spec)
+        if index == 3:
+            raise late
+        return checks
+
+    def det_run(rng, spec):
+        started["det.problem"] += 1
+        if started["det.problem"] == 2:
+            raise EighConvergenceError(1.5e-3, 64)
+        return runs["det.problem"](rng, spec)
+
+    replaced = {"bounds.problem": bounds_run, "det.problem": det_run}
+    streams = tuple(dataclasses.replace(s, run=replaced.get(s.stream_id, s.run)) for s in STREAMS)
+    monkeypatch.setattr(suite, "STREAMS", streams)
+    with pytest.raises(SolverError) as caught:
+        run_suite(spec, ("bounds", "det"))
+    seed = derive_seed(5, "bounds.problem", 3)
+    assert str(caught.value) == (
+        f"stream bounds.problem index 3 (instance seed {seed}): failed after its solve"
+    )
+    assert caught.value.__cause__ is late
+    # every instance ran before the failure was raised
+    assert started == {"bounds.problem": 4, "det.problem": 4}
 
 
 def test_report_json_layout(small_report):
@@ -596,6 +684,20 @@ def test_cli_verify_small(capsys, tmp_path):
     assert err.startswith("PASS")
     doc = json.loads(out_path.read_text())
     assert doc["summary"]["failures"] == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "spdmeans", "verify", "--suite", "metric", "--count", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stderr.startswith("PASS: 7/7 checks passed")
 
 
 def test_cli_verify_stdout_deterministic(capsys):
