@@ -3,9 +3,9 @@
 Subcommands: ``mean``, ``geodesic``, ``distance``, ``bounds``, ``lie-trotter``
 and ``verify``.  Exit codes: 0 success, 1 verification failures, 2 solver
 non-convergence or a numerical failure (``SolverError`` or
-``LinearAlgebraError``), 3 input error.  Matrix output uses 17 significant
-digits so printed values round-trip exactly; identical invocations produce
-byte identical output.
+``LinearAlgebraError``), 3 input error, a usage error included.  Matrix
+output uses 17 significant digits so printed values round-trip exactly;
+identical invocations produce byte identical output.
 """
 
 from __future__ import annotations
@@ -173,8 +173,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURES
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit EXIT_INPUT_ERROR with
+    argparse's message; argparse exits 2, which here means non-convergence."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spdmeans",
         description="Means of SPD matrices under the optimal-transport geometry, "
         "with a machine-checked verification suite.",

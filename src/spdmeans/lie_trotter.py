@@ -22,6 +22,8 @@ from .barycenter import (
     SolverError,
     WeightVector,
     _admitted,
+    _is_integer,
+    _is_real,
     _lockstep,
     _solved,
     _transport,
@@ -133,7 +135,7 @@ def _converged_mean(w: WeightVector, points: tuple[SpdMatrix, ...], at: str) -> 
 
 
 def _powered_mean(w: WeightVector, curves: tuple[CurveSpec, ...], s: float) -> Generator:
-    """``_lockstep`` run: the converged barycenter of the curve points at s,
+    """Run step: the converged barycenter of the curve points at s,
     raised to the power 1/s."""
     mean = yield from _converged_mean(w, tuple(evaluate_curve(c, s) for c in curves), f"s={s!r}")
     return apply_spectral(mean, "power", 1.0 / s)
@@ -161,6 +163,8 @@ def lie_trotter_target(
 
 def dyadic_schedule(depth: int) -> tuple[float, ...]:
     """s = 2^-1, ..., 2^-depth (descending); every s is a nonzero double."""
+    if not _is_integer(depth):
+        raise ValueError(f"depth must be an integer, got {depth!r}")
     if not 1 <= depth <= 1074:  # 2^-1075 rounds to zero
         raise ValueError(f"depth must lie in [1, 1074], got {depth}")
     return tuple(2.0**-k for k in range(1, depth + 1))
@@ -168,8 +172,12 @@ def dyadic_schedule(depth: int) -> tuple[float, ...]:
 
 def _schedule(values) -> tuple[float, ...]:
     """``values`` as a tuple of floats, or ``dyadic_schedule(10)`` when None;
-    ValueError unless it is nonempty and every entry is finite and > 0."""
-    schedule = dyadic_schedule(10) if values is None else tuple(float(v) for v in values)
+    ValueError unless it is nonempty and every entry is a real number, finite
+    and > 0."""
+    schedule = dyadic_schedule(10) if values is None else tuple(values)
+    if not all(map(_is_real, schedule)):
+        raise ValueError(f"schedule entries must be real numbers, got {schedule}")
+    schedule = tuple(map(float, schedule))
     if not schedule or not all(0.0 < v < math.inf for v in schedule):
         raise ValueError(f"schedule must be nonempty, finite and positive, got {schedule}")
     return schedule
@@ -199,21 +207,16 @@ class LieTrotterTrace:
             raise ValueError("trace errors must be finite")
 
 
-def convergence_trace(
-    w: WeightVector,
-    curves: tuple[CurveSpec, ...] | list[CurveSpec],
-    s_schedule: tuple[float, ...] | list[float] | None = None,
-    negate: bool = False,
-) -> LieTrotterTrace:
-    """Evaluate the limit error along a schedule; set ``negate`` for the
-    mirrored one-sided limit s -> 0^-."""
+def _trace(w: WeightVector, curves, s_schedule, negate) -> Generator:
+    """Run step of ``convergence_trace``."""
     curves = _check_matched(w, curves, "curves")
     schedule = _schedule(s_schedule)
     if any(schedule[i] <= schedule[i + 1] for i in range(len(schedule) - 1)):
         raise ValueError(f"schedule must be strictly descending, got {schedule}")
+    if not isinstance(negate, (bool, np.bool_)):
+        raise ValueError(f"negate must be a bool, got {negate!r}")
     target = lie_trotter_target(w, curves)
-    # the points of every s are formed and solved in one lockstep call
-    outcomes = _lockstep([_powered_mean(w, curves, -s if negate else s) for s in schedule])
+    outcomes = yield [_powered_mean(w, curves, -s if negate else s) for s in schedule]
     s_ok: list[float] = []
     errors: list[float] = []
     failed: list[float] = []
@@ -232,9 +235,20 @@ def convergence_trace(
         s_values=tuple(s_ok),
         errors=tuple(errors),
         target=target,
-        negated=negate,
+        negated=bool(negate),
         failed_s=tuple(failed),
     )
+
+
+def convergence_trace(
+    w: WeightVector,
+    curves: tuple[CurveSpec, ...] | list[CurveSpec],
+    s_schedule: tuple[float, ...] | list[float] | None = None,
+    negate: bool = False,
+) -> LieTrotterTrace:
+    """Evaluate the limit error along a schedule; set ``negate`` for the
+    mirrored one-sided limit s -> 0^-."""
+    return _solved(_lockstep([_trace(w, curves, s_schedule, negate)])[0])
 
 
 @dataclass(frozen=True)
@@ -247,13 +261,8 @@ class DerivativeCheckReport:
     errors_neg: tuple[float, ...]
 
 
-def derivative_at_identity_check(
-    w: WeightVector,
-    directions: tuple[SymMatrix, ...] | list[SymMatrix],
-    t_schedule: tuple[float, ...] | list[float] | None = None,
-) -> DerivativeCheckReport:
-    """Compare (barycenter(I + t X_1, ..., I + t X_n) - I) / t with
-    sum_j w_j X_j over a schedule of steps t, both signs."""
+def _derivative(w: WeightVector, directions, t_schedule) -> Generator:
+    """Run step of ``derivative_at_identity_check``."""
     directions = _check_matched(w, directions, "directions")
     schedule = _schedule(t_schedule)
     radius = max(operator_norm(d) for d in directions)
@@ -268,8 +277,18 @@ def derivative_at_identity_check(
         mean = yield from _converged_mean(w, points, f"t={step!r}")
         return frobenius_norm((mean.entries - eye) / step - target)
 
-    outcomes = _lockstep([quotient_error(sign * t) for t in schedule for sign in (1.0, -1.0)])
+    outcomes = yield [quotient_error(sign * t) for t in schedule for sign in (1.0, -1.0)]
     # the first failure in (t, sign) order is raised, as stepping one point
     # at a time raises it
     errors = [_solved(outcome) for outcome in outcomes]
     return DerivativeCheckReport(tuple(errors[0::2]), tuple(errors[1::2]))
+
+
+def derivative_at_identity_check(
+    w: WeightVector,
+    directions: tuple[SymMatrix, ...] | list[SymMatrix],
+    t_schedule: tuple[float, ...] | list[float] | None = None,
+) -> DerivativeCheckReport:
+    """Compare (barycenter(I + t X_1, ..., I + t X_n) - I) / t with
+    sum_j w_j X_j over a schedule of steps t, both signs."""
+    return _solved(_lockstep([_derivative(w, directions, t_schedule)])[0])

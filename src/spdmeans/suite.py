@@ -20,7 +20,6 @@ from . import lie_trotter as lt
 from . import means_geometry as mg
 from .problem_io import derive_seed, dumps_canonical, random_orthogonal, spd_array_from_rng
 from .spd_core import (
-    SpdMatrix,
     SymMatrix,
     apply_spectral,
     congruence,
@@ -169,7 +168,8 @@ def _run_metric_axioms(rng: np.random.Generator, spec: EnsembleSpec) -> Generato
         _check("metric.symmetry", abs(d_ab - d_ba) <= 1e-10, {"diff": abs(d_ab - d_ba)})
     ]
     # self distance through an independently rebuilt copy (fresh eigensolve)
-    d_self = mg.wasserstein_distance(a, SpdMatrix(np.array(a.entries)))
+    (copy,) = yield from bc._admitted([np.array(a.entries)])
+    d_self = mg.wasserstein_distance(a, copy)
     indiscernible = True
     if d_ab <= 1e-12:
         indiscernible = frobenius_norm(a.entries - b.entries) <= 1e-8 * frobenius_norm(a.entries)
@@ -247,11 +247,10 @@ def _run_geomean_pair(rng: np.random.Generator, spec: EnsembleSpec) -> Generator
     det_err = abs(det_lhs - det_rhs) / max(1.0, abs(det_rhs))
     checks.append(_check("geomean.determinant", det_err <= REL_TOL, {"diff": det_err}))
 
-    arith = SpdMatrix((1.0 - t) * a.entries + t * b.entries)
-    harm = apply_spectral(
-        SpdMatrix((1.0 - t) * inv_a.entries + t * inv_b.entries),
-        "inverse",
+    arith, inv_mix = yield from bc._admitted(
+        [(1.0 - t) * a.entries + t * b.entries, (1.0 - t) * inv_a.entries + t * inv_b.entries]
     )
+    harm = apply_spectral(inv_mix, "inverse")
     upper = loewner_geq(arith, gm_t, REL_TOL)
     lower = loewner_geq(gm_t, harm, REL_TOL)
     checks.append(
@@ -290,8 +289,8 @@ def _run_geomean_pair(rng: np.random.Generator, spec: EnsembleSpec) -> Generator
 def _run_bounds_golden(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
     """Fixed worked 2x2 pair with known means and determinants, reproduced
     regardless of the ensemble parameters."""
-    a = SpdMatrix([[1.0, 2.0], [2.0, 5.0]])
-    b = SpdMatrix([[4.0, 4.0], [4.0, 5.0]])
+    pair = [np.array([[1.0, 2.0], [2.0, 5.0]]), np.array([[4.0, 4.0], [4.0, 5.0]])]
+    a, b = yield from bc._admitted(pair)
     problem = bc.MeanProblem((a, b), bc.WeightVector.uniform(2))
     outcomes = yield [bc._transport(problem), bc._fixed_point(problem, None, bc._Karcher)]
     result, karcher = map(bc._solved, outcomes)
@@ -455,13 +454,15 @@ def _ratio_window(errors: tuple[float, ...], last: int = 4) -> tuple[bool, float
     return all(0.25 <= r <= 0.75 for r in tail), min(tail), max(tail)
 
 
-def _run_lie_trotter_instance(rng: np.random.Generator, spec: EnsembleSpec) -> list:
+def _run_lie_trotter_instance(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
     n = _capped_draw(rng, 2, spec.n_range[1], 4)
     dim = _capped_draw(rng, *spec.dim_range, 6)
     curves = _draw_curves(rng, n, dim)
     weights = bc.WeightVector(rng.uniform(0.2, 1.0, size=n))
-    trace_pos = lt.convergence_trace(weights, curves)
-    trace_neg = lt.convergence_trace(weights, curves, negate=True)
+    directions = tuple(c.derivative_at_zero for c in curves)
+    runs = [lt._trace(weights, curves, None, negate) for negate in (False, True)]
+    outcomes = yield [*runs, lt._derivative(weights, directions, None)]
+    trace_pos, trace_neg, deriv = map(bc._solved, outcomes)
     checks = []
 
     complete = not trace_pos.failed_s and not trace_neg.failed_s
@@ -498,9 +499,6 @@ def _run_lie_trotter_instance(rng: np.random.Generator, spec: EnsembleSpec) -> l
         )
     )
 
-    deriv = lt.derivative_at_identity_check(
-        weights, tuple(c.derivative_at_zero for c in curves)
-    )
     ok_pos, dmin, dmax = _ratio_window(deriv.errors_pos)
     ok_neg, nmin, nmax = _ratio_window(deriv.errors_neg)
     checks.append(
@@ -537,8 +535,8 @@ class CheckStream:
     stream_id: str
     family: str
     count_of: Callable[[int], int]
-    # the checks of one instance, or a ``bc._lockstep`` run that returns them
-    run: Callable[[np.random.Generator, EnsembleSpec], list | Generator]
+    # a ``bc._lockstep`` run that returns the checks of one instance
+    run: Callable[[np.random.Generator, EnsembleSpec], Generator]
 
 
 STREAMS: tuple[CheckStream, ...] = (
@@ -570,9 +568,7 @@ def expand_families(selection) -> tuple[str, ...]:
 
 def _records(stream: CheckStream, instance_seed: int, spec: EnsembleSpec, index: int) -> Generator:
     """Run of one instance for ``bc._lockstep``: its check records."""
-    checks = stream.run(np.random.default_rng(instance_seed), spec)
-    if isinstance(checks, Generator):
-        checks = yield from checks
+    checks = yield from stream.run(np.random.default_rng(instance_seed), spec)
     return [
         CheckRecord(check_id, stream.stream_id, index, instance_seed, passed, witness)
         for check_id, passed, witness in checks

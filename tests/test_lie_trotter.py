@@ -247,38 +247,55 @@ def test_trace_schedule_validation(mixed_instance):
     for schedule in INADMISSIBLE_SCHEDULES:
         with pytest.raises(ValueError, match="nonempty, finite and positive"):
             convergence_trace(w, curves, schedule)
+    # entries follow the SolverConfig rule: Python or numpy reals only
+    for schedule in [(0.5, "0.25"), (True,), (0.5, None), (0.5, 0.25j)]:
+        with pytest.raises(ValueError, match="must be real numbers"):
+            convergence_trace(w, curves, schedule)
+    assert convergence_trace(w, curves, (np.float64(0.5), np.float32(0.25), 1 / 8)).s_values == (
+        0.5,
+        0.25,
+        0.125,
+    )
+    for negate in ("yes", 1, None):
+        with pytest.raises(ValueError, match="negate must be a bool"):
+            convergence_trace(w, curves, negate=negate)
 
 
 def test_trace_records_solver_failures(mixed_instance, monkeypatch):
-    # the trace solves its whole schedule in one lockstep call; the rig makes
-    # that call end the solve at |s| = 0.25, the second of the four, in a
-    # SolverError
+    # the trace forks one run per schedule point; the rig makes the run of
+    # |s| = 0.25, the second of the four, end in a SolverError after its solve
     w, curves = mixed_instance
     from spdmeans import lie_trotter as module
 
-    real = module._lockstep
-    calls = []
+    real = module._powered_mean
+    forked = []
 
-    def flaky(runs):
-        calls.append(len(runs))
-        outcomes = real(runs)
-        outcomes[1] = SolverError("rigged failure")
-        return outcomes
+    def flaky(w, curves, s):
+        index = len(forked)
+        forked.append(s)
+        powered = yield from real(w, curves, s)
+        if index == 1:
+            raise SolverError("rigged failure")
+        return powered
 
-    monkeypatch.setattr(module, "_lockstep", flaky)
+    monkeypatch.setattr(module, "_powered_mean", flaky)
     for negate in (False, True):
-        calls.clear()
+        forked.clear()
         trace = module.convergence_trace(w, curves, dyadic_schedule(4), negate=negate)
         assert trace.failed_s == (0.25,)
         assert trace.s_values == (0.5, 0.125, 0.0625)
-        assert calls == [4]
+        assert forked == [-s if negate else s for s in dyadic_schedule(4)]
 
 
 def test_dyadic_schedule():
     assert dyadic_schedule(3) == (0.5, 0.25, 0.125)
     assert dyadic_schedule(1074)[-1] > 0.0
+    assert dyadic_schedule(np.int64(2)) == (0.5, 0.25)
     for depth in (0, 1075):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must lie in"):
+            dyadic_schedule(depth)
+    for depth in (2.5, "3", True, None):
+        with pytest.raises(ValueError, match="must be an integer"):
             dyadic_schedule(depth)
 
 
@@ -334,13 +351,13 @@ def test_derivative_rejects_inadmissible_steps():
 
 
 def test_derivative_check_admits_and_solves_in_one_lockstep_call(monkeypatch):
-    # every step's points and mean are admitted in the rounds of one lockstep
-    # call, the first of which stacks all 2 T n points; the only lone solves
-    # are the operator norms that bound the steps, before that call
+    # the check is one run of one lockstep call; its first stacked round
+    # holds all 2 T n points, and the only lone solves are the operator norms
+    # that bound the steps, before that round
     from spdmeans import lie_trotter as module
     from spdmeans import spd_core
 
-    calls, stacks, lone = [], [], []
+    calls, solves = [], []
     real_lockstep, real_stack, real_lone = module._lockstep, spd_core._jacobi_stack, spd_core._jacobi
 
     def counted_lockstep(runs):
@@ -348,11 +365,11 @@ def test_derivative_check_admits_and_solves_in_one_lockstep_call(monkeypatch):
         return real_lockstep(runs)
 
     def counting_stack(arrays):
-        stacks.append((len(calls), len(arrays)))
+        solves.append(len(arrays))
         return real_stack(arrays)
 
     def counting_lone(matrix):
-        lone.append(len(calls))
+        solves.append("lone")
         return real_lone(matrix)
 
     monkeypatch.setattr(module, "_lockstep", counted_lockstep)
@@ -362,10 +379,10 @@ def test_derivative_check_admits_and_solves_in_one_lockstep_call(monkeypatch):
     n, steps = 3, 5
     directions = tuple(bounded_sym(rng, 4, 0.5) for _ in range(n))
     derivative_at_identity_check(WeightVector.uniform(n), directions, dyadic_schedule(steps))
-    assert calls == [2 * steps]
-    assert lone == [0] * n
-    assert stacks[: n + 1] == [(0, 1)] * n + [(1, 2 * steps * n)]
-    assert all(called == 1 for called, _ in stacks[n:])
+    assert calls == [1]
+    # a lone solve is a stack of one
+    assert solves[: 2 * n + 1] == ["lone", 1] * n + [2 * steps * n]
+    assert "lone" not in solves[2 * n :]
 
 
 def test_derivative_raises_the_failure_of_the_earliest_step(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -217,6 +218,7 @@ def _every_instance(spec):
 
 def test_suite_batch_gives_the_records_of_one_instance_at_a_time(monkeypatch):
     import spdmeans.barycenter as bc
+    import spdmeans.lie_trotter as lt
 
     spec = EnsembleSpec(seed=3, count=10)
     calls = []
@@ -226,7 +228,10 @@ def test_suite_batch_gives_the_records_of_one_instance_at_a_time(monkeypatch):
         calls.append(len(runs))
         return original(runs)
 
+    # the limit instance forks its traces and derivative check, so neither
+    # the suite nor one instance starts a second driver
     monkeypatch.setattr(bc, "_lockstep", counted)
+    monkeypatch.setattr(lt, "_lockstep", counted)
     report = run_suite(spec, "all")
     instances = _every_instance(spec)
     assert calls == [len(instances)]
@@ -236,6 +241,14 @@ def test_suite_batch_gives_the_records_of_one_instance_at_a_time(monkeypatch):
         for record in run_instance(stream_id, seed, spec, index)
     ]
     assert list(report.records) == one_at_a_time
+    assert calls == [len(instances)] + [1] * len(instances)
+
+
+def test_every_stream_run_is_a_generator():
+    for stream in STREAMS:
+        run = stream.run(np.random.default_rng(0), EnsembleSpec())
+        assert inspect.isgenerator(run), stream.stream_id
+        run.close()
 
 
 def test_suite_raises_the_first_failing_instance_in_stream_order(monkeypatch):
@@ -390,6 +403,34 @@ def test_cli_distance_requires_two_matrices(tmp_path, capsys):
     code, _, err = run_cli(capsys, "distance", "--metric", "wasserstein", "--input", str(path))
     assert code == EXIT_INPUT_ERROR
     assert "exactly 2 matrices" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((), "the following arguments are required: command"),
+        (("bogus",), "argument command: invalid choice: 'bogus'"),
+        (("mean", "--method", "bogus", "--input", "x"), "argument --method: invalid choice: 'bogus'"),
+        (("verify", "--count", "abc"), "argument --count: invalid int value: 'abc'"),
+        (("geodesic", "--input", "x"), "the following arguments are required: --t"),
+    ],
+)
+def test_cli_usage_errors_exit_3(capsys, argv, message):
+    # argparse's own exit code, 2, is the one for non-convergence here
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spdmeans")
+    assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("mean", "--help"), ("verify", "-h")])
+def test_cli_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: spdmeans")
 
 
 def test_cli_input_errors(tmp_path, capsys):
