@@ -10,51 +10,38 @@ size.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Generator, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .means_geometry import geometric_mean
+from .means_geometry import _geometric_mean
 from .spd_core import (
-    EigenDecomposition,
-    LinearAlgebraError,
     NonPositivePivotError,
     NotPositiveDefiniteError,
+    SolverError,
     SpdMatrix,
     SymMatrix,
+    _admitted,
+    _applied,
     _congruences,
-    _symmetrized,
+    _is_integer,
+    _is_real,
+    _lockstep,
+    _loewner,
+    _solved,
+    _spectra,
     apply_spectral,
     cholesky,
     determinant,
     frobenius_norm,
-    loewner_geq,
     operator_norm,
     scale_exponent,
-    spd_spectra,
-    spd_spectra_each,
 )
 
 
 # Relative slack of every Loewner verdict on the bounds.
 LOEWNER_TOL = 1e-8
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer (a bool is not)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a Python or numpy real number (a bool is not)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-class SolverError(Exception):
-    """Iteration produced a non-SPD intermediate or was asked not to tolerate
-    non-convergence."""
 
 
 @dataclass(frozen=True)
@@ -165,7 +152,13 @@ class SolverResult:
 
 
 def arithmetic_mean(p: MeanProblem) -> SpdMatrix:
-    return SpdMatrix(p.weights.combine(a.entries for a in p.matrices))
+    return _solved(_lockstep([_arithmetic_mean(p)])[0])
+
+
+def _arithmetic_mean(p: MeanProblem) -> Generator:
+    """Run step of ``arithmetic_mean``."""
+    (mean,) = yield from _admitted([p.weights.combine(a.entries for a in p.matrices)])
+    return mean
 
 
 def _inverse_mixture(p: MeanProblem) -> np.ndarray:
@@ -174,7 +167,13 @@ def _inverse_mixture(p: MeanProblem) -> np.ndarray:
 
 
 def harmonic_mean(p: MeanProblem) -> SpdMatrix:
-    return apply_spectral(SpdMatrix(_inverse_mixture(p)), "inverse")
+    return _solved(_lockstep([_harmonic_mean(p)])[0])
+
+
+def _harmonic_mean(p: MeanProblem) -> Generator:
+    """Run step of ``harmonic_mean``."""
+    (mixture,) = yield from _admitted([_inverse_mixture(p)])
+    return apply_spectral(mixture, "inverse")
 
 
 def _scaled(p: MeanProblem) -> tuple[int, np.ndarray]:
@@ -204,7 +203,7 @@ def _transport_residual(
 
 def _sqrt_stack(q: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """Square roots of an (n, d, d) stack of admitted SPD matrices C_j, given
-    their Jacobi eigenvectors q (``spd_spectra``), as one (n, d, d) array.
+    their Jacobi eigenvectors q (``_spectra``), as one (n, d, d) array.
 
     Each root is built from the Jacobi eigenvectors Q of C_j and the
     near-diagonal M = Q^T C_j Q: Q T Q^T with T_ii = sqrt(m_ii) and
@@ -235,15 +234,23 @@ def residual(x: SpdMatrix, p: MeanProblem) -> float:
     t, mats = _scaled(p)
     l = cholesky(np.ldexp(x.entries, -2 * t))[0]
     cs = _congruences(l.T, mats)
-    return _transport_residual(l, cs, *spd_spectra(cs), p.weights)[0]
+    q, lam = _solved(_lockstep([_spectra(cs)])[0])
+    return _transport_residual(l, cs, q, lam, p.weights)[0]
 
 
 def equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> float:
     """Frobenius residual of the equivalent form I = sum_j w_j (A_j # x^{-1})."""
+    return _solved(_lockstep([_equivalent_residual(x, p)])[0])
+
+
+def _equivalent_residual(x: SpdMatrix, p: MeanProblem) -> Generator:
+    """Run step of ``equivalent_equation_residual``: the n means A_j # x^{-1}
+    share their rounds, and the first that fails, in input order, raises."""
     if x.dim != p.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {p.dim}")
     inv_x = apply_spectral(x, "inverse")
-    acc = p.weights.combine(geometric_mean(a, inv_x).entries for a in p.matrices)
+    outcomes = yield [_geometric_mean(a, inv_x) for a in p.matrices]
+    acc = p.weights.combine(_solved(outcome).entries for outcome in outcomes)
     return frobenius_norm(np.eye(p.dim) - acc)
 
 
@@ -260,15 +267,17 @@ class _Transport:
     measure = staticmethod(_transport_residual)
 
     @staticmethod
-    def step(l: np.ndarray, l_inv: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def step(l: np.ndarray, l_inv: np.ndarray, s: np.ndarray) -> Generator:
         b = s @ l_inv
         return b.T @ b
+        yield  # a run step that solves nothing
 
 
 class _Karcher:
     """The gradient map of ``karcher_mean``, split as ``_Transport`` is: the
     congruences L^{-1} A_j L^{-T}, the gradient G = sum_j w_j log of them
-    with ||G||_F as residual, and the step L exp(G) L^T."""
+    with ||G||_F as residual, and the step L exp(G) L^T, which solves G in
+    a round of its own."""
 
     @staticmethod
     def congruences(l: np.ndarray, l_inv: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -281,21 +290,9 @@ class _Karcher:
         return frobenius_norm(grad), grad
 
     @staticmethod
-    def step(l: np.ndarray, l_inv: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        return _congruences(l, apply_spectral(SymMatrix(grad), "exp_of_sym").entries)
-
-
-def _admitted(arrays) -> Generator:
-    """Run step: ``arrays`` admitted as SpdMatrix objects from the spectra of
-    one ``_lockstep`` round, with the bits and errors of ``SpdMatrix(a)``:
-    each array is symmetrized and checked as ``SymMatrix`` does before the
-    solve, and the error of a slice that fails to converge or to be admitted
-    is thrown in.
-    """
-    sym = np.stack([_symmetrized(a) for a in arrays])
-    q, lam = yield sym
-    eigens = (EigenDecomposition(q=q_j, lam=lam_j) for q_j, lam_j in zip(q, lam))
-    return tuple(SpdMatrix(a, _eigen=eigen) for a, eigen in zip(sym, eigens))
+    def step(l: np.ndarray, l_inv: np.ndarray, grad: np.ndarray) -> Generator:
+        (exp,) = yield from _applied([SymMatrix(grad)], "exp_of_sym")
+        return _congruences(l, exp.entries)
 
 
 def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Generator:
@@ -307,11 +304,12 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
     roots scale by 2^-t), so only a run whose unscaled iterates would overflow
     or underflow gets other bits.  Each iterate X is carried as its Cholesky
     factor L (X = L L^T) and L^{-1}, never diagonalized.  Each measurement
-    yields its (n, d, d) congruence stack and is sent back its admitted
-    spectra (q, lam).  Converged only when r <= rel_tol; after max_iter
-    updates the last iterate is returned unconverged.  The mean is scaled
-    back and admitted in the next round.  A non-positive pivot of L or a
-    failed SPD admission raises SolverError.
+    yields its (n, d, d) congruence stack (``_spectra``) and is sent back
+    its admitted spectra (q, lam); an update that solves yields its stack
+    too.  Converged only when r <= rel_tol; after max_iter updates the last
+    iterate is returned unconverged.  The mean is scaled back and admitted
+    in the next round.  A non-positive pivot of L or a failed SPD admission
+    raises SolverError.
     """
     cfg = cfg or SolverConfig()
     t, mats = _scaled(p)
@@ -325,13 +323,14 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
         l, l_inv = cholesky(x)
         for k in range(cfg.max_iter + 1):
             cs = method.congruences(l, l_inv, mats)
-            q, lam = yield cs
-            r, aux = method.measure(l, cs, q, lam, p.weights)
+            # the spectra are not kept past the measurement, so a round's
+            # stacks are freed once every run has measured
+            r, aux = method.measure(l, cs, *(yield from _spectra(cs)), p.weights)
             history.append(r)
             if r <= cfg.rel_tol or k == cfg.max_iter:
                 (mean,) = yield from _admitted([np.ldexp(x, 2 * t)])
                 return SolverResult(mean, k, r, r <= cfg.rel_tol, tuple(history))
-            x = method.step(l, l_inv, aux)
+            x = yield from method.step(l, l_inv, aux)
             l, l_inv = cholesky(x)
     except (NotPositiveDefiniteError, NonPositivePivotError) as exc:
         raise SolverError(f"non-SPD intermediate at iteration {k}: {exc}") from exc
@@ -340,67 +339,6 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
 def _transport(p: MeanProblem, cfg: SolverConfig | None = None) -> Generator:
     """The run of ``wasserstein_mean`` on p, for ``_lockstep``."""
     return _fixed_point(p, cfg, _Transport)
-
-
-def _lockstep(runs: list[Generator]) -> list:
-    """Drive runs together: generators, built on ``_fixed_point`` and
-    ``_admitted``, that yield (k, d, d) stacks of symmetric arrays to admit
-    as SPD, or a list of child runs, driven with all the others, whose
-    outcomes they are sent in order once every child has ended.  Each round
-    solves the stacks of every live run as one Jacobi stack per dimension,
-    whose slices have the bits of lone solves, and sends each run its
-    admitted spectra (q, lam) or throws in the first error among its slices.
-
-    Returns per run, in input order, the value it returned or the
-    SolverError or LinearAlgebraError it raised; so is a child's outcome.
-    """
-    outcomes: list = [None] * len(runs)
-    # a join is [outcomes, runs not yet ended, (parent, its join, its slot) or None]
-    root = [outcomes, len(runs), None]
-    ready = [(run, None, root, i) for i, run in enumerate(runs)]
-    while ready:
-        asked: dict[int, list] = {}
-        # forked children and resumed parents are appended to ``ready`` and
-        # so are resumed in this same pass
-        for run, reply, join, slot in ready:
-            try:
-                resume = run.throw if isinstance(reply, Exception) else run.send
-                got = resume(reply)
-            except StopIteration as stop:
-                outcome = stop.value
-            except (SolverError, LinearAlgebraError) as exc:
-                outcome = exc
-            else:
-                if not isinstance(got, list):
-                    asked.setdefault(got.shape[-1], []).append((run, join, slot, got))
-                elif got:
-                    fork = [[None] * len(got), len(got), (run, join, slot)]
-                    ready.extend((child, None, fork, i) for i, child in enumerate(got))
-                else:
-                    ready.append((run, [], join, slot))
-                continue
-            join[0][slot] = outcome
-            join[1] -= 1
-            if join[1] == 0 and join[2] is not None:
-                parent, parent_join, parent_slot = join[2]
-                ready.append((parent, join[0], parent_join, parent_slot))
-        ready = []
-        for asking in asked.values():
-            q, lam, errors = spd_spectra_each(np.concatenate([cs for _, _, _, cs in asking]))
-            start = 0
-            for run, join, slot, cs in asking:
-                end = start + len(cs)
-                failed = [e for e in errors[start:end] if e is not None]
-                ready.append((run, failed[0] if failed else (q[start:end], lam[start:end]), join, slot))
-                start = end
-    return outcomes
-
-
-def _solved(outcome):
-    """The value of one ``_lockstep`` outcome; its error is raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def wasserstein_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResult:
@@ -447,12 +385,18 @@ class BoundsReport:
 
 
 def bounds_report(p: MeanProblem) -> BoundsReport:
+    return _solved(_lockstep([_bounds_report(p)])[0])
+
+
+def _bounds_report(p: MeanProblem) -> Generator:
+    """Run step of ``bounds_report``."""
     eye = np.eye(p.dim)
-    arith = arithmetic_mean(p)
+    arith = yield from _arithmetic_mean(p)
     opnorm_root = p.weights.combine(math.sqrt(operator_norm(a)) for a in p.matrices)
     lower = SymMatrix(2.0 * eye - _inverse_mixture(p))
     try:
-        upper_inverse = apply_spectral(SpdMatrix(2.0 * eye - arith.entries), "inverse")
+        (gap,) = yield from _admitted([2.0 * eye - arith.entries])
+        upper_inverse = apply_spectral(gap, "inverse")
     except NotPositiveDefiniteError:
         # the gap 2I - sum_j w_j A_j is indefinite, or positive but below the
         # admission threshold and so not invertible at working precision
@@ -487,27 +431,45 @@ def check_bounds(p: MeanProblem, report: BoundsReport, mean: SpdMatrix) -> tuple
     mean), and the scalar sharpness (sum w_j ||A_j||^{1/2})^2 <= sum w_j ||A_j||;
     when sum w_j A_j < 2I also [2I - sum w_j A_j]^{-1} >= sum w_j A_j.
     """
+    return _solved(_lockstep([_check_bounds(p, report, mean)])[0])
 
-    def loewner(check_id: str, a: SymMatrix, b: SymMatrix) -> BoundCheck:
-        cmp = loewner_geq(a, b, LOEWNER_TOL)
-        return BoundCheck(check_id, cmp.holds, cmp.witness)
 
-    inverse = report.upper_inverse
-    checks = [
-        loewner("arithmetic_upper", report.upper_arithmetic, mean),
-        loewner("lie_trotter_lower", mean, report.lower_lie_trotter),
-    ]
+def _check_bounds(p: MeanProblem, report: BoundsReport, mean: SpdMatrix) -> Generator:
+    """Run step of ``check_bounds``: its Loewner comparisons, and the
+    harmonic mean one of them compares, share their rounds; the first that
+    fails, in verdict order, raises."""
+    lower, arith, inverse = report.lower_lie_trotter, report.upper_arithmetic, report.upper_inverse
+
+    def harmonic_above_lower() -> Generator:
+        harmonic = yield from _harmonic_mean(p)
+        return (yield from _loewner(harmonic, lower, LOEWNER_TOL))
+
+    runs = {
+        "arithmetic_upper": _loewner(arith, mean, LOEWNER_TOL),
+        "lie_trotter_lower": _loewner(mean, lower, LOEWNER_TOL),
+    }
+    if inverse is not None:
+        runs["inverse_upper"] = _loewner(inverse, mean, LOEWNER_TOL)
+    runs["harmonic_above_lower"] = harmonic_above_lower()
+    if inverse is not None:
+        runs["inverse_above_arithmetic"] = _loewner(inverse, arith, LOEWNER_TOL)
+    outcomes = yield list(runs.values())
+    verdicts = {
+        check_id: BoundCheck(check_id, cmp.holds, cmp.witness)
+        for check_id, cmp in zip(runs, map(_solved, outcomes))
+    }
+    checks = [verdicts["arithmetic_upper"], verdicts["lie_trotter_lower"]]
     slack = report.opnorm_bound + 1e-9 - operator_norm(mean)
     checks.append(BoundCheck("operator_norm", slack >= 0.0, slack))
     if inverse is not None:
-        checks.append(loewner("inverse_upper", inverse, mean))
-    checks.append(loewner("harmonic_above_lower", harmonic_mean(p), report.lower_lie_trotter))
+        checks.append(verdicts["inverse_upper"])
+    checks.append(verdicts["harmonic_above_lower"])
     opnorm_mix = p.weights.combine(operator_norm(a) for a in p.matrices)
     slack = opnorm_mix - report.opnorm_bound
     tol = LOEWNER_TOL * max(1.0, opnorm_mix)
     checks.append(BoundCheck("opnorm_bound_sharper", slack >= -tol, slack))
     if inverse is not None:
-        checks.append(loewner("inverse_above_arithmetic", inverse, report.upper_arithmetic))
+        checks.append(verdicts["inverse_above_arithmetic"])
     return tuple(checks)
 
 

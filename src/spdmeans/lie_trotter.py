@@ -94,12 +94,21 @@ class CurveSpec:
         return True
 
 
-def evaluate_curve(c: CurveSpec, s: float) -> SpdMatrix:
-    """gamma(s); exact identity at s = 0 for every kind.  A non-finite s
-    raises ValueError."""
+def _parameter(s) -> float:
+    """s as a float; ValueError unless it is a finite real number (a bool
+    or a string is not)."""
+    if not _is_real(s):
+        raise ValueError(f"s must be a real number, got {s!r}")
     s = float(s)
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
+    return s
+
+
+def evaluate_curve(c: CurveSpec, s: float) -> SpdMatrix:
+    """gamma(s); exact identity at s = 0 for every kind.  An s that is not a
+    finite real number raises ValueError."""
+    s = _parameter(s)
     if s == 0.0:
         return identity(c.dim)
     if c.kind == "power":
@@ -146,7 +155,7 @@ def lie_trotter_value(
 ) -> SpdMatrix:
     """Barycenter of the curve points at parameter s, raised to the power 1/s."""
     curves = _check_matched(w, curves, "curves")
-    s = float(s)
+    s = _parameter(s)
     if s == 0.0:
         raise ValueError("s must be nonzero")
     return _solved(_lockstep([_powered_mean(w, curves, s)])[0])

@@ -4,11 +4,18 @@ Provides the weighted geometric mean (the trace-metric geodesic), the
 Riemannian trace distance, the optimal-transport (Bures) distance with an
 independent brute-force minimizer for 2x2 input, the transport geodesic, and
 the geodesic perturbation bound report.
+
+Each function that solves is written once, as a run step for
+``spd_core._lockstep`` (``_geometric_mean``, ``_wasserstein_distance`` and
+so on): it yields the admissions of its inner and mixed products and of its
+result, so that the steps of many callers share their eigensolve rounds.
+The public function drives its step as a batch of one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +23,10 @@ import numpy as np
 from .spd_core import (
     NumericalBreakdownError,
     SpdMatrix,
+    _admitted,
+    _is_real,
+    _lockstep,
+    _solved,
     apply_spectral,
     congruence,
     frobenius_norm,
@@ -36,11 +47,28 @@ def _check_pair(a: SpdMatrix, b: SpdMatrix) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def _check_unit_interval(t: float) -> float:
+def _check_unit_interval(t) -> float:
+    if not _is_real(t):
+        raise ValueError(f"geodesic parameter must be a real number, got {t!r}")
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"geodesic parameter must lie in [0, 1], got {t!r}")
     return t
+
+
+def _inner(a: SpdMatrix, b: SpdMatrix) -> Generator:
+    """Run step: A^{-1/2} B A^{-1/2}, admitted."""
+    (inner,) = yield from _admitted([congruence(apply_spectral(a, "inv_sqrt").entries, b)])
+    return inner
+
+
+def _mixed(a: SpdMatrix, b: SpdMatrix, sqrt_a: np.ndarray) -> Generator:
+    """Run step: s from ``scale_exponent`` and A^{1/2} B A^{1/2} times 16^-s,
+    admitted, for A^{1/2} = sqrt_a.  The scaling is exact, so the product
+    neither overflows nor underflows, and its root scales back by 4^s."""
+    s = scale_exponent(a.entries, b.entries)
+    (mixed,) = yield from _admitted([congruence(np.ldexp(sqrt_a, -2 * s), b)])
+    return s, mixed
 
 
 def geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> SpdMatrix:
@@ -49,17 +77,28 @@ def geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> SpdMatrix:
     At t = 1/2 this is the unique SPD solution of the Riccati equation
     X A^{-1} X = B.
     """
+    return _solved(_lockstep([_geometric_mean(a, b, t)])[0])
+
+
+def _geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> Generator:
+    """Run step of ``geometric_mean``."""
     _check_pair(a, b)
     t = _check_unit_interval(t)
-    inner = SpdMatrix(congruence(apply_spectral(a, "inv_sqrt").entries, b))
+    inner = yield from _inner(a, b)
     inner_pow = apply_spectral(inner, "power", t)
-    return SpdMatrix(congruence(apply_spectral(a, "sqrt").entries, inner_pow))
+    (mean,) = yield from _admitted([congruence(apply_spectral(a, "sqrt").entries, inner_pow)])
+    return mean
 
 
 def riemannian_distance(a: SpdMatrix, b: SpdMatrix) -> float:
     """Trace-metric distance ||log(A^{-1/2} B A^{-1/2})||_F."""
+    return _solved(_lockstep([_riemannian_distance(a, b)])[0])
+
+
+def _riemannian_distance(a: SpdMatrix, b: SpdMatrix) -> Generator:
+    """Run step of ``riemannian_distance``."""
     _check_pair(a, b)
-    inner = SpdMatrix(congruence(apply_spectral(a, "inv_sqrt").entries, b))
+    inner = yield from _inner(a, b)
     return math.sqrt(float(np.sum(np.log(inner.eigen.lam) ** 2)))
 
 
@@ -67,18 +106,21 @@ def wasserstein_distance(a: SpdMatrix, b: SpdMatrix) -> float:
     """Optimal-transport distance [tr((A+B)/2) - tr(A^{1/2} B A^{1/2})^{1/2}]^{1/2}.
 
     The cross term tr(A^{1/2} B A^{1/2})^{1/2} is the fidelity of the pair.
-    It is taken from the product times 16^-s (s from ``scale_exponent``,
-    exact, so the product neither overflows nor underflows) and scaled back,
+    It is taken from the product times 16^-s (``_mixed``) and scaled back,
     so the clamp window below applies to the unscaled radicand.
     Equal inputs return exactly zero: the trace difference cancels
     catastrophically there, so the formula path would only report the
     cancellation noise inflated by the outer square root.
     """
+    return _solved(_lockstep([_wasserstein_distance(a, b)])[0])
+
+
+def _wasserstein_distance(a: SpdMatrix, b: SpdMatrix) -> Generator:
+    """Run step of ``wasserstein_distance``."""
     _check_pair(a, b)
     if np.array_equal(a.entries, b.entries):
         return 0.0
-    s = scale_exponent(a.entries, b.entries)
-    mixed = SpdMatrix(congruence(np.ldexp(apply_spectral(a, "sqrt").entries, -2 * s), b))
+    s, mixed = yield from _mixed(a, b, apply_spectral(a, "sqrt").entries)
     fidelity = math.ldexp(float(np.sum(np.sqrt(mixed.eigen.lam))), 2 * s)
     radicand = 0.5 * (trace(a) + trace(b)) - fidelity
     if radicand < -RADICAND_CLAMP:
@@ -142,6 +184,11 @@ def wasserstein_geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
     is formed times 16^-s, as in ``wasserstein_distance``, and its root
     scaled back.
     """
+    return _solved(_lockstep([_wasserstein_geodesic(a, b, t)])[0])
+
+
+def _wasserstein_geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> Generator:
+    """Run step of ``wasserstein_geodesic``."""
     _check_pair(a, b)
     t = _check_unit_interval(t)
     if t == 0.0:
@@ -150,11 +197,11 @@ def wasserstein_geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
         return b
     sqrt_a = apply_spectral(a, "sqrt").entries
     inv_sqrt_a = apply_spectral(a, "inv_sqrt").entries
-    s = scale_exponent(a.entries, b.entries)
-    mixed = SpdMatrix(congruence(np.ldexp(sqrt_a, -2 * s), b))
+    s, mixed = yield from _mixed(a, b, sqrt_a)
     cross = np.ldexp(sqrt_a @ apply_spectral(mixed, "sqrt").entries @ inv_sqrt_a, 2 * s)
     g = (1.0 - t) ** 2 * a.entries + t**2 * b.entries + t * (1.0 - t) * (cross + cross.T)
-    return SpdMatrix(g)
+    (geodesic,) = yield from _admitted([g])
+    return geodesic
 
 
 @dataclass(frozen=True)
@@ -172,13 +219,24 @@ def geodesic_perturbation_bound(
     a: SpdMatrix, b: SpdMatrix, c: SpdMatrix, t: float
 ) -> DistanceBoundReport:
     """Report d(A <>_t B, A <>_t C) against t sqrt(lambda_1(A)/2) ||A^{-1}#B - A^{-1}#C||_F."""
+    return _solved(_lockstep([_geodesic_perturbation_bound(a, b, c, t)])[0])
+
+
+def _geodesic_perturbation_bound(a: SpdMatrix, b: SpdMatrix, c: SpdMatrix, t: float) -> Generator:
+    """Run step of ``geodesic_perturbation_bound``: both geodesics and both
+    means share their rounds, and a failure is raised in the order of the
+    formula (the geodesics, their distance, then the means)."""
     _check_pair(a, b)
     _check_pair(a, c)
     t = _check_unit_interval(t)
-    lhs = wasserstein_distance(wasserstein_geodesic(a, b, t), wasserstein_geodesic(a, c, t))
-    inv_a = apply_spectral(a, "inverse")
-    mid_b = geometric_mean(inv_a, b)
-    mid_c = geometric_mean(inv_a, c)
+
+    def means() -> Generator:
+        inv_a = apply_spectral(a, "inverse")
+        return tuple(map(_solved, (yield [_geometric_mean(inv_a, b), _geometric_mean(inv_a, c)])))
+
+    geo_b, geo_c, mids = yield [_wasserstein_geodesic(a, b, t), _wasserstein_geodesic(a, c, t), means()]
+    lhs = yield from _wasserstein_distance(_solved(geo_b), _solved(geo_c))
+    mid_b, mid_c = _solved(mids)
     lambda1 = float(a.eigen.lam[0])
     rhs = t * math.sqrt(lambda1 / 2.0) * frobenius_norm(mid_b.entries - mid_c.entries)
     return DistanceBoundReport(lhs=lhs, rhs=rhs, lambda1=lambda1)

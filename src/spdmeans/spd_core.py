@@ -8,12 +8,18 @@ is a hand-written Cholesky, which the barycenter loops use in place of the
 iterate's square root.  Matrices are small and dense
 (desk scale, dims up to a few dozen); no attempt is made to compete with
 LAPACK.
+
+A small solve costs mostly per-round Python and dispatch, so solves are
+batched: ``_lockstep`` drives run steps (generators) together and solves
+what they ask for in one Jacobi stack per dimension and round.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +35,21 @@ OFFDIAG_TARGET = 1e-14
 SPD_ADMISSION = 1e-12
 
 SPECTRAL_FUNCTIONS = ("sqrt", "inv_sqrt", "log", "exp_of_sym", "power", "inverse")
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (a bool is not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real number (a bool is not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+class SolverError(Exception):
+    """Iteration produced a non-SPD intermediate or was asked not to tolerate
+    non-convergence."""
 
 
 class LinearAlgebraError(Exception):
@@ -172,31 +193,6 @@ def _admit(lam: np.ndarray) -> None:
     # written so that a NaN spectrum fails admission too
     if not (lam_max > 0.0 and lam_min > SPD_ADMISSION * lam_max):
         raise NotPositiveDefiniteError(lam_min, lam_max)
-
-
-def spd_spectra_each(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """Eigenvectors (k, d, d) and descending eigenvalues (k, d) of a (k, d, d)
-    stack of symmetric arrays, solved as one stack with the bits of lone
-    solves, and per slice None or the EighConvergenceError or
-    NotPositiveDefiniteError that ``SpdMatrix`` raises on that slice."""
-    q, lam, errors = _jacobi_stack(cs)
-    for j, lam_j in enumerate(lam):
-        if errors[j] is None:
-            try:
-                _admit(lam_j)
-            except NotPositiveDefiniteError as exc:
-                errors[j] = exc
-    return q, lam, errors
-
-
-def spd_spectra(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``spd_spectra_each`` that raises the error of the first failing slice,
-    in input order."""
-    q, lam, errors = spd_spectra_each(cs)
-    for error in errors:
-        if error is not None:
-            raise error
-    return q, lam
 
 
 def identity(dim: int) -> SpdMatrix:
@@ -390,6 +386,90 @@ def _frobenius_norms(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((w * w).reshape(*w.shape[:-2], math.prod(w.shape[-2:])), axis=-1))
 
 
+def _spectra(stack: np.ndarray, admit: bool = True) -> Generator:
+    """Run step: eigenvectors (k, d, d) and descending eigenvalues (k, d) of a
+    (k, d, d) stack of symmetric arrays, solved in one ``_lockstep`` round.
+    The first failing slice in input order raises its EighConvergenceError
+    or, when ``admit``, the NotPositiveDefiniteError of ``SpdMatrix``."""
+    q, lam, errors = yield stack
+    for lam_j, error in zip(lam, errors):
+        if error is not None:
+            raise error
+        if admit:
+            _admit(lam_j)
+    return q, lam
+
+
+def _admitted(arrays) -> Generator:
+    """Run step: ``arrays`` admitted as SpdMatrix objects in one round, with
+    the bits and errors of ``SpdMatrix(a)``: each array is symmetrized and
+    checked as ``SymMatrix`` does before the solve."""
+    sym = np.stack([_symmetrized(a) for a in arrays])
+    q, lam = yield from _spectra(sym)
+    eigens = (EigenDecomposition(q=q_j, lam=lam_j) for q_j, lam_j in zip(q, lam))
+    return tuple(SpdMatrix(a, _eigen=eigen) for a, eigen in zip(sym, eigens))
+
+
+def _lockstep(runs: list[Generator]) -> list:
+    """Drive runs together: generators, built on ``_spectra``, that yield a
+    (k, d, d) stack of symmetric arrays to solve, or a list of child runs,
+    driven with all the others, whose outcomes they are sent in order once
+    every child has ended.  Each round solves the stacks of every live run
+    as one Jacobi stack per dimension, whose slices have the bits of lone
+    solves, and sends each run the eigenvectors, eigenvalues and per-slice
+    convergence errors (q, lam, errors) of its own slices.
+
+    Returns per run, in input order, the value it returned or the
+    SolverError, LinearAlgebraError or ValueError it raised; so is a child's
+    outcome.
+    """
+    outcomes: list = [None] * len(runs)
+    # a join is [outcomes, runs not yet ended, (parent, its join, its slot) or None]
+    root = [outcomes, len(runs), None]
+    ready = [(run, None, root, i) for i, run in enumerate(runs)]
+    while ready:
+        asked: dict[int, list] = {}
+        # forked children and resumed parents are appended to ``ready`` and
+        # so are resumed in this same pass
+        for run, reply, join, slot in ready:
+            try:
+                got = run.send(reply)
+            except StopIteration as stop:
+                outcome = stop.value
+            except (SolverError, LinearAlgebraError, ValueError) as exc:
+                outcome = exc
+            else:
+                if not isinstance(got, list):
+                    asked.setdefault(got.shape[-1], []).append((run, join, slot, got))
+                elif got:
+                    fork = [[None] * len(got), len(got), (run, join, slot)]
+                    ready.extend((child, None, fork, i) for i, child in enumerate(got))
+                else:
+                    ready.append((run, [], join, slot))
+                continue
+            join[0][slot] = outcome
+            join[1] -= 1
+            if join[1] == 0 and join[2] is not None:
+                parent, parent_join, parent_slot = join[2]
+                ready.append((parent, join[0], parent_join, parent_slot))
+        ready = []
+        for asking in asked.values():
+            q, lam, errors = _jacobi_stack(np.concatenate([stack for *_, stack in asking]))
+            start = 0
+            for run, join, slot, stack in asking:
+                end = start + len(stack)
+                ready.append((run, (q[start:end], lam[start:end], errors[start:end]), join, slot))
+                start = end
+    return outcomes
+
+
+def _solved(outcome):
+    """The value of one ``_lockstep`` outcome; its error is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def apply_spectral(a: SymMatrix, f: str, p: float | None = None) -> SymMatrix | SpdMatrix:
     """Apply a scalar function to the spectrum: Q diag(f(lam)) Q^T.
 
@@ -403,7 +483,11 @@ def apply_spectral(a: SymMatrix, f: str, p: float | None = None) -> SymMatrix | 
         raise ValueError(f"unknown spectral function {f!r}")
     if f == "power" and p is None:
         raise ValueError("power requires an exponent")
-    eigen = eigh(a)
+    return _spectral(eigh(a), f, p)
+
+
+def _spectral(eigen: EigenDecomposition, f: str, p: float | None = None) -> SymMatrix | SpdMatrix:
+    """``apply_spectral`` on the decomposition ``eigen`` of a matrix."""
     lam = eigen.lam
     if f != "exp_of_sym" and lam[-1] <= 0.0:
         raise SpectralDomainError(f"{f} undefined on eigenvalue {float(lam[-1])!r}")
@@ -422,6 +506,21 @@ def apply_spectral(a: SymMatrix, f: str, p: float | None = None) -> SymMatrix | 
         if not np.isfinite(vals).all():
             raise SpectralDomainError(f"{f} overflows on spectrum [{lam[-1]:.6e}, {lam[0]:.6e}]")
     return _recompose_spd(eigen.q, vals)
+
+
+def _decompositions(mats) -> Generator:
+    """Run step: ``eigh`` of each matrix in ``mats``, all of one dimension;
+    those without a cached decomposition are solved in one round."""
+    plain = [a.entries for a in mats if not isinstance(a, SpdMatrix)]
+    q, lam = (yield from _spectra(np.stack(plain), admit=False)) if plain else ((), ())
+    solved = (EigenDecomposition(q=q_j, lam=lam_j) for q_j, lam_j in zip(q, lam))
+    return [a.eigen if isinstance(a, SpdMatrix) else next(solved) for a in mats]
+
+
+def _applied(mats, f: str, p: float | None = None) -> Generator:
+    """Run step: ``apply_spectral(a, f, p)`` of each matrix a in ``mats``."""
+    eigens = yield from _decompositions(mats)
+    return [_spectral(eigen, f, p) for eigen in eigens]
 
 
 def _recompose_spd(q: np.ndarray, vals: np.ndarray) -> SpdMatrix:
@@ -487,7 +586,11 @@ def frobenius_norm(a: SymMatrix | np.ndarray) -> float:
 
 def operator_norm(a: SymMatrix) -> float:
     """Spectral radius max_i |lambda_i|."""
-    lam = eigh(a).lam
+    return _radius(eigh(a).lam)
+
+
+def _radius(lam: np.ndarray) -> float:
+    """max_i |lambda_i| of a descending spectrum."""
     return max(abs(float(lam[0])), abs(float(lam[-1])))
 
 
@@ -518,10 +621,21 @@ def loewner_geq(a: SymMatrix, b: SymMatrix, rel_tol: float = 0.0) -> LoewnerComp
     with operator norms, which are formed only when lambda_min(a - b) < 0.
     ``rel_tol`` must be nonnegative.
     """
+    return _solved(_lockstep([_loewner(a, b, rel_tol)])[0])
+
+
+def _loewner(a: SymMatrix, b: SymMatrix, rel_tol: float = 0.0) -> Generator:
+    """Run step of ``loewner_geq``: the witness is solved in one round and,
+    when it is negative, whichever of a and b has no cached decomposition in
+    the next, for its operator norm."""
     if not rel_tol >= 0.0:
         raise ValueError(f"rel_tol must be nonnegative, got {rel_tol!r}")
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    witness = float(eigh(SymMatrix(a.entries - b.entries)).lam[-1])
-    holds = witness >= 0.0 or witness >= -rel_tol * max(1.0, operator_norm(a), operator_norm(b))
+    _, lam = yield from _spectra(SymMatrix(a.entries - b.entries).entries[None], admit=False)
+    witness = float(lam[0, -1])
+    holds = witness >= 0.0
+    if not holds:
+        eigens = yield from _decompositions((a, b))
+        holds = witness >= -rel_tol * max(1.0, *(_radius(eigen.lam) for eigen in eigens))
     return LoewnerComparison(holds=holds, witness=witness)

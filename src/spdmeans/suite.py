@@ -21,11 +21,12 @@ from . import means_geometry as mg
 from .problem_io import derive_seed, dumps_canonical, random_orthogonal, spd_array_from_rng
 from .spd_core import (
     SymMatrix,
+    _applied,
+    _loewner,
     apply_spectral,
     congruence,
     determinant,
     frobenius_norm,
-    loewner_geq,
     operator_norm,
 )
 
@@ -160,16 +161,15 @@ def _check(name: str, passed, witness: dict[str, float]) -> tuple[str, bool, dic
 def _run_metric_axioms(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
     dim = int(rng.integers(spec.dim_range[0], spec.dim_range[1] + 1))
     a, b, c = yield from _draw_spd(rng, spec, dim, 3)
-    d_ab = mg.wasserstein_distance(a, b)
-    d_ba = mg.wasserstein_distance(b, a)
-    d_bc = mg.wasserstein_distance(b, c)
-    d_ac = mg.wasserstein_distance(a, c)
+    # the four distances share a round with the admission of an
+    # independently rebuilt copy of a (fresh eigensolve) for the self distance
+    distances = [mg._wasserstein_distance(x, y) for x, y in ((a, b), (b, a), (b, c), (a, c))]
+    outcomes = yield [*distances, bc._admitted([np.array(a.entries)])]
+    d_ab, d_ba, d_bc, d_ac, (copy,) = map(bc._solved, outcomes)
     checks = [
         _check("metric.symmetry", abs(d_ab - d_ba) <= 1e-10, {"diff": abs(d_ab - d_ba)})
     ]
-    # self distance through an independently rebuilt copy (fresh eigensolve)
-    (copy,) = yield from bc._admitted([np.array(a.entries)])
-    d_self = mg.wasserstein_distance(a, copy)
+    d_self = yield from mg._wasserstein_distance(a, copy)
     indiscernible = True
     if d_ab <= 1e-12:
         indiscernible = frobenius_norm(a.entries - b.entries) <= 1e-8 * frobenius_norm(a.entries)
@@ -187,7 +187,7 @@ def _run_metric_axioms(rng: np.random.Generator, spec: EnsembleSpec) -> Generato
 
 def _run_metric_oracle(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
     a, b = yield from _draw_spd(rng, spec, 2, 2)
-    formula = mg.wasserstein_distance(a, b)
+    formula = yield from mg._wasserstein_distance(a, b)
     oracle = mg.wasserstein_distance_oracle_2x2(a, b)
     diff = abs(formula - oracle)
     return [_check("metric.oracle_2x2", diff <= 1e-6, {"diff": diff, "formula": formula})]
@@ -202,7 +202,7 @@ def _run_metric_perturbation(rng: np.random.Generator, spec: EnsembleSpec) -> Ge
     dim = _capped_draw(rng, *spec.dim_range, 6)
     a, b, c = yield from _draw_spd(rng, spec, dim, 3)
     t = float(rng.uniform(0.0, 1.0))
-    rep = mg.geodesic_perturbation_bound(a, b, c, t)
+    rep = yield from mg._geodesic_perturbation_bound(a, b, c, t)
     return [
         _check(
             "metric.geodesic_perturbation",
@@ -220,26 +220,51 @@ def _run_geomean_pair(rng: np.random.Generator, spec: EnsembleSpec) -> Generator
     dim = int(rng.integers(spec.dim_range[0], spec.dim_range[1] + 1))
     a, b = yield from _draw_spd(rng, spec, dim, 2)
     t = float(rng.uniform(0.05, 0.95))
-    checks = []
+    # the two-point solve shares its rounds with the checks, and its outcome
+    # is taken after theirs, where a check-by-check evaluation reaches it
+    problem = bc.MeanProblem((a, b), bc.WeightVector(np.array([1.0 - t, t])))
+    outcomes = yield [_geomean_checks(rng, a, b, t), bc._transport(problem)]
+    checks, geo = bc._solved(outcomes[0])
+    # two-point closed form: the barycenter solver must land on the geodesic
+    solved = bc._solved(outcomes[1])
+    two_point = _rel_diff(solved.mean.entries, geo.entries)
+    checks.append(
+        _check(
+            "geomean.two_point_solver",
+            solved.converged and two_point <= 1e-8,
+            {"diff": two_point, "iterations": solved.iterations, "t": t},
+        )
+    )
+    return checks
 
-    mid = mg.geometric_mean(a, b)
+
+def _geomean_checks(rng: np.random.Generator, a, b, t: float) -> Generator:
+    """Run step: the geomean checks of the pair but the two-point solve, and
+    the geodesic point at t.  Consecutive solves share a round; their
+    outcomes are taken in check order, so the first failure in that order is
+    raised."""
+    dim = a.dim
+    checks = []
+    means = [mg._geometric_mean(a, b), mg._geometric_mean(a, b, t), mg._geometric_mean(b, a, 1.0 - t)]
+    mid, gm_t, reversed_mean = map(bc._solved, (yield means))
     inv_a, inv_b = apply_spectral(a, "inverse"), apply_spectral(b, "inverse")
     riccati = _rel_diff(mid.entries @ inv_a.entries @ mid.entries, b.entries)
     checks.append(_check("geomean.riccati", riccati <= 1e-10, {"residual": riccati}))
 
-    gm_t = mg.geometric_mean(a, b, t)
-    rev = _rel_diff(gm_t.entries, mg.geometric_mean(b, a, 1.0 - t).entries)
+    rev = _rel_diff(gm_t.entries, reversed_mean.entries)
     checks.append(_check("geomean.reversal", rev <= REL_TOL, {"diff": rev}))
 
     # congruence invariance under a random nonsingular transform
     x = random_orthogonal(rng, dim) * np.exp(rng.uniform(-1.0, 1.0, size=dim))
     xa, xb = yield from bc._admitted([congruence(x, a), congruence(x, b)])
-    cong = _rel_diff(congruence(x, gm_t), mg.geometric_mean(xa, xb, t).entries)
+    moved = congruence(x, gm_t)
+    outcomes = yield [mg._geometric_mean(xa, xb, t), mg._geometric_mean(inv_a, inv_b, t)]
+    transformed, inv_pair = map(bc._solved, outcomes)
+    cong = _rel_diff(moved, transformed.entries)
     checks.append(_check("geomean.congruence", cong <= REL_TOL, {"diff": cong}))
 
     inv_mean = apply_spectral(gm_t, "inverse").entries
-    inv_pair = mg.geometric_mean(inv_a, inv_b, t).entries
-    inv = _rel_diff(inv_mean, inv_pair)
+    inv = _rel_diff(inv_mean, inv_pair.entries)
     checks.append(_check("geomean.inverse", inv <= REL_TOL, {"diff": inv}))
 
     det_lhs = determinant(gm_t)
@@ -251,8 +276,8 @@ def _run_geomean_pair(rng: np.random.Generator, spec: EnsembleSpec) -> Generator
         [(1.0 - t) * a.entries + t * b.entries, (1.0 - t) * inv_a.entries + t * inv_b.entries]
     )
     harm = apply_spectral(inv_mix, "inverse")
-    upper = loewner_geq(arith, gm_t, REL_TOL)
-    lower = loewner_geq(gm_t, harm, REL_TOL)
+    outcomes = yield [_loewner(arith, gm_t, REL_TOL), _loewner(gm_t, harm, REL_TOL)]
+    upper, lower = map(bc._solved, outcomes)
     checks.append(
         _check(
             "geomean.agh_sandwich",
@@ -262,24 +287,13 @@ def _run_geomean_pair(rng: np.random.Generator, spec: EnsembleSpec) -> Generator
     )
 
     s, u = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0))
-    geo = mg.wasserstein_geodesic(a, b, t)
-    left = mg.wasserstein_geodesic(mg.wasserstein_geodesic(a, b, s), geo, u)
-    right = mg.wasserstein_geodesic(a, b, (1.0 - u) * s + u * t)
-    affine = _rel_diff(left.entries, right.entries)
+    ends = (t, s, (1.0 - u) * s + u * t)
+    geo, at_s, right = yield [mg._wasserstein_geodesic(a, b, end) for end in ends]
+    geo, at_s = bc._solved(geo), bc._solved(at_s)
+    left = yield from mg._wasserstein_geodesic(at_s, geo, u)
+    affine = _rel_diff(left.entries, bc._solved(right).entries)
     checks.append(_check("geomean.geodesic_affine", affine <= REL_TOL, {"diff": affine, "s": s, "u": u}))
-
-    # two-point closed form: the barycenter solver must land on the geodesic
-    problem = bc.MeanProblem((a, b), bc.WeightVector(np.array([1.0 - t, t])))
-    solved = yield from bc._transport(problem)
-    two_point = _rel_diff(solved.mean.entries, geo.entries)
-    checks.append(
-        _check(
-            "geomean.two_point_solver",
-            solved.converged and two_point <= 1e-8,
-            {"diff": two_point, "iterations": solved.iterations, "t": t},
-        )
-    )
-    return checks
+    return checks, geo
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +335,10 @@ def _run_bounds_golden(rng: np.random.Generator, spec: EnsembleSpec) -> Generato
 
 def _run_bounds_problem(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
     problem = yield from _draw_problem(rng, spec)
-    result = yield from bc._transport(problem)
+    # the bounds need no mean, so they share the mean's rounds; each outcome
+    # is taken where a check-by-check evaluation reaches it
+    outcome, report = yield [bc._transport(problem), bc._bounds_report(problem)]
+    result = bc._solved(outcome)
     checks = [
         _check(
             "bounds.fixed_point_residual",
@@ -329,11 +346,16 @@ def _run_bounds_problem(rng: np.random.Generator, spec: EnsembleSpec) -> Generat
             {"residual": result.residual, "iterations": result.iterations},
         )
     ]
-    eq_res = bc.equivalent_equation_residual(result.mean, problem)
+
+    def verdicts() -> Generator:
+        return (yield from bc._check_bounds(problem, bc._solved(report), result.mean))
+
+    eq_res, items = yield [bc._equivalent_residual(result.mean, problem), verdicts()]
+    eq_res = bc._solved(eq_res)
     checks.append(
         _check("bounds.equivalent_residual", eq_res <= 1e-10, {"residual": eq_res})
     )
-    for item in bc.check_bounds(problem, bc.bounds_report(problem), result.mean):
+    for item in bc._solved(items):
         checks.append(_check(f"bounds.{item.check_id}", item.holds, {"witness": item.witness}))
     return checks
 
@@ -347,7 +369,8 @@ def _run_det_problem(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
     # equality case: all matrices equal forces equality of the determinants
     first = problem.matrices[0]
     equal_problem = bc.MeanProblem((first,) * problem.n, problem.weights)
-    outcome, equal_outcome = yield [bc._transport(problem), bc._transport(equal_problem)]
+    runs = [bc._transport(problem), bc._transport(equal_problem), bc._arithmetic_mean(problem)]
+    outcome, equal_outcome, arith = yield runs
     result = bc._solved(outcome)
     rep = bc.det_inequality_check(problem, result.mean)
     checks = [
@@ -357,8 +380,7 @@ def _run_det_problem(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
             {"det_mean": rep.det_mean, "det_geo_product": rep.det_geo_product},
         )
     ]
-    arith = bc.arithmetic_mean(problem)
-    log_det_arith = float(np.sum(np.log(arith.eigen.lam)))
+    log_det_arith = float(np.sum(np.log(bc._solved(arith).eigen.lam)))
     margin = log_det_arith - rep.log_det_geo_product
     checks.append(_check("det.logdet_concavity", margin >= -1e-9, {"margin": margin}))
 
@@ -428,15 +450,15 @@ def _random_direction(rng: np.random.Generator, dim: int) -> SymMatrix:
     return SymMatrix(sym.entries * scale)
 
 
-def _draw_curves(
-    rng: np.random.Generator, n: int, dim: int
-) -> tuple[lt.CurveSpec, ...]:
+def _draw_curves(rng: np.random.Generator, n: int, dim: int) -> Generator:
+    """Run step: n drawn curves; the generators of the power curves are
+    exponentiated in one round."""
+    drawn = [(lt.CURVE_KINDS[int(rng.integers(0, 3))], _random_direction(rng, dim)) for _ in range(n)]
+    bases = iter((yield from _applied([d for kind, d in drawn if kind == "power"], "exp_of_sym")))
     curves = []
-    for _ in range(n):
-        kind = lt.CURVE_KINDS[int(rng.integers(0, 3))]
-        direction = _random_direction(rng, dim)
+    for kind, direction in drawn:
         if kind == "power":
-            curves.append(lt.CurveSpec.power(apply_spectral(direction, "exp_of_sym")))
+            curves.append(lt.CurveSpec.power(next(bases)))
         elif kind == "affine":
             curves.append(lt.CurveSpec.affine(direction))
         else:
@@ -457,7 +479,7 @@ def _ratio_window(errors: tuple[float, ...], last: int = 4) -> tuple[bool, float
 def _run_lie_trotter_instance(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
     n = _capped_draw(rng, 2, spec.n_range[1], 4)
     dim = _capped_draw(rng, *spec.dim_range, 6)
-    curves = _draw_curves(rng, n, dim)
+    curves = yield from _draw_curves(rng, n, dim)
     weights = bc.WeightVector(rng.uniform(0.2, 1.0, size=n))
     directions = tuple(c.derivative_at_zero for c in curves)
     runs = [lt._trace(weights, curves, None, negate) for negate in (False, True)]
@@ -511,15 +533,13 @@ def _run_lie_trotter_instance(rng: np.random.Generator, spec: EnsembleSpec) -> G
 
     # all-power specialization: the stored-derivative target must coincide
     # bit for bit with the independently assembled log-Euclidean mean
-    bases = tuple(
-        apply_spectral(_random_direction(rng, dim), "exp_of_sym") for _ in range(n)
-    )
+    bases = yield from _applied([_random_direction(rng, dim) for _ in range(n)], "exp_of_sym")
     power_curves = tuple(lt.CurveSpec.power(b) for b in bases)
     target = lt.lie_trotter_target(weights, power_curves)
     acc = np.zeros((dim, dim))
     for wj, base in zip(weights.values, bases):
         acc = acc + wj * apply_spectral(base, "log").entries
-    independent = apply_spectral(SymMatrix(acc), "exp_of_sym")
+    (independent,) = yield from _applied([SymMatrix(acc)], "exp_of_sym")
     exact = bool(np.array_equal(target.entries, independent.entries))
     gap = float(np.max(np.abs(target.entries - independent.entries)))
     checks.append(_check("lie_trotter.power_target_exact", exact, {"max_abs_diff": gap}))
@@ -597,7 +617,7 @@ def run_suite(spec: EnsembleSpec, families="all") -> SuiteReport:
     Once all have ended, the SolverError or LinearAlgebraError of the first
     failing instance in stream and index order is raised again as a
     SolverError that names the stream, index and instance seed, so
-    ``run_instance`` can reproduce it.
+    ``run_instance`` can reproduce it; a ValueError is raised as it is.
     """
     chosen = expand_families(families)
     instances = [
@@ -609,6 +629,8 @@ def run_suite(spec: EnsembleSpec, families="all") -> SuiteReport:
     outcomes = bc._lockstep([_records(stream, seed, spec, index) for stream, index, seed in instances])
     records: list[CheckRecord] = []
     for (stream, index, seed), outcome in zip(instances, outcomes):
+        if isinstance(outcome, ValueError):
+            raise outcome
         if isinstance(outcome, Exception):
             raise bc.SolverError(
                 f"stream {stream.stream_id} index {index} (instance seed {seed}): {outcome}"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,17 +20,21 @@ from spdmeans import (
     det_inequality_check,
     equivalent_equation_residual,
     frobenius_norm,
+    geodesic_perturbation_bound,
     geometric_mean,
     harmonic_mean,
     identity,
     loewner_geq,
     operator_norm,
     residual,
+    riemannian_distance,
     karcher_mean,
+    wasserstein_distance,
     wasserstein_geodesic,
     wasserstein_mean,
 )
 from spdmeans import barycenter, spd_core
+from spdmeans import means_geometry as mg
 from spdmeans.problem_io import random_orthogonal, spd_from_rng
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -273,52 +278,40 @@ def test_second_congruence_failing_admission_gives_the_loop_message():
 
 
 @pytest.mark.parametrize(
-    "solve, lone_per_iteration",
+    "solve, update_rounds",
     [(wasserstein_mean, 0), (karcher_mean, 1)],
     ids=["wasserstein", "karcher"],
 )
 def test_each_iteration_solves_its_congruences_as_one_stack(
-    monkeypatch, solve, lone_per_iteration
+    monkeypatch, solve, update_rounds
 ):
     # the iterate is carried as a Cholesky factor and the returned mean is
-    # admitted in a round of its own, so the only lone solve is Karcher's exp
-    # of the gradient in each iteration
-    stacks, rounds, lone = [], [], []
-    real_stack, real_spectra, real_lone = (
-        spd_core._jacobi_stack,
-        barycenter.spd_spectra_each,
-        spd_core._jacobi,
-    )
+    # admitted in a round of its own; the Karcher update solves exp(G) in a
+    # round of one, and no solve is a lone one
+    stacks, lone = [], []
+    real_stack, real_lone = spd_core._jacobi_stack, spd_core._jacobi
 
     def counting_stack(arrays):
         stacks.append(len(arrays))
         return real_stack(arrays)
-
-    def counting_spectra(cs):
-        rounds.append(len(cs))
-        return real_spectra(cs)
 
     def counting_lone(matrix):
         lone.append(matrix.shape)
         return real_lone(matrix)
 
     monkeypatch.setattr(spd_core, "_jacobi_stack", counting_stack)
-    monkeypatch.setattr(barycenter, "spd_spectra_each", counting_spectra)
     monkeypatch.setattr(spd_core, "_jacobi", counting_lone)
     p = random_problem(np.random.default_rng(12), n=4, dim=5)
     for max_iter in (1, 2, 5):
         stacks.clear()
-        rounds.clear()
         lone.clear()
         result = solve(p, SolverConfig(rel_tol=1e-300, max_iter=max_iter))
         assert result.iterations == max_iter
-        # one round of n per measured iterate, the start included, then one
-        # round of one that admits the returned mean; every other eigensolve
-        # is a lone solve, and a lone solve is a stack of one
-        assert rounds == [4] * (max_iter + 1) + [1]
-        assert len(lone) == lone_per_iteration * max_iter
-        assert len(stacks) == len(rounds) + len(lone)
-        assert stacks.count(1) == 1 + len(lone)
+        # one round of n per measured iterate, the start included, each but
+        # the last followed by the rounds of its update, then one round of
+        # one that admits the returned mean
+        assert stacks == ([4] + [1] * update_rounds) * max_iter + [4, 1]
+        assert lone == []
 
 
 @pytest.mark.parametrize(
@@ -363,11 +356,14 @@ def test_stacked_congruences_give_the_loop_bits(monkeypatch, solve):
     cfg = SolverConfig(max_iter=40)
     stacked = [solve(p, cfg) for p in problems]
 
-    def lone_spectra(cs):
-        eigens = [SpdMatrix(c).eigen for c in cs]
-        return np.stack([e.q for e in eigens]), np.stack([e.lam for e in eigens]), [None] * len(cs)
+    real_stack = spd_core._jacobi_stack
 
-    monkeypatch.setattr(barycenter, "spd_spectra_each", lone_spectra)
+    def lone_stacks(arrays):
+        solved = [real_stack(a[None]) for a in arrays]
+        q, lam, errors = zip(*solved)
+        return np.concatenate(q), np.concatenate(lam), [e for (e,) in errors]
+
+    monkeypatch.setattr(spd_core, "_jacobi_stack", lone_stacks)
     for p, got in zip(problems, stacked):
         want = solve(p, cfg)
         assert got.iterations == want.iterations
@@ -444,34 +440,46 @@ def test_lockstep_loop_gives_the_sequential_results(solve, method):
     assert batch[1].iterations == 3
 
 
+def _round_sizes(monkeypatch, runs):
+    """Outcomes of one ``_lockstep`` call and the slice count of each stack
+    it solved, in order."""
+    sizes = []
+    real_stack = spd_core._jacobi_stack
+
+    def counting_stack(arrays):
+        sizes.append(len(arrays))
+        return real_stack(arrays)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spd_core, "_jacobi_stack", counting_stack)
+        outcomes = barycenter._lockstep(runs)
+    return outcomes, sizes
+
+
 @LOCKSTEP
 def test_lockstep_solves_all_live_congruences_as_one_stack(monkeypatch, solve, method):
     problems, cfg = _lockstep_batch()
-    rounds = []
-    real_spectra = barycenter.spd_spectra_each
-
-    def counting_spectra(cs):
-        rounds.append(len(cs))
-        return real_spectra(cs)
-
-    monkeypatch.setattr(barycenter, "spd_spectra_each", counting_spectra)
-    batch = barycenter._lockstep([barycenter._fixed_point(p, cfg, method) for p in problems])
-    # a problem measures at iteration k up to the iteration it ends in, and
-    # its returned mean is admitted in the round after its last measurement:
-    # round k stacks the n congruences of every problem that measures at k
-    # and one mean for every problem that returned at k - 1
-    last = [
-        int(str(r).split("iteration ")[1].split(":")[0])
-        if isinstance(r, SolverError)
-        else r.iterations
-        for r in batch
-    ]
-    returned = [r.iterations for r in batch if isinstance(r, barycenter.SolverResult)]
-    want = [
-        sum(p.n for p, end in zip(problems, last) if k <= end) + returned.count(k - 1)
-        for k in range(max(returned) + 2)
-    ]
-    assert rounds == want
+    batch, rounds = _round_sizes(monkeypatch, [barycenter._fixed_point(p, cfg, method) for p in problems])
+    # alone, a problem solves its n congruences per measurement up to the
+    # iteration it ends in, each but the last followed by the Karcher
+    # update's exp(G), and its returned mean in the round after its last
+    # measurement
+    update = [1] if method is barycenter._Karcher else []
+    alone = []
+    for p, outcome in zip(problems, batch):
+        got, sizes = _round_sizes(monkeypatch, [barycenter._fixed_point(p, cfg, method)])
+        _assert_same_outcomes(got, [outcome])
+        if isinstance(outcome, SolverError):
+            last = int(str(outcome).split("iteration ")[1].split(":")[0])
+            measured = ([p.n] + update) * last + [p.n]
+            assert sizes[: len(measured)] == measured
+            assert len(sizes) <= len(measured) + len(update)
+        else:
+            assert sizes == ([p.n] + update) * outcome.iterations + [p.n, 1]
+        alone.append(sizes)
+    # in the batch, round k stacks what every problem solves alone in its
+    # own round k
+    assert rounds == [sum(s[k] for s in alone if k < len(s)) for k in range(max(map(len, alone)))]
 
 
 @LOCKSTEP
@@ -485,13 +493,13 @@ def test_lockstep_batch_of_two_dimensions_gives_the_sequential_results(monkeypat
     mixed = [others[0], *problems[:3], others[1], *problems[3:], others[2]]
     want = [_outcome_of(solve, p, cfg) for p in mixed]
     dims = []
-    real_spectra = barycenter.spd_spectra_each
+    real_stack = spd_core._jacobi_stack
 
-    def one_dimension_spectra(cs):
-        dims.append(cs.shape[-1])
-        return real_spectra(cs)
+    def one_dimension_stack(arrays):
+        dims.append(arrays.shape[-1])
+        return real_stack(arrays)
 
-    monkeypatch.setattr(barycenter, "spd_spectra_each", one_dimension_spectra)
+    monkeypatch.setattr(spd_core, "_jacobi_stack", one_dimension_stack)
     batch = barycenter._lockstep([barycenter._fixed_point(p, cfg, method) for p in mixed])
     _assert_same_outcomes(batch, want)
     assert set(dims) == {3, 4}
@@ -528,12 +536,121 @@ def test_lockstep_forks_child_runs_and_joins_their_outcomes():
     assert empty == []
 
 
+def _bits(value):
+    """A value as nested tuples of bytes and plain values, so two results
+    compare equal exactly when they are bit for bit the same."""
+    if isinstance(value, SpdMatrix):
+        return ("spd", value.entries.tobytes(), value.eigen.q.tobytes(), value.eigen.lam.tobytes())
+    if isinstance(value, spd_core.SymMatrix):
+        return ("sym", value.entries.tobytes())
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_bits, value))
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, *(_bits(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    return value
+
+
+def _assert_same_values(got_outcomes, want_outcomes):
+    assert len(got_outcomes) == len(want_outcomes)
+    for i, (got, want) in enumerate(zip(got_outcomes, want_outcomes)):
+        assert type(got) is type(want), i
+        if isinstance(want, Exception):
+            assert str(got) == str(want), i
+            assert type(got.__cause__) is type(want.__cause__), i
+        else:
+            assert _bits(got) == _bits(want), i
+
+
+def _lone_outcome(call):
+    try:
+        return call()
+    except (SolverError, spd_core.LinearAlgebraError, ValueError) as exc:
+        return exc
+
+
+def _two_matrix_cases():
+    """(run step, the public call it stands for) pairs over dimensions 2-8,
+    with equal inputs to the distance, t in {0, 1}, a pair whose inner
+    congruence fails admission, negative Loewner witnesses on matrices with
+    and without a cached decomposition, and a dimension mismatch."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for dim in range(2, 9):
+        a, b, c = (spd_from_rng(rng, dim, 1e3) for _ in range(3))
+        t = float(rng.uniform(0.05, 0.95))
+        sym_a, sym_b = spd_core.SymMatrix(a.entries), spd_core.SymMatrix(b.entries)
+        p = random_problem(rng, dim=dim)
+        small = MeanProblem(tuple(SpdMatrix(0.25 * m.entries) for m in p.matrices), p.weights)
+        mean = wasserstein_mean(p).mean
+        cases += [
+            (mg._geometric_mean(a, b, t), lambda a=a, b=b, t=t: geometric_mean(a, b, t)),
+            (mg._geometric_mean(a, b), lambda a=a, b=b: geometric_mean(a, b)),
+            (mg._geometric_mean(a, b, 0.0), lambda a=a, b=b: geometric_mean(a, b, 0.0)),
+            (mg._geometric_mean(a, b, 1.0), lambda a=a, b=b: geometric_mean(a, b, 1.0)),
+            (mg._riemannian_distance(a, b), lambda a=a, b=b: riemannian_distance(a, b)),
+            (mg._wasserstein_distance(a, b), lambda a=a, b=b: wasserstein_distance(a, b)),
+            (mg._wasserstein_distance(a, a), lambda a=a: wasserstein_distance(a, a)),
+            (mg._wasserstein_geodesic(a, b, t), lambda a=a, b=b, t=t: wasserstein_geodesic(a, b, t)),
+            (mg._wasserstein_geodesic(a, b, 0.0), lambda a=a, b=b: wasserstein_geodesic(a, b, 0.0)),
+            (mg._wasserstein_geodesic(a, b, 1.0), lambda a=a, b=b: wasserstein_geodesic(a, b, 1.0)),
+            (
+                mg._geodesic_perturbation_bound(a, b, c, t),
+                lambda a=a, b=b, c=c, t=t: geodesic_perturbation_bound(a, b, c, t),
+            ),
+            (spd_core._loewner(a, b, 1e-8), lambda a=a, b=b: loewner_geq(a, b, 1e-8)),
+            (spd_core._loewner(sym_a, sym_b, 1e-8), lambda a=sym_a, b=sym_b: loewner_geq(a, b, 1e-8)),
+            (spd_core._loewner(a, sym_b), lambda a=a, b=sym_b: loewner_geq(a, b)),
+            (barycenter._arithmetic_mean(p), lambda p=p: arithmetic_mean(p)),
+            (barycenter._harmonic_mean(p), lambda p=p: harmonic_mean(p)),
+            (barycenter._bounds_report(p), lambda p=p: bounds_report(p)),
+            (barycenter._bounds_report(small), lambda p=small: bounds_report(p)),
+            (
+                barycenter._check_bounds(p, bounds_report(p), mean),
+                lambda p=p, m=mean: check_bounds(p, bounds_report(p), m),
+            ),
+            (
+                barycenter._check_bounds(small, bounds_report(small), mean),
+                lambda p=small, m=mean: check_bounds(p, bounds_report(p), m),
+            ),
+            (barycenter._equivalent_residual(mean, p), lambda p=p, m=mean: equivalent_equation_residual(m, p)),
+        ]
+    # A^{-1/2} B A^{-1/2} = diag(1e-7, 1e7) is not admitted, and the
+    # mismatched pair is an input error
+    a, b = SpdMatrix(np.diag([1.0, 1e-7])), SpdMatrix(np.diag([1e-7, 1.0]))
+    c = SpdMatrix(np.eye(3))
+    cases += [
+        (mg._geometric_mean(a, b), lambda: geometric_mean(a, b)),
+        (mg._riemannian_distance(a, b), lambda: riemannian_distance(a, b)),
+        (mg._geodesic_perturbation_bound(a, a, b, 0.5), lambda: geodesic_perturbation_bound(a, a, b, 0.5)),
+        (mg._geometric_mean(a, c), lambda: geometric_mean(a, c)),
+    ]
+    return cases
+
+
+def test_two_matrix_run_steps_in_one_batch_give_the_lone_results():
+    cases = _two_matrix_cases()
+    want = [_lone_outcome(call) for _, call in cases]
+    batch = barycenter._lockstep([step for step, _ in cases])
+    _assert_same_values(batch, want)
+    # the batch holds each kind of edge it is meant to
+    assert any(isinstance(w, spd_core.NotPositiveDefiniteError) for w in want)
+    assert any(isinstance(w, ValueError) for w in want)
+    assert any(w == 0.0 for w in want if isinstance(w, float))
+    assert any(w.upper_inverse is None for w in want if isinstance(w, barycenter.BoundsReport))
+    assert any(w.upper_inverse is not None for w in want if isinstance(w, barycenter.BoundsReport))
+    witnesses = [w.witness for w in want if isinstance(w, spd_core.LoewnerComparison)]
+    assert min(witnesses) < 0.0
+
+
 def _symmetric_factor_residual(x, p):
     """The transport residual with X^{1/2} itself as the factor, formed by an
     eigensolve of x, where the solver uses the Cholesky factor of X."""
     sqrt_x = apply_spectral(x, "sqrt").entries
     cs = np.stack([spd_core.congruence(sqrt_x, a) for a in p.matrices])
-    s = p.weights.combine(barycenter._sqrt_stack(spd_core.spd_spectra(cs)[0], cs))
+    q, _ = barycenter._solved(barycenter._lockstep([spd_core._spectra(cs)])[0])
+    s = p.weights.combine(barycenter._sqrt_stack(q, cs))
     return frobenius_norm(x.entries - s) / frobenius_norm(x.entries)
 
 
@@ -748,15 +865,14 @@ def test_check_bounds_skips_lower_bound_norm(example_problem, monkeypatch):
 
     rep = bounds_report(example_problem)
     mean = wasserstein_mean(example_problem).mean
-    real_jacobi = core._jacobi
+    real_stack = core._jacobi_stack
     lower_solves = []
 
-    def counted(matrix):
-        if np.array_equal(matrix, rep.lower_lie_trotter.entries):
-            lower_solves.append(1)
-        return real_jacobi(matrix)
+    def counted(arrays):
+        lower_solves.extend(1 for a in arrays if np.array_equal(a, rep.lower_lie_trotter.entries))
+        return real_stack(arrays)
 
-    monkeypatch.setattr(core, "_jacobi", counted)
+    monkeypatch.setattr(core, "_jacobi_stack", counted)
     by_id = {c.check_id: c for c in check_bounds(example_problem, rep, mean)}
     assert by_id["lie_trotter_lower"].witness >= 0.0
     assert by_id["harmonic_above_lower"].witness >= 0.0

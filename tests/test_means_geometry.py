@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdmeans import (
+    CurveSpec,
     SpdMatrix,
     SymMatrix,
+    WeightVector,
     apply_spectral,
     congruence,
     determinant,
+    evaluate_curve,
     frobenius_norm,
     geodesic_perturbation_bound,
     geometric_mean,
     identity,
+    lie_trotter_value,
     loewner_geq,
     riemannian_distance,
     wasserstein_distance,
@@ -22,7 +26,7 @@ from spdmeans import (
     wasserstein_geodesic,
 )
 from spdmeans.problem_io import random_orthogonal, random_spd, spd_from_rng
-from spdmeans.spd_core import NumericalBreakdownError
+from spdmeans.spd_core import NotPositiveDefiniteError, NumericalBreakdownError
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -104,6 +108,37 @@ def test_geometric_mean_rejects_bad_input():
         geometric_mean(identity(2), identity(3))
     with pytest.raises(ValueError):
         geometric_mean(identity(2), identity(2), 1.2)
+
+
+PAIR = (SpdMatrix(np.diag([2.0, 3.0])), SpdMatrix(np.diag([1.0, 5.0])))
+CURVE = CurveSpec.exp_line(SymMatrix(np.diag([0.1, -0.1])))
+PARAMETER_CALLS = {
+    "geometric_mean": lambda x: geometric_mean(*PAIR, x),
+    "wasserstein_geodesic": lambda x: wasserstein_geodesic(*PAIR, x),
+    "geodesic_perturbation_bound": lambda x: geodesic_perturbation_bound(*PAIR, PAIR[0], x),
+    "evaluate_curve": lambda x: evaluate_curve(CURVE, x),
+    "lie_trotter_value": lambda x: lie_trotter_value(WeightVector.uniform(1), (CURVE,), x),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", True, False, np.True_, None], ids=repr)
+@pytest.mark.parametrize("name", PARAMETER_CALLS)
+def test_parameters_must_be_real_numbers(name, value):
+    # a string or a bool is rejected, as it is by every other numeric
+    # parameter of the package, not read through float()
+    with pytest.raises(ValueError, match="must be a real number"):
+        PARAMETER_CALLS[name](value)
+
+
+@pytest.mark.parametrize("name", PARAMETER_CALLS)
+def test_numpy_and_integer_parameters_are_real_numbers(name):
+    call = PARAMETER_CALLS[name]
+    for value, same in ((np.float64(0.25), 0.25), (1, 1.0), (np.int64(1), 1.0)):
+        got, want = call(value), call(same)
+        if isinstance(want, SymMatrix):
+            assert got.entries.tobytes() == want.entries.tobytes()
+        else:
+            assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +247,22 @@ def test_geodesic_affine_property(seed, s, t, u):
 
 # ---------------------------------------------------------------------------
 # perturbation bound
+
+
+def test_perturbation_bound_raises_the_first_failing_term():
+    # the geodesics, their distance and the two means share their rounds,
+    # yet the error raised is that of the first term that fails, in the
+    # formula's order: here both the geodesic A <>_t A and the mean
+    # A^{-1} # A fail admission, with different spectra
+    a, b = SpdMatrix(np.diag([1.0, 1e-7])), SpdMatrix(np.diag([1e-7, 1.0]))
+    with pytest.raises(NotPositiveDefiniteError) as geodesic:
+        wasserstein_geodesic(a, a, 0.5)
+    with pytest.raises(NotPositiveDefiniteError) as mean:
+        geometric_mean(apply_spectral(a, "inverse"), a)
+    assert str(geodesic.value) != str(mean.value)
+    with pytest.raises(NotPositiveDefiniteError) as raised:
+        geodesic_perturbation_bound(a, a, b, 0.5)
+    assert str(raised.value) == str(geodesic.value)
 
 
 def test_perturbation_bound_degenerate_cases():

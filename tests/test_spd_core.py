@@ -26,7 +26,7 @@ from spdmeans import (
 )
 from spdmeans import spd_core
 from spdmeans.problem_io import random_orthogonal, random_spd, spd_from_rng
-from spdmeans.spd_core import EighConvergenceError, LinearAlgebraError, spd_spectra
+from spdmeans.spd_core import EighConvergenceError, LinearAlgebraError
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=10)
@@ -313,7 +313,14 @@ def test_frobenius_norm_does_not_depend_on_memory_order():
 
 
 # An SPD stack is a (k, d, d) stack of symmetric arrays admitted slice by
-# slice by spd_spectra, as the fixed-point loops admit their congruences.
+# slice in one lockstep round, as the fixed-point loops admit their
+# congruences.
+
+
+def spd_spectra(cs):
+    """Admitted spectra of the stack cs: the run step ``_spectra`` driven as
+    a batch of one."""
+    return spd_core._solved(spd_core._lockstep([spd_core._spectra(cs)])[0])
 
 
 def test_spd_stack_equals_lone_constructions():

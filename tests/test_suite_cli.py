@@ -172,33 +172,34 @@ def test_bounds_instance_computes_one_report(monkeypatch):
     import spdmeans.barycenter as bc
 
     calls = []
-    original = bc.bounds_report
+    original = bc._bounds_report
 
     def counted(problem):
         calls.append(problem)
         return original(problem)
 
-    monkeypatch.setattr(bc, "bounds_report", counted)
+    monkeypatch.setattr(bc, "_bounds_report", counted)
     run_instance("bounds.problem", 12345, EnsembleSpec())
     assert len(calls) == 1
 
 
 def test_invariance_instance_solves_its_seven_means_in_one_stack(monkeypatch):
     import spdmeans.barycenter as bc
+    import spdmeans.spd_core as core
 
     calls, stacks = [], []
-    original, real_spectra = bc._lockstep, bc.spd_spectra_each
+    original, real_stack = bc._lockstep, core._jacobi_stack
 
     def counted(runs):
         calls.append(len(runs))
         return original(runs)
 
-    def recorded(cs):
-        stacks.append(len(cs))
-        return real_spectra(cs)
+    def recorded(arrays):
+        stacks.append(len(arrays))
+        return real_stack(arrays)
 
     monkeypatch.setattr(bc, "_lockstep", counted)
-    monkeypatch.setattr(bc, "spd_spectra_each", recorded)
+    monkeypatch.setattr(core, "_jacobi_stack", recorded)
     run_instance("invariance.problem", 12345, EnsembleSpec())
     # the instance is one run: one round admits its n drawn matrices, the
     # next the 3n scaled and rotated ones, and its seven means share the
@@ -206,6 +207,43 @@ def test_invariance_instance_solves_its_seven_means_in_one_stack(monkeypatch):
     n = int(np.random.default_rng(12345).integers(2, 6))
     assert calls == [1]
     assert stacks[:3] == [n, 3 * n, 8 * n]
+
+
+TWO_MATRIX_STREAMS = (
+    "metric.axioms",
+    "metric.oracle",
+    "metric.perturbation",
+    "geomean.pair",
+    "bounds.golden",
+    "bounds.problem",
+    "det.problem",
+)
+
+
+@pytest.mark.parametrize("stream_id", TWO_MATRIX_STREAMS)
+def test_two_matrix_streams_make_no_lone_eigensolve(monkeypatch, stream_id):
+    # a lone solve is a stack of one made by ``_jacobi`` outside the
+    # rounds of ``_lockstep``; these streams admit, solve and compare only
+    # through run steps, so every stack they solve is one of those rounds
+    import spdmeans.spd_core as core
+
+    lone, rounds = [], []
+    real_lone, real_stack = core._jacobi, core._jacobi_stack
+
+    def counted_lone(matrix):
+        lone.append(matrix.shape)
+        return real_lone(matrix)
+
+    def counted_stack(arrays):
+        rounds.append(len(arrays))
+        return real_stack(arrays)
+
+    monkeypatch.setattr(core, "_jacobi", counted_lone)
+    monkeypatch.setattr(core, "_jacobi_stack", counted_stack)
+    for seed in (1, 2, 3):
+        run_instance(stream_id, derive_seed(seed, stream_id, 0), EnsembleSpec())
+    assert rounds
+    assert lone == []
 
 
 def _every_instance(spec):
