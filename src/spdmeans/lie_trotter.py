@@ -4,7 +4,8 @@ For differentiable SPD-valued curves through the identity, the barycenter of
 the curve points raised to the power 1/s converges, as s -> 0, to
 exp(sum_j w_j gamma_j'(0)).  This module evaluates that limit numerically
 over dyadic schedules and checks the first-order derivative of the barycenter
-map at the identity tuple by finite differences.
+map at the identity tuple by finite differences.  Each is one run of
+``_lockstep``: the curve points and target of a whole schedule share a round.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ from .barycenter import (
     SolverConfig,
     SolverError,
     WeightVector,
-    _admitted,
     _is_integer,
     _is_real,
-    _lockstep,
-    _solved,
     _transport,
 )
 from .spd_core import (
@@ -33,6 +31,12 @@ from .spd_core import (
     SpdMatrix,
     SpectralDomainError,
     SymMatrix,
+    _admitted,
+    _applied,
+    _decompositions,
+    _lockstep,
+    _radius,
+    _solved,
     apply_spectral,
     frobenius_norm,
     identity,
@@ -105,21 +109,25 @@ def _parameter(s) -> float:
     return s
 
 
-def evaluate_curve(c: CurveSpec, s: float) -> SpdMatrix:
-    """gamma(s); exact identity at s = 0 for every kind.  An s that is not a
-    finite real number raises ValueError."""
+def _curve_point(c: CurveSpec, s) -> Generator:
+    """Run step of ``evaluate_curve``: affine and exp_line points are solved
+    in one round; a power point (of an SPD generator) solves nothing."""
     s = _parameter(s)
     if s == 0.0:
         return identity(c.dim)
     if c.kind == "power":
-        return apply_spectral(c.generator, "power", s)
+        return (yield from _applied([c.generator], "power", s))[0]
     if c.kind == "affine":
         if not c.admissible(s):
-            raise ValueError(
-                f"s={s!r} outside the admissible interval of the affine curve"
-            )
-        return SpdMatrix(np.eye(c.dim) + s * c.generator.entries)
-    return apply_spectral(SymMatrix(s * c.generator.entries), "exp_of_sym")
+            raise ValueError(f"s={s!r} outside the admissible interval of the affine curve")
+        return (yield from _admitted([np.eye(c.dim) + s * c.generator.entries]))[0]
+    return (yield from _applied([SymMatrix(s * c.generator.entries)], "exp_of_sym"))[0]
+
+
+def evaluate_curve(c: CurveSpec, s: float) -> SpdMatrix:
+    """gamma(s); exact identity at s = 0 for every kind.  An s that is not a
+    finite real number raises ValueError."""
+    return _solved(_lockstep([_curve_point(c, s)])[0])
 
 
 def _check_matched(w: WeightVector, items, noun: str) -> tuple:
@@ -145,8 +153,10 @@ def _converged_mean(w: WeightVector, points: tuple[SpdMatrix, ...], at: str) -> 
 
 def _powered_mean(w: WeightVector, curves: tuple[CurveSpec, ...], s: float) -> Generator:
     """Run step: the converged barycenter of the curve points at s,
-    raised to the power 1/s."""
-    mean = yield from _converged_mean(w, tuple(evaluate_curve(c, s) for c in curves), f"s={s!r}")
+    raised to the power 1/s.  The points are solved in one round, and the
+    first failing curve in curve order raises."""
+    points = tuple(map(_solved, (yield [_curve_point(c, s) for c in curves])))
+    mean = yield from _converged_mean(w, points, f"s={s!r}")
     return apply_spectral(mean, "power", 1.0 / s)
 
 
@@ -165,9 +175,13 @@ def lie_trotter_target(
     w: WeightVector, curves: tuple[CurveSpec, ...] | list[CurveSpec]
 ) -> SpdMatrix:
     """exp(sum_j w_j gamma_j'(0)), from the derivatives stored on the curves."""
-    curves = _check_matched(w, curves, "curves")
+    return _solved(_lockstep([_target(w, _check_matched(w, curves, "curves"))])[0])
+
+
+def _target(w: WeightVector, curves: tuple[CurveSpec, ...]) -> Generator:
+    """Run step of ``lie_trotter_target`` on matched curves."""
     acc = w.combine(c.derivative_at_zero.entries for c in curves)
-    return apply_spectral(SymMatrix(acc), "exp_of_sym")
+    return (yield from _applied([SymMatrix(acc)], "exp_of_sym"))[0]
 
 
 def dyadic_schedule(depth: int) -> tuple[float, ...]:
@@ -224,8 +238,9 @@ def _trace(w: WeightVector, curves, s_schedule, negate) -> Generator:
         raise ValueError(f"schedule must be strictly descending, got {schedule}")
     if not isinstance(negate, (bool, np.bool_)):
         raise ValueError(f"negate must be a bool, got {negate!r}")
-    target = lie_trotter_target(w, curves)
-    outcomes = yield [_powered_mean(w, curves, -s if negate else s) for s in schedule]
+    runs = [_powered_mean(w, curves, -s if negate else s) for s in schedule]
+    target, *outcomes = yield [_target(w, curves), *runs]
+    target = _solved(target)
     s_ok: list[float] = []
     errors: list[float] = []
     failed: list[float] = []
@@ -274,7 +289,7 @@ def _derivative(w: WeightVector, directions, t_schedule) -> Generator:
     """Run step of ``derivative_at_identity_check``."""
     directions = _check_matched(w, directions, "directions")
     schedule = _schedule(t_schedule)
-    radius = max(operator_norm(d) for d in directions)
+    radius = max(_radius(eigen.lam) for eigen in (yield from _decompositions(directions)))
     if radius > 0.0 and max(schedule) * radius >= 1.0:
         raise ValueError("largest step leaves the SPD cone for these directions")
     target = w.combine(d.entries for d in directions)

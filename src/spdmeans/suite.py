@@ -22,12 +22,13 @@ from .problem_io import derive_seed, dumps_canonical, random_orthogonal, spd_arr
 from .spd_core import (
     SymMatrix,
     _applied,
+    _decompositions,
     _loewner,
+    _radius,
     apply_spectral,
     congruence,
     determinant,
     frobenius_norm,
-    operator_norm,
 )
 
 FAMILIES = ("metric", "geomean", "bounds", "det", "invariance", "lie-trotter")
@@ -443,27 +444,29 @@ def _run_invariance_problem(rng: np.random.Generator, spec: EnsembleSpec) -> Gen
 # lie-trotter family
 
 
-def _random_direction(rng: np.random.Generator, dim: int) -> SymMatrix:
-    sym = SymMatrix(rng.normal(size=(dim, dim)))
-    radius = operator_norm(sym)
-    scale = float(rng.uniform(0.25, 0.6)) / max(radius, 1e-12)
-    return SymMatrix(sym.entries * scale)
+def _direction_draw(rng: np.random.Generator, dim: int) -> tuple[SymMatrix, float]:
+    """A normal symmetric draw and the operator norm it is to be scaled to."""
+    return SymMatrix(rng.normal(size=(dim, dim))), float(rng.uniform(0.25, 0.6))
+
+
+def _directions(draws) -> Generator:
+    """Run step: each ``_direction_draw`` scaled to its norm; the norms of
+    the draws are solved in one round."""
+    eigens = yield from _decompositions([sym for sym, _ in draws])
+    scales = (norm / max(_radius(eigen.lam), 1e-12) for (_, norm), eigen in zip(draws, eigens))
+    return [SymMatrix(sym.entries * scale) for (sym, _), scale in zip(draws, scales)]
 
 
 def _draw_curves(rng: np.random.Generator, n: int, dim: int) -> Generator:
-    """Run step: n drawn curves; the generators of the power curves are
-    exponentiated in one round."""
-    drawn = [(lt.CURVE_KINDS[int(rng.integers(0, 3))], _random_direction(rng, dim)) for _ in range(n)]
-    bases = iter((yield from _applied([d for kind, d in drawn if kind == "power"], "exp_of_sym")))
-    curves = []
-    for kind, direction in drawn:
-        if kind == "power":
-            curves.append(lt.CurveSpec.power(next(bases)))
-        elif kind == "affine":
-            curves.append(lt.CurveSpec.affine(direction))
-        else:
-            curves.append(lt.CurveSpec.exp_line(direction))
-    return tuple(curves)
+    """Run step: n curves, each made by the CurveSpec constructor named by its
+    drawn kind; a power curve's base is the exponential of its direction."""
+    drawn = [(lt.CURVE_KINDS[int(rng.integers(0, 3))], _direction_draw(rng, dim)) for _ in range(n)]
+    kinds = [kind for kind, _ in drawn]
+    directions = yield from _directions([draw for _, draw in drawn])
+    bases = iter((yield from _applied([d for k, d in zip(kinds, directions) if k == "power"], "exp_of_sym")))
+    return tuple(
+        getattr(lt.CurveSpec, k)(next(bases) if k == "power" else d) for k, d in zip(kinds, directions)
+    )
 
 
 def _ratio_window(errors: tuple[float, ...], last: int = 4) -> tuple[bool, float, float]:
@@ -533,13 +536,14 @@ def _run_lie_trotter_instance(rng: np.random.Generator, spec: EnsembleSpec) -> G
 
     # all-power specialization: the stored-derivative target must coincide
     # bit for bit with the independently assembled log-Euclidean mean
-    bases = yield from _applied([_random_direction(rng, dim) for _ in range(n)], "exp_of_sym")
+    directions = yield from _directions([_direction_draw(rng, dim) for _ in range(n)])
+    bases = yield from _applied(directions, "exp_of_sym")
     power_curves = tuple(lt.CurveSpec.power(b) for b in bases)
-    target = lt.lie_trotter_target(weights, power_curves)
     acc = np.zeros((dim, dim))
     for wj, base in zip(weights.values, bases):
         acc = acc + wj * apply_spectral(base, "log").entries
-    (independent,) = yield from _applied([SymMatrix(acc)], "exp_of_sym")
+    outcomes = yield [lt._target(weights, power_curves), _applied([SymMatrix(acc)], "exp_of_sym")]
+    target, (independent,) = map(bc._solved, outcomes)
     exact = bool(np.array_equal(target.entries, independent.entries))
     gap = float(np.max(np.abs(target.entries - independent.entries)))
     checks.append(_check("lie_trotter.power_target_exact", exact, {"max_abs_diff": gap}))

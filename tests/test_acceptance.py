@@ -40,7 +40,8 @@ from spdmeans import (
 )
 from spdmeans.cli import EXIT_OK, main
 from spdmeans.problem_io import derive_seed, random_orthogonal, spd_from_rng
-from spdmeans.suite import _random_direction
+from spdmeans.spd_core import _lockstep, _solved
+from spdmeans.suite import _direction_draw, _directions
 
 SEED = 42
 ENSEMBLE_COUNT = 200
@@ -241,7 +242,7 @@ def test_criterion_8_lie_trotter_limit():
             curves = []
             for _ in range(n):
                 kind = ("power", "affine", "exp_line")[int(rng.integers(0, 3))]
-                direction = _random_direction(rng, dim)
+                (direction,) = _solved(_lockstep([_directions([_direction_draw(rng, dim)])])[0])
                 if kind == "power":
                     curves.append(CurveSpec.power(apply_spectral(direction, "exp_of_sym")))
                 elif kind == "affine":

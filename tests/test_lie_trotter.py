@@ -113,6 +113,63 @@ def test_exp_line_curve():
     np.testing.assert_allclose(point.entries, np.diag([math.e**0.5, math.e**-0.5]), rtol=1e-14)
 
 
+def _outcome(compute):
+    try:
+        return compute()
+    except Exception as exc:
+        return exc
+
+
+def test_curve_point_batch_gives_the_lone_results():
+    # one lockstep batch of curve points over dimensions 2-6, all kinds and
+    # s in {0, +-2^-k}, against the point formed and solved on its own; the
+    # errors of the batch keep their type and message
+    from spdmeans import lie_trotter as module
+    from spdmeans.spd_core import SpectralDomainError, _lockstep
+
+    rng = np.random.default_rng(17)
+    cases = []
+    for dim in range(2, 7):
+        generator = bounded_sym(rng, dim, 0.5)
+        curves = (
+            CurveSpec.power(apply_spectral(generator, "exp_of_sym")),
+            CurveSpec.affine(generator),
+            CurveSpec.exp_line(generator),
+        )
+        for curve in curves:
+            for s in (0.0, 0.5, -0.5, 0.125, -2.0**-10):
+                if s == 0.0:
+                    expected = identity(dim)
+                elif curve.kind == "power":
+                    expected = apply_spectral(curve.generator, "power", s)
+                elif curve.kind == "affine":
+                    expected = SpdMatrix(np.eye(dim) + s * generator.entries)
+                else:
+                    expected = apply_spectral(SymMatrix(s * generator.entries), "exp_of_sym")
+                cases.append((curve, s, expected))
+    wide = CurveSpec.affine(SymMatrix(np.diag([3.0, -1.0, 0.5])))
+    steep = SymMatrix(np.diag([2000.0, 1.0, -1.0]))
+    failures = [
+        (wide, True, ValueError("s must be a real number, got True")),
+        (wide, math.nan, ValueError("s must be finite, got nan")),
+        (wide, -math.inf, ValueError("s must be finite, got -inf")),
+        (wide, 0.5, ValueError("s=0.5 outside the admissible interval of the affine curve")),
+        (CurveSpec.exp_line(steep), 0.5, _outcome(lambda: apply_spectral(SymMatrix(0.5 * steep.entries), "exp_of_sym"))),
+    ]
+    assert isinstance(failures[-1][2], SpectralDomainError)
+    cases[3:3] = failures[:3]
+    cases += failures[3:]
+    outcomes = _lockstep([module._curve_point(curve, s) for curve, s, _ in cases])
+    for (curve, s, expected), got in zip(cases, outcomes):
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected) and str(got) == str(expected), (curve.kind, s)
+            continue
+        assert type(got) is SpdMatrix, (curve.kind, s)
+        np.testing.assert_array_equal(got.entries, expected.entries)
+        np.testing.assert_array_equal(got.eigen.q, expected.eigen.q)
+        np.testing.assert_array_equal(got.eigen.lam, expected.eigen.lam)
+
+
 def test_curve_spec_rejects_unknown_kind():
     with pytest.raises(ValueError):
         CurveSpec(kind="spline", generator=SymMatrix(np.eye(2)), derivative_at_zero=SymMatrix(np.eye(2)))
@@ -287,6 +344,53 @@ def test_trace_records_solver_failures(mixed_instance, monkeypatch):
         assert forked == [-s if negate else s for s in dyadic_schedule(4)]
 
 
+def test_trace_records_the_first_failing_curve(monkeypatch):
+    # at s = 1 the exp_line point overflows (at s = -1 it is not admitted)
+    # and the affine point is not admissible; the first curve's failure is
+    # the one recorded, while the affine curve's ValueError would be raised
+    # out of the trace
+    w = WeightVector(np.array([0.02, 0.98]))
+    curves = (
+        CurveSpec.exp_line(SymMatrix(np.diag([720.0, 0.0]))),
+        CurveSpec.affine(SymMatrix(np.diag([1.5, 0.0]))),
+    )
+    for negate in (False, True):
+        trace = convergence_trace(w, curves, (1.0, 2.0**-10), negate=negate)
+        assert trace.failed_s == (1.0,)
+        assert trace.s_values == (2.0**-10,)
+    with pytest.raises(ValueError, match="outside the admissible interval"):
+        convergence_trace(WeightVector(w.values[::-1]), curves[::-1], (1.0, 2.0**-10))
+
+
+def test_trace_solves_no_curve_point_alone(mixed_instance, monkeypatch):
+    # with the affine generator norm cached, a trace makes no lone solve: its
+    # first stacked round holds the target and the affine and exp_line
+    # points at every s (a power point of an SPD generator solves nothing)
+    from spdmeans import spd_core
+
+    w, curves = mixed_instance
+    assert [c.kind for c in curves] == ["power", "affine", "exp_line"]
+    assert curves[1].admissible(0.5)
+    stacks, lone = [], []
+    real_stack, real_lone = spd_core._jacobi_stack, spd_core._jacobi
+
+    def counting_stack(arrays):
+        stacks.append(len(arrays))
+        return real_stack(arrays)
+
+    def counting_lone(matrix):
+        lone.append(matrix)
+        return real_lone(matrix)
+
+    monkeypatch.setattr(spd_core, "_jacobi_stack", counting_stack)
+    monkeypatch.setattr(spd_core, "_jacobi", counting_lone)
+    steps = 5
+    trace = convergence_trace(w, curves, dyadic_schedule(steps))
+    assert not lone
+    assert stacks[0] == 1 + 2 * steps
+    assert len(trace.errors) == steps
+
+
 def test_dyadic_schedule():
     assert dyadic_schedule(3) == (0.5, 0.25, 0.125)
     assert dyadic_schedule(1074)[-1] > 0.0
@@ -352,8 +456,8 @@ def test_derivative_rejects_inadmissible_steps():
 
 def test_derivative_check_admits_and_solves_in_one_lockstep_call(monkeypatch):
     # the check is one run of one lockstep call; its first stacked round
-    # holds all 2 T n points, and the only lone solves are the operator norms
-    # that bound the steps, before that round
+    # holds the n direction spectra that bound the steps, the next all
+    # 2 T n points, and nothing is solved alone
     from spdmeans import lie_trotter as module
     from spdmeans import spd_core
 
@@ -380,9 +484,8 @@ def test_derivative_check_admits_and_solves_in_one_lockstep_call(monkeypatch):
     directions = tuple(bounded_sym(rng, 4, 0.5) for _ in range(n))
     derivative_at_identity_check(WeightVector.uniform(n), directions, dyadic_schedule(steps))
     assert calls == [1]
-    # a lone solve is a stack of one
-    assert solves[: 2 * n + 1] == ["lone", 1] * n + [2 * steps * n]
-    assert "lone" not in solves[2 * n :]
+    assert solves[:2] == [n, 2 * steps * n]
+    assert "lone" not in solves
 
 
 def test_derivative_raises_the_failure_of_the_earliest_step(monkeypatch):
