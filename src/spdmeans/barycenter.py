@@ -226,8 +226,8 @@ def residual(x: SpdMatrix, p: MeanProblem) -> float:
     """Relative Frobenius residual of X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2} at x.
 
     Evaluated as ``wasserstein_mean`` evaluates its certificate (on x and p
-    scaled by 4^-t, with the Cholesky factor of x), so at a returned mean it
-    is that result's ``residual`` bit for bit.
+    scaled by 4^-t, the Cholesky factor of x, a cold eigensolve), so at a
+    returned mean it is that result's ``residual`` bit for bit.
     """
     if x.dim != p.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {p.dim}")
@@ -295,6 +295,22 @@ class _Karcher:
         return _congruences(l, exp.entries)
 
 
+def _measured(method: type, l, cs: np.ndarray, weights: WeightVector, q_prev=None) -> Generator:
+    """Run step: ``method.measure`` at L from the spectra of the congruences
+    C_j, solved cold, or warm as Q^T C_j Q from the eigenvectors Q = q_prev of
+    the measurement before.  Returns r, aux and the eigenvectors, made
+    orthogonal by a Newton-Schulz step and holding no round's output alive."""
+    if q_prev is None:
+        q, lam = yield from _spectra(cs)
+    else:
+        m = q_prev.swapaxes(-1, -2) @ cs @ q_prev  # cannot overflow: Q is orthogonal
+        m = (m + m.swapaxes(-1, -2)) / 2.0  # the product is not kept through the round
+        q, lam = yield from _spectra(m)
+        q = q_prev @ q
+    r, aux = method.measure(l, cs, q, lam, weights)
+    return r, aux, (3.0 * q - q @ (q.swapaxes(-1, -2) @ q)) / 2.0
+
+
 def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Generator:
     """The loop of both means (``method`` is ``_Transport`` or ``_Karcher``)
     as a generator, on the problem scaled by the power of four 4^-t that
@@ -304,12 +320,16 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
     roots scale by 2^-t), so only a run whose unscaled iterates would overflow
     or underflow gets other bits.  Each iterate X is carried as its Cholesky
     factor L (X = L L^T) and L^{-1}, never diagonalized.  Each measurement
-    yields its (n, d, d) congruence stack (``_spectra``) and is sent back
-    its admitted spectra (q, lam); an update that solves yields its stack
-    too.  Converged only when r <= rel_tol; after max_iter updates the last
-    iterate is returned unconverged.  The mean is scaled back and admitted
-    in the next round.  A non-positive pivot of L or a failed SPD admission
-    raises SolverError.
+    yields an (n, d, d) stack and is sent back its admitted spectra; an
+    update that solves yields its stack too.  The certificate is a cold
+    solve.  A measurement that may be the last is cold: the first two (no
+    rate is known before the third), the one after max_iter updates, and
+    one that the rate of the two before puts at r <= rel_tol.  The others
+    start warm (``_measured``), and a warm r <= rel_tol is solved again cold
+    in the round that admits the mean, scaled back.  Converged only when
+    that r <= rel_tol; after max_iter updates the last iterate is returned
+    unconverged.  A non-positive pivot of L or a failed SPD admission raises
+    SolverError.
     """
     cfg = cfg or SolverConfig()
     t, mats = _scaled(p)
@@ -323,12 +343,16 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
         l, l_inv = cholesky(x)
         for k in range(cfg.max_iter + 1):
             cs = method.congruences(l, l_inv, mats)
-            # the spectra are not kept past the measurement, so a round's
-            # stacks are freed once every run has measured
-            r, aux = method.measure(l, cs, *(yield from _spectra(cs)), p.weights)
+            cold = k < 2 or k == cfg.max_iter or history[-1] ** 2 <= cfg.rel_tol * history[-2]
+            r, aux, q = yield from _measured(method, l, cs, p.weights, None if cold else q)
+            if r <= cfg.rel_tol or k == cfg.max_iter:
+                recheck = [] if cold else [_measured(method, l, cs, p.weights)]
+                *recheck, mean = yield [*recheck, _admitted([np.ldexp(x, 2 * t)])]
+                for outcome in recheck:
+                    r, aux, q = _solved(outcome)
             history.append(r)
             if r <= cfg.rel_tol or k == cfg.max_iter:
-                (mean,) = yield from _admitted([np.ldexp(x, 2 * t)])
+                (mean,) = _solved(mean)
                 return SolverResult(mean, k, r, r <= cfg.rel_tol, tuple(history))
             x = yield from method.step(l, l_inv, aux)
             l, l_inv = cholesky(x)

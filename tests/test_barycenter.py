@@ -462,8 +462,10 @@ def test_lockstep_solves_all_live_congruences_as_one_stack(monkeypatch, solve, m
     batch, rounds = _round_sizes(monkeypatch, [barycenter._fixed_point(p, cfg, method) for p in problems])
     # alone, a problem solves its n congruences per measurement up to the
     # iteration it ends in, each but the last followed by the Karcher
-    # update's exp(G), and its returned mean in the round after its last
-    # measurement
+    # update's exp(G).  The round after its last measurement admits the
+    # returned mean: alone when that measurement was cold (one of the first
+    # two, the one at max_iter, or one the rate of the two before put at
+    # rel_tol), and with the n congruences solved again cold when it was warm
     update = [1] if method is barycenter._Karcher else []
     alone = []
     for p, outcome in zip(problems, batch):
@@ -475,11 +477,43 @@ def test_lockstep_solves_all_live_congruences_as_one_stack(monkeypatch, solve, m
             assert sizes[: len(measured)] == measured
             assert len(sizes) <= len(measured) + len(update)
         else:
-            assert sizes == ([p.n] + update) * outcome.iterations + [p.n, 1]
+            h, k = outcome.residual_history, outcome.iterations
+            cold = k < 2 or k == cfg.max_iter or h[k - 1] ** 2 <= cfg.rel_tol * h[k - 2]
+            assert sizes == ([p.n] + update) * k + [p.n, 1 if cold else p.n + 1]
         alone.append(sizes)
     # in the batch, round k stacks what every problem solves alone in its
     # own round k
     assert rounds == [sum(s[k] for s in alone if k < len(s)) for k in range(max(map(len, alone)))]
+    # a first, cold measurement that converges is its own certificate
+    same = MeanProblem((problems[0].matrices[0],) * 3, WeightVector.uniform(3))
+    (result,), sizes = _round_sizes(monkeypatch, [barycenter._fixed_point(same, cfg, method)])
+    assert (result.iterations, result.converged, sizes) == (0, True, [3, 1])
+
+
+@LOCKSTEP
+def test_a_warm_residual_below_tolerance_is_solved_again_cold(monkeypatch, solve, method):
+    # the third measurement is warm (the rate of the two before does not put
+    # it at rel_tol); its reading is forced to 0, so the round after solves
+    # the congruences again cold together with the admission of the mean.
+    # The cold residual misses rel_tol: it is the one recorded, the
+    # admission is dropped and the loop goes on from the cold solve
+    p, cfg = _lockstep_batch()[0][4], SolverConfig(max_iter=12)
+    readings = []
+    real_measure = method.measure
+
+    def measure(l, cs, q, lam, weights):
+        r, aux = real_measure(l, cs, q, lam, weights)
+        readings.append(r)
+        return (0.0 if len(readings) == 3 else r), aux
+
+    monkeypatch.setattr(method, "measure", staticmethod(measure))
+    (result,), sizes = _round_sizes(monkeypatch, [barycenter._fixed_point(p, cfg, method)])
+    update = [1] if method is barycenter._Karcher else []
+    assert sizes[: 3 * (1 + len(update)) + 2] == ([p.n] + update) * 2 + [p.n, p.n + 1] + update + [p.n]
+    assert result.residual_history[2] == readings[3] > cfg.rel_tol
+    assert result.converged and result.iterations > 3
+    if method is barycenter._Transport:
+        assert residual(result.mean, p) == result.residual
 
 
 @LOCKSTEP
@@ -667,6 +701,62 @@ def test_factored_certificate_agrees_with_the_symmetric_factor(condition_max, ga
         symmetric = _symmetric_factor_residual(result.mean, p)
         assert abs(symmetric - result.residual) <= gap
         assert symmetric <= 5e-11
+
+
+@pytest.mark.parametrize("condition_max", [1e2, 1e6], ids=["k1e2", "k1e6"])
+def test_warm_started_spectra_agree_with_lapack_as_tightly_as_cold(monkeypatch, condition_max):
+    # LAPACK eigh is the oracle: the eigenvalues of every measurement, warm
+    # started from the previous eigenvectors or cold, against those of the
+    # unrotated congruences C_j, relative to the largest of each C_j
+    errors = {True: [], False: []}
+    solved = []  # every stack handed to the eigensolver
+    real_spectra = barycenter._spectra
+
+    def spectra(stack, admit=True):
+        solved.append(stack)
+        return real_spectra(stack, admit)
+
+    def measuring(real_measure):
+        def measure(l, cs, q, lam, weights):
+            # a warm measurement solved Q^T C_j Q, never the C_j themselves
+            warm = not any(stack is cs for stack in solved)
+            want = np.linalg.eigvalsh(cs)[:, ::-1]
+            errors[warm].append(float((np.abs(lam - want).max(axis=-1) / want[:, 0]).max()))
+            return real_measure(l, cs, q, lam, weights)
+
+        return staticmethod(measure)
+
+    monkeypatch.setattr(barycenter, "_spectra", spectra)
+    for method in (barycenter._Transport, barycenter._Karcher):
+        monkeypatch.setattr(method, "measure", measuring(method.measure))
+    rng = np.random.default_rng(43)
+    for _ in range(6):
+        p = random_problem(rng, condition_max=condition_max)
+        wasserstein_mean(p, SolverConfig(max_iter=60))
+        karcher_mean(p, SolverConfig(max_iter=60))
+    # each of the 12 solves measures cold at least twice, at its start and
+    # for its certificate, and warm in between
+    assert len(errors[True]) > len(errors[False]) >= 24
+    assert max(errors[True]) <= 2.0 * max(errors[False]) <= 2e-14
+
+
+def test_warm_starts_keep_the_jacobi_work_of_a_solve_down(monkeypatch):
+    # a deterministic work count: the Jacobi rounds with an active plane over
+    # one kappa 1e4 solve (41 iterations).  Warm started it takes 503 of
+    # them; solved cold at every measurement it took 1166, so a silent fall
+    # back to cold solves fails here without any wall clock
+    calls = []
+    real_rotations = spd_core._rotations
+
+    def rotations(*args):
+        calls.append(None)
+        return real_rotations(*args)
+
+    monkeypatch.setattr(spd_core, "_rotations", rotations)
+    p = random_problem(np.random.default_rng(44), n=4, dim=6, condition_max=1e4)
+    result = wasserstein_mean(p)
+    assert (result.iterations, result.converged) == (41, True)
+    assert len(calls) <= 503
 
 
 def test_congruence_roots_take_in_what_jacobi_leaves_off_the_diagonal():

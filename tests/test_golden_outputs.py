@@ -23,18 +23,18 @@ from spdmeans.cli import main
 
 # verify --suite all --count 10, by seed
 VERIFY_SHA256 = {
-    42: "49248f111739d330f1d09846ffe7e10d35c262c5b75a2fb4e0dc6e49ee4cf446",
-    7: "1ef0afa4e44b1df6f99357fa7359e1c9a5791e2f05e3d09fd2eb7998e11709db",
-    1: "2cf9552a4accbe1ea4db257ecd522f665795e88df625be9ab25c6d097ead263c",
+    42: "40dd978f54b9ebd342eab09cc72c307327c533c41fcbd20221fa38d3d0bc03dd",
+    7: "f1dccecc6c70bb2f24c22397372adcb65c175cd286c514a700beded9321deedc",
+    1: "348a7b031bb14a8dbc37683f85b0f8abd351264aac7e6dcced6de9e1c4600008",
 }
 
 CLI_SHA256 = {
-    "bounds": "3b992ea02feef3114bf3978fdc167f0879aff01c43a6285134c2651ae80c295e",
-    "mean-wasserstein": "3527b235f0a8e1a8ae388ee96ac0e790fda2bb724342adc397c898855863ae48",
+    "bounds": "12b25cdfb8a5241cb83fc306a759c1aca605447dd2ba4f1717092e0359ed3730",
+    "mean-wasserstein": "e75bf38ce29103e763993192117003e2ccc9a93c63da72b64ac79ec28ffc26bd",
     "mean-karcher": "84390c63d64c2f553744c1e101faa4c9b5696bf6ac051d26903c0e1b705b0a19",
     "mean-arithmetic": "74ba9884fe4c9aa827539a0151aeae97547b6523ce95cff7a64d2e12c77d7b7a",
     "mean-harmonic": "ffa5844fdf202d4bfe6292c590767adfb9d309652ffc119cbbcdbb1635c6165f",
-    "lie-trotter": "3c05fd25629ed05d3021f4673509ad165a3293da4980bc64dccdef53245795fa",
+    "lie-trotter": "9dc2bf58db7d5a44fae3843fbafc95f9ede1383f1ba301e55785f2afa3b3701b",
     "distance-wasserstein": "4ecdd70930069d5927cf5935b37e0fc0d8af9378750e47f31740d4f8760aad40",
     "distance-riemannian": "0aaec0745f9bfd1432eb43a533571e7ef7ba41a4cbf8c7d17f4862499af1cbfc",
     "geodesic": "0cbd2b851bdda851d7fa31887ebfae292b81dcdd240f8dfda49ef4aa3a412278",
@@ -91,9 +91,9 @@ LIMIT_INSTANCES = {
 # convergence_trace at +s and -s (s_values, errors, failed_s), and
 # derivative_at_identity_check (errors_pos, errors_neg), on the default schedules
 LIMIT_SHA256 = {
-    "d3": "59773828c6a0d2aac5f64ea04e435ac2e2047515efc832b5c2d5f3e0bd07dc1c",
-    "d5": "efd52a4fff1620ed85f5bf4a17bd6ba6dcc5ea8893cf94cf700069ba4d2d381b",
-    "d6": "8faabb5dd894cd9e5f33e8ffd2ef5df0de8dfdd25f8685bb2bce2af2b9f95e35",
+    "d3": "bda663c3452df41850963828bd56aa091383a152fc5c9581f054697b7c567c0f",
+    "d5": "97b95b75979957e561ea42de6a019a0a8f3f91e7aacf87796a2b57106519b09a",
+    "d6": "5fa1bd0e1cf02d1e21241c1ea00317ee11f76839f4a1ef544a5faa3b63e14056",
 }
 
 
