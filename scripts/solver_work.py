@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Deterministic solver work of one pass of a benchmark workload.
+
+    python3 scripts/solver_work.py --workload solve_conditioned --seed 3 [--items N]
+
+Builds the inputs of ``bench/workloads.py`` for the workload and seed, runs
+one pass over its items (the first N with ``--items``) and prints one JSON
+object: the solves and fixed-point iterations of each mean's loop (on
+``solve_conditioned`` also by condition number), and the Jacobi work, that is
+the stacks solved, their slices, the plane rounds that rotated at least one
+plane and the planes rotated.  These counts do not depend on the host or on
+timing, so they compare two trees exactly.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import spdmeans  # noqa: E402
+import spdmeans.cli  # noqa: E402,F401  (verify_default runs the command line)
+from spdmeans import barycenter, spd_core  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+METHODS = {barycenter._Transport: "transport", barycenter._Karcher: "karcher"}
+
+
+def solver_work(workload: str, seed: int, items: int | None = None) -> dict:
+    """The counts of one pass, as the JSON object the script prints."""
+    counts: Counter = Counter()
+    real_stack, real_rotations, real_fixed_point = (
+        spd_core._jacobi_stack,
+        spd_core._rotations,
+        barycenter._fixed_point,
+    )
+    label = ""
+
+    def jacobi_stack(arrays):
+        counts["jacobi.stacks"] += 1
+        counts["jacobi.slices"] += len(arrays)
+        return real_stack(arrays)
+
+    def rotations(a_pp, a_rr, a_pr):
+        counts["jacobi.active_rounds"] += 1
+        counts["jacobi.planes"] += len(a_pr)
+        return real_rotations(a_pp, a_rr, a_pr)
+
+    def fixed_point(p, cfg, method):
+        result = yield from real_fixed_point(p, cfg, method)
+        counts[f"solves.{METHODS[method]}{label}"] += 1
+        counts[f"iterations.{METHODS[method]}{label}"] += result.iterations
+        return result
+
+    with tempfile.TemporaryDirectory() as out_dir:
+        work = WORKLOADS[workload](spdmeans, seed, Path(out_dir))
+        chosen = work.items[:items]
+        spd_core._jacobi_stack, spd_core._rotations = jacobi_stack, rotations
+        barycenter._fixed_point = fixed_point
+        try:
+            for item in chosen:
+                if workload == "solve_conditioned":
+                    label = f".k1e{round(math.log10(item[0]))}"
+                work.run(item)
+        finally:
+            spd_core._jacobi_stack, spd_core._rotations = real_stack, real_rotations
+            barycenter._fixed_point = real_fixed_point
+    return {"workload": workload, "seed": seed, "items": len(chosen), **dict(sorted(counts.items()))}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--items", type=int, default=None, help="only the first N items of the pass")
+    args = parser.parse_args()
+    print(json.dumps(solver_work(args.workload, args.seed, args.items), indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -742,8 +742,8 @@ def test_warm_started_spectra_agree_with_lapack_as_tightly_as_cold(monkeypatch, 
 
 def test_warm_starts_keep_the_jacobi_work_of_a_solve_down(monkeypatch):
     # a deterministic work count: the Jacobi rounds with an active plane over
-    # one kappa 1e4 solve (41 iterations).  Warm started it takes 503 of
-    # them; solved cold at every measurement it took 1166, so a silent fall
+    # one kappa 1e4 solve (20 iterations).  Warm started it takes 347 of
+    # them; solved cold at every measurement it takes 549, so a silent fall
     # back to cold solves fails here without any wall clock
     calls = []
     real_rotations = spd_core._rotations
@@ -755,8 +755,91 @@ def test_warm_starts_keep_the_jacobi_work_of_a_solve_down(monkeypatch):
     monkeypatch.setattr(spd_core, "_rotations", rotations)
     p = random_problem(np.random.default_rng(44), n=4, dim=6, condition_max=1e4)
     result = wasserstein_mean(p)
-    assert (result.iterations, result.converged) == (41, True)
-    assert len(calls) <= 503
+    assert (result.iterations, result.converged) == (20, True)
+    assert len(calls) <= 347
+
+    calls.clear()
+    real_measured = barycenter._measured
+
+    def cold(method, l, cs, weights, q_prev=None):
+        return real_measured(method, l, cs, weights)
+
+    monkeypatch.setattr(barycenter, "_measured", cold)
+    result = wasserstein_mean(p)
+    assert (result.iterations, result.converged) == (20, True)
+    assert len(calls) <= 549
+
+
+def _seed_11_problems(condition_max):
+    """The 28 problems of one condition number, one per (d, n) with d in 2-8
+    and n in 2-5, drawn in that order from seed 11."""
+    rng = np.random.default_rng(11)
+    return [
+        random_problem(rng, n=n, dim=d, condition_max=condition_max)
+        for d in range(2, 9)
+        for n in range(2, 6)
+    ]
+
+
+@pytest.mark.parametrize("condition_max, most_mean_iterations", [(1e2, 12), (1e4, 16), (1e6, 16)])
+def test_anderson_mixing_converges_on_every_seed_11_problem(condition_max, most_mean_iterations):
+    # the plain fixed-point map takes 14.7 / 25.4 / 33.6 iterations on
+    # average here at kappa 1e2 / 1e4 / 1e6; mixed, 9.2 / 12.8 / 14.4
+    problems = _seed_11_problems(condition_max)
+    results = [wasserstein_mean(p) for p in problems]
+    assert all(r.converged for r in results)
+    assert np.mean([r.iterations for r in results]) <= most_mean_iterations
+    for p, r in zip(problems, results):
+        assert residual(r.mean, p) == r.residual
+
+
+def test_anderson_mixing_does_not_wander_at_the_roundoff_floor():
+    # rel_tol 1e-300 is never met, so every solve runs 200 updates, most of
+    # them at the floor, where the differences of F_i are roundoff
+    rng = np.random.default_rng(5)
+    for condition_max in (1e2, 1e4, 1e6):
+        for dim in range(3, 9):
+            p = random_problem(rng, dim=dim, condition_max=condition_max)
+            result = wasserstein_mean(p, SolverConfig(rel_tol=1e-300, max_iter=200))
+            assert result.iterations == 200
+            assert max(result.residual_history[-100:]) <= 1e-13
+
+
+def test_an_indefinite_mixed_iterate_takes_the_plain_step_and_clears_the_memory(monkeypatch):
+    # the second mixed iterate is negated, so its first pivot is negative:
+    # the loop factors the plain step G(X_k) instead, and the next mixing
+    # starts from it, with no pair from before
+    p = random_problem(np.random.default_rng(44), n=4, dim=6, condition_max=1e4)
+    real_anderson, real_cholesky = barycenter._anderson, barycenter.cholesky
+    mixings, factored = [], []
+
+    def anderson(pairs):
+        mixed = real_anderson(pairs)
+        mixings.append((list(pairs), -mixed if len(mixings) == 1 else mixed))
+        return mixings[-1][1]
+
+    def cholesky(x):
+        factored.append(x)
+        return real_cholesky(x)
+
+    monkeypatch.setattr(barycenter, "_anderson", anderson)
+    monkeypatch.setattr(barycenter, "cholesky", cholesky)
+    result = wasserstein_mean(p)
+    assert result.converged and residual(result.mean, p) == result.residual
+    (pairs, rigged), (later, _) = mixings[1], mixings[2]
+    plain = pairs[-1][1]
+    at = next(i for i, x in enumerate(factored) if x is rigged)
+    assert factored[at + 1] is plain
+    assert later[0][0] is plain
+
+
+def test_the_karcher_loop_is_never_mixed(monkeypatch):
+    def anderson(pairs):
+        raise AssertionError("a Karcher iterate was mixed")
+
+    monkeypatch.setattr(barycenter, "_anderson", anderson)
+    for p in _seed_11_problems(1e2)[::5]:
+        karcher_mean(p, SolverConfig(max_iter=40))
 
 
 def test_congruence_roots_take_in_what_jacobi_leaves_off_the_diagonal():

@@ -23,9 +23,9 @@ from spdmeans.cli import main
 
 # verify --suite all --count 10, by seed
 VERIFY_SHA256 = {
-    42: "40dd978f54b9ebd342eab09cc72c307327c533c41fcbd20221fa38d3d0bc03dd",
-    7: "f1dccecc6c70bb2f24c22397372adcb65c175cd286c514a700beded9321deedc",
-    1: "348a7b031bb14a8dbc37683f85b0f8abd351264aac7e6dcced6de9e1c4600008",
+    42: "19ef26f69d62a348201209263eb8b790d2799762b604771798bb788d6cd7f7fb",
+    7: "a0b87a84c43413a2adc94565df547bfffdcdc2dde15ea8d8710f861228aa6c6e",
+    1: "3d70bd1e353eb23b565486ee59efdaee78f67a4eb8e08f13339d751b327b7ac2",
 }
 
 CLI_SHA256 = {

@@ -851,3 +851,31 @@ def test_script_runs(script):
     )
     assert done.returncode == 0, done.stderr
     assert "VIOLATED" not in done.stdout
+
+
+def _solver_work(*args):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "solver_work.py"), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_solver_work_counts_a_tiny_pass_and_repeats_them_exactly():
+    # the first three requests of solve_conditioned: one shape at each kappa
+    counts = _solver_work("--workload", "solve_conditioned", "--seed", "3", "--items", "3")
+    assert counts == _solver_work("--workload", "solve_conditioned", "--seed", "3", "--items", "3")
+    assert counts["items"] == 3
+    for kappa in ("k1e2", "k1e4", "k1e6"):
+        assert counts[f"solves.transport.{kappa}"] == 1
+        assert counts[f"iterations.transport.{kappa}"] >= 1
+    jacobi = [counts[f"jacobi.{name}"] for name in ("stacks", "slices", "active_rounds", "planes")]
+    assert 0 < jacobi[0] <= jacobi[1] and 0 < jacobi[2] <= jacobi[3]
+    # a limit item solves many means of a few iterations each
+    limit = _solver_work("--workload", "limit_trace", "--seed", "3", "--items", "1")
+    assert limit["solves.transport"] > 10
+    assert 0 < limit["iterations.transport"] <= 5 * limit["solves.transport"]
