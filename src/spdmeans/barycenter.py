@@ -19,16 +19,18 @@ from .means_geometry import _geometric_mean
 from .spd_core import (
     NonPositivePivotError,
     NotPositiveDefiniteError,
+    Run,
     SolverError,
     SpdMatrix,
     SymMatrix,
     _admitted,
     _applied,
+    _check_pair,
     _congruences,
     _is_integer,
     _is_real,
-    _lockstep,
-    _loewner,
+    _loewner_geq,
+    _public,
     _solved,
     _spectra,
     apply_spectral,
@@ -103,6 +105,8 @@ class MeanProblem:
             raise ValueError(
                 f"{len(self.weights)} weights for {len(self.matrices)} matrices"
             )
+        if not all(isinstance(a, SpdMatrix) for a in self.matrices):
+            raise ValueError("matrices must be SpdMatrix objects")
         dims = {a.dim for a in self.matrices}
         if len(dims) != 1:
             raise ValueError(f"matrices must share one dimension, got {sorted(dims)}")
@@ -154,12 +158,8 @@ class SolverResult:
     residual_history: tuple[float, ...] = field(repr=False)
 
 
-def arithmetic_mean(p: MeanProblem) -> SpdMatrix:
-    return _solved(_lockstep([_arithmetic_mean(p)])[0])
-
-
-def _arithmetic_mean(p: MeanProblem) -> Generator:
-    """Run step of ``arithmetic_mean``."""
+def _arithmetic_mean(p: MeanProblem) -> Run[SpdMatrix]:
+    """Weighted arithmetic mean sum_j w_j A_j."""
     (mean,) = yield from _admitted([p.weights.combine(a.entries for a in p.matrices)])
     return mean
 
@@ -169,12 +169,8 @@ def _inverse_mixture(p: MeanProblem) -> np.ndarray:
     return p.weights.combine(apply_spectral(a, "inverse").entries for a in p.matrices)
 
 
-def harmonic_mean(p: MeanProblem) -> SpdMatrix:
-    return _solved(_lockstep([_harmonic_mean(p)])[0])
-
-
-def _harmonic_mean(p: MeanProblem) -> Generator:
-    """Run step of ``harmonic_mean``."""
+def _harmonic_mean(p: MeanProblem) -> Run[SpdMatrix]:
+    """Weighted harmonic mean [sum_j w_j A_j^{-1}]^{-1}."""
     (mixture,) = yield from _admitted([_inverse_mixture(p)])
     return apply_spectral(mixture, "inverse")
 
@@ -225,33 +221,26 @@ def _sqrt_stack(q: np.ndarray, cs: np.ndarray) -> np.ndarray:
     return (y + y.swapaxes(-1, -2)) / 2.0
 
 
-def residual(x: SpdMatrix, p: MeanProblem) -> float:
+def _residual(x: SpdMatrix, p: MeanProblem) -> Run[float]:
     """Relative Frobenius residual of X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2} at x.
 
     Evaluated as ``wasserstein_mean`` evaluates its certificate (on x and p
     scaled by 4^-t, the Cholesky factor of x, a cold eigensolve), so at a
     returned mean it is that result's ``residual`` bit for bit.
     """
-    if x.dim != p.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {p.dim}")
+    _check_pair(x, p)
     t, mats = _scaled(p)
     l = cholesky(np.ldexp(x.entries, -2 * t))[0]
     cs = _congruences(l.T, mats)
-    q, lam = _solved(_lockstep([_spectra(cs)])[0])
+    q, lam = yield from _spectra(cs)
     return _transport_residual(l, cs, q, lam, p.weights)[0]
 
 
-def equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> float:
+def _equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> Run[float]:
     """Frobenius residual of the equivalent form I = sum_j w_j (A_j # x^{-1})."""
-    return _solved(_lockstep([_equivalent_residual(x, p)])[0])
-
-
-def _equivalent_residual(x: SpdMatrix, p: MeanProblem) -> Generator:
-    """Run step of ``equivalent_equation_residual``: the n means A_j # x^{-1}
-    share their rounds, and the first that fails, in input order, raises."""
-    if x.dim != p.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {p.dim}")
+    _check_pair(x, p)
     inv_x = apply_spectral(x, "inverse")
+    # the n means share their rounds, and the first that fails, in input order, raises
     outcomes = yield [_geometric_mean(a, inv_x) for a in p.matrices]
     acc = p.weights.combine(_solved(outcome).entries for outcome in outcomes)
     return frobenius_norm(np.eye(p.dim) - acc)
@@ -306,7 +295,7 @@ def _measured(method: type, l, cs: np.ndarray, weights: WeightVector, q_prev=Non
     """Run step: ``method.measure`` at L from the spectra of the congruences
     C_j, solved cold, or warm as Q^T C_j Q from the eigenvectors Q = q_prev of
     the measurement before.  Returns r, aux and the eigenvectors, made
-    orthogonal by a Newton-Schulz step and holding no round's output alive."""
+    orthogonal by a Newton-Schulz step."""
     if q_prev is None:
         q, lam = yield from _spectra(cs)
     else:
@@ -398,12 +387,7 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
         raise SolverError(f"non-SPD intermediate at iteration {k}: {exc}") from exc
 
 
-def _transport(p: MeanProblem, cfg: SolverConfig | None = None) -> Generator:
-    """The run of ``wasserstein_mean`` on p, for ``_lockstep``."""
-    return _fixed_point(p, cfg, _Transport)
-
-
-def wasserstein_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResult:
+def _wasserstein_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> Run[SolverResult]:
     """Solve X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2} by fixed-point iteration.
 
     The update X <- X^{-1/2} (sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2})^2 X^{-1/2}
@@ -417,10 +401,10 @@ def wasserstein_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverR
     residual falls by less than 20x per step, the update is Anderson-mixed with
     the three before it (Walker & Ni, SIAM J. Numer. Anal. 2011) when that is SPD.
     """
-    return _solved(_lockstep([_transport(p, cfg)])[0])
+    return _fixed_point(p, cfg, _Transport)
 
 
-def karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResult:
+def _karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> Run[SolverResult]:
     """Riemannian (trace-metric) mean by the unit-step gradient fixed point
     X <- X^{1/2} exp(sum_j w_j log(X^{-1/2} A_j X^{-1/2})) X^{1/2}, with the
     Cholesky factor L of X in place of X^{1/2}:
@@ -429,7 +413,7 @@ def karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> SolverResul
     Converged when ||G||_F, which does not depend on the factor, falls below
     rel_tol; the residual history records that norm, which is scale free.
     """
-    return _solved(_lockstep([_fixed_point(p, cfg, _Karcher)])[0])
+    return _fixed_point(p, cfg, _Karcher)
 
 
 @dataclass(frozen=True)
@@ -448,12 +432,8 @@ class BoundsReport:
     opnorm_bound: float
 
 
-def bounds_report(p: MeanProblem) -> BoundsReport:
-    return _solved(_lockstep([_bounds_report(p)])[0])
-
-
-def _bounds_report(p: MeanProblem) -> Generator:
-    """Run step of ``bounds_report``."""
+def _bounds_report(p: MeanProblem) -> Run[BoundsReport]:
+    """The bounds of ``BoundsReport`` for the problem p."""
     eye = np.eye(p.dim)
     arith = yield from _arithmetic_mean(p)
     opnorm_root = p.weights.combine(math.sqrt(operator_norm(a)) for a in p.matrices)
@@ -487,7 +467,7 @@ class BoundCheck:
         object.__setattr__(self, "witness", float(self.witness))
 
 
-def check_bounds(p: MeanProblem, report: BoundsReport, mean: SpdMatrix) -> tuple[BoundCheck, ...]:
+def _check_bounds(p: MeanProblem, report: BoundsReport, mean: SpdMatrix) -> Run[tuple[BoundCheck, ...]]:
     """Every bound verdict: first each bound in ``report`` (= bounds_report(p))
     against a computed mean, then the chains relating the bounds to each other.
 
@@ -495,28 +475,23 @@ def check_bounds(p: MeanProblem, report: BoundsReport, mean: SpdMatrix) -> tuple
     mean), and the scalar sharpness (sum w_j ||A_j||^{1/2})^2 <= sum w_j ||A_j||;
     when sum w_j A_j < 2I also [2I - sum w_j A_j]^{-1} >= sum w_j A_j.
     """
-    return _solved(_lockstep([_check_bounds(p, report, mean)])[0])
-
-
-def _check_bounds(p: MeanProblem, report: BoundsReport, mean: SpdMatrix) -> Generator:
-    """Run step of ``check_bounds``: its Loewner comparisons, and the
-    harmonic mean one of them compares, share their rounds; the first that
-    fails, in verdict order, raises."""
+    # the Loewner comparisons, and the harmonic mean one of them compares,
+    # share their rounds; the first that fails, in verdict order, raises
     lower, arith, inverse = report.lower_lie_trotter, report.upper_arithmetic, report.upper_inverse
 
     def harmonic_above_lower() -> Generator:
         harmonic = yield from _harmonic_mean(p)
-        return (yield from _loewner(harmonic, lower, LOEWNER_TOL))
+        return (yield from _loewner_geq(harmonic, lower, LOEWNER_TOL))
 
     runs = {
-        "arithmetic_upper": _loewner(arith, mean, LOEWNER_TOL),
-        "lie_trotter_lower": _loewner(mean, lower, LOEWNER_TOL),
+        "arithmetic_upper": _loewner_geq(arith, mean, LOEWNER_TOL),
+        "lie_trotter_lower": _loewner_geq(mean, lower, LOEWNER_TOL),
     }
     if inverse is not None:
-        runs["inverse_upper"] = _loewner(inverse, mean, LOEWNER_TOL)
+        runs["inverse_upper"] = _loewner_geq(inverse, mean, LOEWNER_TOL)
     runs["harmonic_above_lower"] = harmonic_above_lower()
     if inverse is not None:
-        runs["inverse_above_arithmetic"] = _loewner(inverse, arith, LOEWNER_TOL)
+        runs["inverse_above_arithmetic"] = _loewner_geq(inverse, arith, LOEWNER_TOL)
     outcomes = yield list(runs.values())
     verdicts = {
         check_id: BoundCheck(check_id, cmp.holds, cmp.witness)
@@ -559,3 +534,14 @@ def det_inequality_check(p: MeanProblem, mean: SpdMatrix) -> DetInequalityReport
     det_geo = math.exp(log_geo)
     holds = det_mean >= det_geo - 1e-9 * max(1.0, det_geo)
     return DetInequalityReport(det_mean, det_geo, log_geo, holds)
+
+
+# The public functions, each its run step driven as a batch of one.
+arithmetic_mean = _public(_arithmetic_mean)
+harmonic_mean = _public(_harmonic_mean)
+residual = _public(_residual)
+equivalent_equation_residual = _public(_equivalent_equation_residual)
+wasserstein_mean = _public(_wasserstein_mean)
+karcher_mean = _public(_karcher_mean)
+bounds_report = _public(_bounds_report)
+check_bounds = _public(_check_bounds)

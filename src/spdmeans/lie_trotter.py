@@ -4,7 +4,8 @@ For differentiable SPD-valued curves through the identity, the barycenter of
 the curve points raised to the power 1/s converges, as s -> 0, to
 exp(sum_j w_j gamma_j'(0)).  This module evaluates that limit numerically
 over dyadic schedules and checks the first-order derivative of the barycenter
-map at the identity tuple by finite differences.  Each is one run of
+map at the identity tuple by finite differences.  Each public function is
+its run step (``_evaluate_curve`` and so on) driven as one run of
 ``_lockstep``: the curve points and target of a whole schedule share a round.
 """
 
@@ -24,17 +25,18 @@ from .barycenter import (
     WeightVector,
     _is_integer,
     _is_real,
-    _transport,
+    _wasserstein_mean,
 )
 from .spd_core import (
     NotPositiveDefiniteError,
+    Run,
     SpdMatrix,
     SpectralDomainError,
     SymMatrix,
     _admitted,
     _applied,
     _decompositions,
-    _lockstep,
+    _public,
     _radius,
     _solved,
     apply_spectral,
@@ -109,9 +111,11 @@ def _parameter(s) -> float:
     return s
 
 
-def _curve_point(c: CurveSpec, s) -> Generator:
-    """Run step of ``evaluate_curve``: affine and exp_line points are solved
-    in one round; a power point (of an SPD generator) solves nothing."""
+def _evaluate_curve(c: CurveSpec, s: float) -> Run[SpdMatrix]:
+    """gamma(s); exact identity at s = 0 for every kind.  An s that is not a
+    finite real number raises ValueError."""
+    # affine and exp_line points are solved in one round; a power point (of
+    # an SPD generator) solves nothing
     s = _parameter(s)
     if s == 0.0:
         return identity(c.dim)
@@ -122,12 +126,6 @@ def _curve_point(c: CurveSpec, s) -> Generator:
             raise ValueError(f"s={s!r} outside the admissible interval of the affine curve")
         return (yield from _admitted([np.eye(c.dim) + s * c.generator.entries]))[0]
     return (yield from _applied([SymMatrix(s * c.generator.entries)], "exp_of_sym"))[0]
-
-
-def evaluate_curve(c: CurveSpec, s: float) -> SpdMatrix:
-    """gamma(s); exact identity at s = 0 for every kind.  An s that is not a
-    finite real number raises ValueError."""
-    return _solved(_lockstep([_curve_point(c, s)])[0])
 
 
 def _check_matched(w: WeightVector, items, noun: str) -> tuple:
@@ -145,7 +143,7 @@ def _check_matched(w: WeightVector, items, noun: str) -> tuple:
 def _converged_mean(w: WeightVector, points: tuple[SpdMatrix, ...], at: str) -> Generator:
     """Run step: ``wasserstein_mean`` of the points under TRACE_SOLVER_CONFIG;
     a SolverError naming the parameter ``at`` when it does not converge."""
-    result = yield from _transport(MeanProblem(points, w), TRACE_SOLVER_CONFIG)
+    result = yield from _wasserstein_mean(MeanProblem(points, w), TRACE_SOLVER_CONFIG)
     if not result.converged:
         raise SolverError(f"barycenter did not converge at {at} (residual {result.residual:.3e})")
     return result.mean
@@ -155,32 +153,27 @@ def _powered_mean(w: WeightVector, curves: tuple[CurveSpec, ...], s: float) -> G
     """Run step: the converged barycenter of the curve points at s,
     raised to the power 1/s.  The points are solved in one round, and the
     first failing curve in curve order raises."""
-    points = tuple(map(_solved, (yield [_curve_point(c, s) for c in curves])))
+    points = tuple(map(_solved, (yield [_evaluate_curve(c, s) for c in curves])))
     mean = yield from _converged_mean(w, points, f"s={s!r}")
     return apply_spectral(mean, "power", 1.0 / s)
 
 
-def lie_trotter_value(
+def _lie_trotter_value(
     w: WeightVector, curves: tuple[CurveSpec, ...] | list[CurveSpec], s: float
-) -> SpdMatrix:
+) -> Run[SpdMatrix]:
     """Barycenter of the curve points at parameter s, raised to the power 1/s."""
     curves = _check_matched(w, curves, "curves")
     s = _parameter(s)
     if s == 0.0:
         raise ValueError("s must be nonzero")
-    return _solved(_lockstep([_powered_mean(w, curves, s)])[0])
+    return (yield from _powered_mean(w, curves, s))
 
 
-def lie_trotter_target(
+def _lie_trotter_target(
     w: WeightVector, curves: tuple[CurveSpec, ...] | list[CurveSpec]
-) -> SpdMatrix:
+) -> Run[SpdMatrix]:
     """exp(sum_j w_j gamma_j'(0)), from the derivatives stored on the curves."""
-    return _solved(_lockstep([_target(w, _check_matched(w, curves, "curves"))])[0])
-
-
-def _target(w: WeightVector, curves: tuple[CurveSpec, ...]) -> Generator:
-    """Run step of ``lie_trotter_target`` on matched curves."""
-    acc = w.combine(c.derivative_at_zero.entries for c in curves)
+    acc = w.combine(c.derivative_at_zero.entries for c in _check_matched(w, curves, "curves"))
     return (yield from _applied([SymMatrix(acc)], "exp_of_sym"))[0]
 
 
@@ -230,8 +223,14 @@ class LieTrotterTrace:
             raise ValueError("trace errors must be finite")
 
 
-def _trace(w: WeightVector, curves, s_schedule, negate) -> Generator:
-    """Run step of ``convergence_trace``."""
+def _convergence_trace(
+    w: WeightVector,
+    curves: tuple[CurveSpec, ...] | list[CurveSpec],
+    s_schedule: tuple[float, ...] | list[float] | None = None,
+    negate: bool = False,
+) -> Run[LieTrotterTrace]:
+    """Evaluate the limit error along a schedule; set ``negate`` for the
+    mirrored one-sided limit s -> 0^-."""
     curves = _check_matched(w, curves, "curves")
     schedule = _schedule(s_schedule)
     if any(schedule[i] <= schedule[i + 1] for i in range(len(schedule) - 1)):
@@ -239,7 +238,7 @@ def _trace(w: WeightVector, curves, s_schedule, negate) -> Generator:
     if not isinstance(negate, (bool, np.bool_)):
         raise ValueError(f"negate must be a bool, got {negate!r}")
     runs = [_powered_mean(w, curves, -s if negate else s) for s in schedule]
-    target, *outcomes = yield [_target(w, curves), *runs]
+    target, *outcomes = yield [_lie_trotter_target(w, curves), *runs]
     target = _solved(target)
     s_ok: list[float] = []
     errors: list[float] = []
@@ -264,17 +263,6 @@ def _trace(w: WeightVector, curves, s_schedule, negate) -> Generator:
     )
 
 
-def convergence_trace(
-    w: WeightVector,
-    curves: tuple[CurveSpec, ...] | list[CurveSpec],
-    s_schedule: tuple[float, ...] | list[float] | None = None,
-    negate: bool = False,
-) -> LieTrotterTrace:
-    """Evaluate the limit error along a schedule; set ``negate`` for the
-    mirrored one-sided limit s -> 0^-."""
-    return _solved(_lockstep([_trace(w, curves, s_schedule, negate)])[0])
-
-
 @dataclass(frozen=True)
 class DerivativeCheckReport:
     """Finite-difference errors of the barycenter's derivative at the
@@ -285,8 +273,13 @@ class DerivativeCheckReport:
     errors_neg: tuple[float, ...]
 
 
-def _derivative(w: WeightVector, directions, t_schedule) -> Generator:
-    """Run step of ``derivative_at_identity_check``."""
+def _derivative_at_identity_check(
+    w: WeightVector,
+    directions: tuple[SymMatrix, ...] | list[SymMatrix],
+    t_schedule: tuple[float, ...] | list[float] | None = None,
+) -> Run[DerivativeCheckReport]:
+    """Compare (barycenter(I + t X_1, ..., I + t X_n) - I) / t with
+    sum_j w_j X_j over a schedule of steps t, both signs."""
     directions = _check_matched(w, directions, "directions")
     schedule = _schedule(t_schedule)
     radius = max(_radius(eigen.lam) for eigen in (yield from _decompositions(directions)))
@@ -308,11 +301,9 @@ def _derivative(w: WeightVector, directions, t_schedule) -> Generator:
     return DerivativeCheckReport(tuple(errors[0::2]), tuple(errors[1::2]))
 
 
-def derivative_at_identity_check(
-    w: WeightVector,
-    directions: tuple[SymMatrix, ...] | list[SymMatrix],
-    t_schedule: tuple[float, ...] | list[float] | None = None,
-) -> DerivativeCheckReport:
-    """Compare (barycenter(I + t X_1, ..., I + t X_n) - I) / t with
-    sum_j w_j X_j over a schedule of steps t, both signs."""
-    return _solved(_lockstep([_derivative(w, directions, t_schedule)])[0])
+# The public functions, each its run step driven as a batch of one.
+evaluate_curve = _public(_evaluate_curve)
+lie_trotter_value = _public(_lie_trotter_value)
+lie_trotter_target = _public(_lie_trotter_target)
+convergence_trace = _public(_convergence_trace)
+derivative_at_identity_check = _public(_derivative_at_identity_check)

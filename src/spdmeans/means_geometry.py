@@ -9,7 +9,7 @@ Each function that solves is written once, as a run step for
 ``spd_core._lockstep`` (``_geometric_mean``, ``_wasserstein_distance`` and
 so on): it yields the admissions of its inner and mixed products and of its
 result, so that the steps of many callers share their eigensolve rounds.
-The public function drives its step as a batch of one.
+The public function is derived from its step by ``spd_core._public``.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ import numpy as np
 
 from .spd_core import (
     NumericalBreakdownError,
+    Run,
     SpdMatrix,
     _admitted,
+    _check_pair,
     _is_real,
-    _lockstep,
+    _public,
     _solved,
     apply_spectral,
     congruence,
@@ -40,11 +42,6 @@ RADICAND_CLAMP = 1e-12
 
 # Angles in the coarse grid and in each refinement window of the 2x2 oracle.
 ORACLE_GRID = 720
-
-
-def _check_pair(a: SpdMatrix, b: SpdMatrix) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def _check_unit_interval(t) -> float:
@@ -71,17 +68,12 @@ def _mixed(a: SpdMatrix, b: SpdMatrix, sqrt_a: np.ndarray) -> Generator:
     return s, mixed
 
 
-def geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> SpdMatrix:
+def _geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> Run[SpdMatrix]:
     """Weighted geometric mean A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}.
 
     At t = 1/2 this is the unique SPD solution of the Riccati equation
     X A^{-1} X = B.
     """
-    return _solved(_lockstep([_geometric_mean(a, b, t)])[0])
-
-
-def _geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> Generator:
-    """Run step of ``geometric_mean``."""
     _check_pair(a, b)
     t = _check_unit_interval(t)
     inner = yield from _inner(a, b)
@@ -90,19 +82,14 @@ def _geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> Generator:
     return mean
 
 
-def riemannian_distance(a: SpdMatrix, b: SpdMatrix) -> float:
+def _riemannian_distance(a: SpdMatrix, b: SpdMatrix) -> Run[float]:
     """Trace-metric distance ||log(A^{-1/2} B A^{-1/2})||_F."""
-    return _solved(_lockstep([_riemannian_distance(a, b)])[0])
-
-
-def _riemannian_distance(a: SpdMatrix, b: SpdMatrix) -> Generator:
-    """Run step of ``riemannian_distance``."""
     _check_pair(a, b)
     inner = yield from _inner(a, b)
     return math.sqrt(float(np.sum(np.log(inner.eigen.lam) ** 2)))
 
 
-def wasserstein_distance(a: SpdMatrix, b: SpdMatrix) -> float:
+def _wasserstein_distance(a: SpdMatrix, b: SpdMatrix) -> Run[float]:
     """Optimal-transport distance [tr((A+B)/2) - tr(A^{1/2} B A^{1/2})^{1/2}]^{1/2}.
 
     The cross term tr(A^{1/2} B A^{1/2})^{1/2} is the fidelity of the pair.
@@ -112,11 +99,6 @@ def wasserstein_distance(a: SpdMatrix, b: SpdMatrix) -> float:
     catastrophically there, so the formula path would only report the
     cancellation noise inflated by the outer square root.
     """
-    return _solved(_lockstep([_wasserstein_distance(a, b)])[0])
-
-
-def _wasserstein_distance(a: SpdMatrix, b: SpdMatrix) -> Generator:
-    """Run step of ``wasserstein_distance``."""
     _check_pair(a, b)
     if np.array_equal(a.entries, b.entries):
         return 0.0
@@ -175,7 +157,7 @@ def wasserstein_distance_oracle_2x2(a: SpdMatrix, b: SpdMatrix) -> float:
     return best_val / math.sqrt(2.0)
 
 
-def wasserstein_geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
+def _wasserstein_geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> Run[SpdMatrix]:
     """Transport geodesic (1-t)^2 A + t^2 B + t(1-t) [(AB)^{1/2} + (BA)^{1/2}].
 
     Endpoints are exact.  (AB)^{1/2} is evaluated through the similarity
@@ -184,11 +166,6 @@ def wasserstein_geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
     is formed times 16^-s, as in ``wasserstein_distance``, and its root
     scaled back.
     """
-    return _solved(_lockstep([_wasserstein_geodesic(a, b, t)])[0])
-
-
-def _wasserstein_geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> Generator:
-    """Run step of ``wasserstein_geodesic``."""
     _check_pair(a, b)
     t = _check_unit_interval(t)
     if t == 0.0:
@@ -215,17 +192,13 @@ class DistanceBoundReport:
     lambda1: float
 
 
-def geodesic_perturbation_bound(
+def _geodesic_perturbation_bound(
     a: SpdMatrix, b: SpdMatrix, c: SpdMatrix, t: float
-) -> DistanceBoundReport:
+) -> Run[DistanceBoundReport]:
     """Report d(A <>_t B, A <>_t C) against t sqrt(lambda_1(A)/2) ||A^{-1}#B - A^{-1}#C||_F."""
-    return _solved(_lockstep([_geodesic_perturbation_bound(a, b, c, t)])[0])
-
-
-def _geodesic_perturbation_bound(a: SpdMatrix, b: SpdMatrix, c: SpdMatrix, t: float) -> Generator:
-    """Run step of ``geodesic_perturbation_bound``: both geodesics and both
-    means share their rounds, and a failure is raised in the order of the
-    formula (the geodesics, their distance, then the means)."""
+    # both geodesics and both means share their rounds, and a failure is
+    # raised in the order of the formula (the geodesics, their distance,
+    # then the means)
     _check_pair(a, b)
     _check_pair(a, c)
     t = _check_unit_interval(t)
@@ -240,3 +213,11 @@ def _geodesic_perturbation_bound(a: SpdMatrix, b: SpdMatrix, c: SpdMatrix, t: fl
     lambda1 = float(a.eigen.lam[0])
     rhs = t * math.sqrt(lambda1 / 2.0) * frobenius_norm(mid_b.entries - mid_c.entries)
     return DistanceBoundReport(lhs=lhs, rhs=rhs, lambda1=lambda1)
+
+
+# The public functions, each its run step driven as a batch of one.
+geometric_mean = _public(_geometric_mean)
+riemannian_distance = _public(_riemannian_distance)
+wasserstein_distance = _public(_wasserstein_distance)
+wasserstein_geodesic = _public(_wasserstein_geodesic)
+geodesic_perturbation_bound = _public(_geodesic_perturbation_bound)

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from collections.abc import Generator
 
 import numpy as np
 
 from .barycenter import MeanProblem, WeightVector
-from .spd_core import NotPositiveDefiniteError, SpdMatrix
+from .spd_core import NotPositiveDefiniteError, SpdMatrix, _admitted, _lockstep, _solved
 
 SCHEMA_VERSION = 1
 
@@ -107,34 +108,38 @@ def parse_problem(text: str) -> MeanProblem:
         weights = WeightVector(np.array(weights_raw, dtype=float))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFileError(f"bad weights: {exc}") from exc
-    matrices = []
-    dim = None
-    for idx, grid in enumerate(matrices_raw):
-        try:
-            arr = np.array(grid, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ProblemFileError(f"matrix {idx}: not a numeric grid ({exc})") from exc
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ProblemFileError(f"matrix {idx}: not square, shape {arr.shape}")
-        # a 2-D grid is a list of rows of scalars
-        bad = next((v for row in grid for v in row if _not_a_number(v)), None)
-        if bad is not None:
-            raise ProblemFileError(f"matrix {idx}: not a numeric grid ({bad!r} is not a number)")
-        if dim is None:
-            dim = arr.shape[0]
-        elif arr.shape[0] != dim:
-            raise ProblemFileError(
-                f"matrix {idx}: dimension {arr.shape[0]} does not match matrix 0 ({dim})"
-            )
-        try:
-            matrices.append(SpdMatrix(arr))
-        except NotPositiveDefiniteError as exc:
-            raise ProblemFileError(
-                f"matrix {idx}: not positive definite (lambda_min={exc.lambda_min:.6e})"
-            ) from exc
-        except ValueError as exc:
-            raise ProblemFileError(f"matrix {idx}: {exc}") from exc
-    return MeanProblem(tuple(matrices), weights)
+    # The first failure in index order is raised, so matrix 0's dimension
+    # matters only when it is a square grid, whose length that dimension is.
+    first = matrices_raw[0]
+    dim = len(first) if isinstance(first, list) else None
+    runs = [_admitted_grid(idx, grid, dim if idx else None) for idx, grid in enumerate(matrices_raw)]
+    return MeanProblem(tuple(map(_solved, _lockstep(runs))), weights)
+
+
+def _admitted_grid(idx: int, grid, dim: int | None) -> Generator:
+    """Run step: matrix ``idx`` of a problem document as an SpdMatrix; a
+    ProblemFileError unless it is a positive definite grid of dimension ``dim``."""
+    try:
+        arr = np.array(grid, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemFileError(f"matrix {idx}: not a numeric grid ({exc})") from exc
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ProblemFileError(f"matrix {idx}: not square, shape {arr.shape}")
+    # a 2-D grid is a list of rows of scalars
+    bad = next((v for row in grid for v in row if _not_a_number(v)), None)
+    if bad is not None:
+        raise ProblemFileError(f"matrix {idx}: not a numeric grid ({bad!r} is not a number)")
+    if dim is not None and arr.shape[0] != dim:
+        raise ProblemFileError(f"matrix {idx}: dimension {arr.shape[0]} does not match matrix 0 ({dim})")
+    try:
+        (matrix,) = yield from _admitted([arr])
+    except NotPositiveDefiniteError as exc:
+        raise ProblemFileError(
+            f"matrix {idx}: not positive definite (lambda_min={exc.lambda_min:.6e})"
+        ) from exc
+    except ValueError as exc:
+        raise ProblemFileError(f"matrix {idx}: {exc}") from exc
+    return matrix
 
 
 def serialize_problem(p: MeanProblem) -> str:

@@ -17,10 +17,12 @@ what they ask for in one Jacobi stack per dimension and round.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import numbers
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -118,9 +120,7 @@ class SymMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries) -> None:
-        m = _symmetrized(entries)
-        m.flags.writeable = False
-        self._entries = m
+        _frozen(self, _entries=_symmetrized(entries))
 
     @property
     def entries(self) -> np.ndarray:
@@ -153,12 +153,7 @@ class EigenDecomposition:
             raise ValueError("inconsistent eigendecomposition shapes")
         if np.any(np.diff(lam) > 0):
             raise ValueError("eigenvalues must be sorted in descending order")
-        q = q.copy()
-        lam = lam.copy()
-        q.flags.writeable = False
-        lam.flags.writeable = False
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "lam", lam)
+        _frozen(self, q=q.copy(), lam=lam.copy())
 
     def recompose(self) -> np.ndarray:
         """Q diag(lam) Q^T as a raw array; ``SymMatrix`` symmetrizes it."""
@@ -174,12 +169,10 @@ class SpdMatrix(SymMatrix):
 
     __slots__ = ("_eigen",)
 
-    def __init__(self, entries, _eigen: EigenDecomposition | None = None) -> None:
+    def __init__(self, entries) -> None:
         super().__init__(entries)
-        if _eigen is None:
-            _eigen = _jacobi(self.entries)
-        _admit(_eigen.lam)
-        self._eigen = _eigen
+        self._eigen = _jacobi(self.entries)
+        _admit(self._eigen.lam)
 
     @property
     def eigen(self) -> EigenDecomposition:
@@ -195,7 +188,26 @@ def _admit(lam: np.ndarray) -> None:
         raise NotPositiveDefiniteError(lam_min, lam_max)
 
 
+def _check_pair(a, b) -> None:
+    """ValueError unless a and b (matrices or a mean problem) share a dimension."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+
+
+def _frozen(obj, **fields):
+    """``obj`` with ``fields`` set, each array marked read-only, not copied.
+    The public constructors set their checked copies so.  The package's own
+    matrices and decompositions (finite, symmetric entries; admitted,
+    descending spectra) are built as ``_frozen(object.__new__(cls), ...)``."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def identity(dim: int) -> SpdMatrix:
+    """The dim x dim identity matrix."""
     return _recompose_spd(np.eye(dim), np.ones(dim))
 
 
@@ -273,7 +285,7 @@ def _jacobi(matrix: np.ndarray) -> EigenDecomposition:
     (q,), (lam,), (error,) = _jacobi_stack(matrix[None])
     if error is not None:
         raise error
-    return EigenDecomposition(q=q, lam=lam)
+    return _frozen(object.__new__(EigenDecomposition), q=q, lam=lam)
 
 
 @functools.cache
@@ -388,16 +400,16 @@ def _frobenius_norms(w: np.ndarray) -> np.ndarray:
 
 def _spectra(stack: np.ndarray, admit: bool = True) -> Generator:
     """Run step: eigenvectors (k, d, d) and descending eigenvalues (k, d) of a
-    (k, d, d) stack of symmetric arrays, solved in one ``_lockstep`` round.
-    The first failing slice in input order raises its EighConvergenceError
-    or, when ``admit``, the NotPositiveDefiniteError of ``SpdMatrix``."""
+    (k, d, d) stack of symmetric arrays, solved in one ``_lockstep`` round and
+    copied out of it.  The first failing slice in input order raises its
+    EighConvergenceError or, when ``admit``, its NotPositiveDefiniteError."""
     q, lam, errors = yield stack
     for lam_j, error in zip(lam, errors):
         if error is not None:
             raise error
         if admit:
             _admit(lam_j)
-    return q, lam
+    return q.copy(), lam.copy()
 
 
 def _admitted(arrays) -> Generator:
@@ -406,8 +418,8 @@ def _admitted(arrays) -> Generator:
     checked as ``SymMatrix`` does before the solve."""
     sym = np.stack([_symmetrized(a) for a in arrays])
     q, lam = yield from _spectra(sym)
-    eigens = (EigenDecomposition(q=q_j, lam=lam_j) for q_j, lam_j in zip(q, lam))
-    return tuple(SpdMatrix(a, _eigen=eigen) for a, eigen in zip(sym, eigens))
+    eigens = (_frozen(object.__new__(EigenDecomposition), q=q_j, lam=lam_j) for q_j, lam_j in zip(q, lam))
+    return tuple(_frozen(object.__new__(SpdMatrix), _entries=a, _eigen=eigen) for a, eigen in zip(sym, eigens))
 
 
 def _lockstep(runs: list[Generator]) -> list:
@@ -470,6 +482,26 @@ def _solved(outcome):
     return outcome
 
 
+T = TypeVar("T")
+Run = Generator[Any, Any, T]  # a run step whose run returns a T
+
+
+def _public(step: Callable[..., Generator]) -> Callable:
+    """The public function of a run step: named as the step without its
+    leading underscore, with its docstring and parameters (``-> Run[T]``
+    read as ``-> T``), it drives the step as a batch of one."""
+
+    @functools.wraps(step)
+    def public(*args, **kwargs):
+        return _solved(_lockstep([step(*args, **kwargs)])[0])
+
+    public.__name__ = public.__qualname__ = step.__name__[1:]
+    signature = inspect.signature(step)
+    returns = signature.return_annotation.removeprefix("Run[").removesuffix("]")
+    public.__signature__ = signature.replace(return_annotation=returns)
+    return public
+
+
 def apply_spectral(a: SymMatrix, f: str, p: float | None = None) -> SymMatrix | SpdMatrix:
     """Apply a scalar function to the spectrum: Q diag(f(lam)) Q^T.
 
@@ -513,7 +545,7 @@ def _decompositions(mats) -> Generator:
     those without a cached decomposition are solved in one round."""
     plain = [a.entries for a in mats if not isinstance(a, SpdMatrix)]
     q, lam = (yield from _spectra(np.stack(plain), admit=False)) if plain else ((), ())
-    solved = (EigenDecomposition(q=q_j, lam=lam_j) for q_j, lam_j in zip(q, lam))
+    solved = (_frozen(object.__new__(EigenDecomposition), q=q_j, lam=lam_j) for q_j, lam_j in zip(q, lam))
     return [a.eigen if isinstance(a, SpdMatrix) else next(solved) for a in mats]
 
 
@@ -527,8 +559,11 @@ def _recompose_spd(q: np.ndarray, vals: np.ndarray) -> SpdMatrix:
     """SPD matrix with eigenvectors ``q`` and eigenvalues ``vals``, built from
     that decomposition without running the solver."""
     order = np.argsort(-vals, kind="stable")
-    eigen = EigenDecomposition(q=q[:, order], lam=vals[order])
-    return SpdMatrix(eigen.recompose(), _eigen=eigen)
+    # a row-major copy of the reordered factor, as the solver returns factors
+    eigen = _frozen(object.__new__(EigenDecomposition), q=q[:, order].copy(), lam=vals[order])
+    entries = _symmetrized(eigen.recompose())  # as in SpdMatrix: symmetrized, then admitted
+    _admit(eigen.lam)
+    return _frozen(object.__new__(SpdMatrix), _entries=entries, _eigen=eigen)
 
 
 def congruence(x: np.ndarray, a: SymMatrix) -> np.ndarray:
@@ -580,6 +615,7 @@ def cholesky(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def frobenius_norm(a: SymMatrix | np.ndarray) -> float:
+    """Frobenius norm of a matrix or array."""
     m = a.entries if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
     return float(_frobenius_norms(m))
 
@@ -595,6 +631,7 @@ def _radius(lam: np.ndarray) -> float:
 
 
 def trace(a: SymMatrix) -> float:
+    """Sum of the diagonal entries."""
     return float(np.trace(a.entries))
 
 
@@ -614,24 +651,18 @@ class LoewnerComparison:
     witness: float
 
 
-def loewner_geq(a: SymMatrix, b: SymMatrix, rel_tol: float = 0.0) -> LoewnerComparison:
+def _loewner_geq(a: SymMatrix, b: SymMatrix, rel_tol: float = 0.0) -> Run[LoewnerComparison]:
     """Test a >= b in the Loewner order (a - b positive semidefinite).
 
     The slack is relative: lambda_min(a - b) >= -rel_tol * max(1, ||a||, ||b||)
     with operator norms, which are formed only when lambda_min(a - b) < 0.
     ``rel_tol`` must be nonnegative.
     """
-    return _solved(_lockstep([_loewner(a, b, rel_tol)])[0])
-
-
-def _loewner(a: SymMatrix, b: SymMatrix, rel_tol: float = 0.0) -> Generator:
-    """Run step of ``loewner_geq``: the witness is solved in one round and,
-    when it is negative, whichever of a and b has no cached decomposition in
-    the next, for its operator norm."""
+    # the witness is solved in one round and, when it is negative, whichever
+    # of a and b has no cached decomposition in the next
     if not rel_tol >= 0.0:
         raise ValueError(f"rel_tol must be nonnegative, got {rel_tol!r}")
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _check_pair(a, b)
     _, lam = yield from _spectra(SymMatrix(a.entries - b.entries).entries[None], admit=False)
     witness = float(lam[0, -1])
     holds = witness >= 0.0
@@ -639,3 +670,6 @@ def _loewner(a: SymMatrix, b: SymMatrix, rel_tol: float = 0.0) -> Generator:
         eigens = yield from _decompositions((a, b))
         holds = witness >= -rel_tol * max(1.0, *(_radius(eigen.lam) for eigen in eigens))
     return LoewnerComparison(holds=holds, witness=witness)
+
+
+loewner_geq = _public(_loewner_geq)

@@ -20,10 +20,13 @@ from . import lie_trotter as lt
 from . import means_geometry as mg
 from .problem_io import derive_seed, dumps_canonical, random_orthogonal, spd_array_from_rng
 from .spd_core import (
+    Run,
     SymMatrix,
     _applied,
     _decompositions,
-    _loewner,
+    _lockstep,
+    _loewner_geq,
+    _public,
     _radius,
     apply_spectral,
     congruence,
@@ -224,7 +227,7 @@ def _run_geomean_pair(rng: np.random.Generator, spec: EnsembleSpec) -> Generator
     # the two-point solve shares its rounds with the checks, and its outcome
     # is taken after theirs, where a check-by-check evaluation reaches it
     problem = bc.MeanProblem((a, b), bc.WeightVector(np.array([1.0 - t, t])))
-    outcomes = yield [_geomean_checks(rng, a, b, t), bc._transport(problem)]
+    outcomes = yield [_geomean_checks(rng, a, b, t), bc._wasserstein_mean(problem)]
     checks, geo = bc._solved(outcomes[0])
     # two-point closed form: the barycenter solver must land on the geodesic
     solved = bc._solved(outcomes[1])
@@ -277,7 +280,7 @@ def _geomean_checks(rng: np.random.Generator, a, b, t: float) -> Generator:
         [(1.0 - t) * a.entries + t * b.entries, (1.0 - t) * inv_a.entries + t * inv_b.entries]
     )
     harm = apply_spectral(inv_mix, "inverse")
-    outcomes = yield [_loewner(arith, gm_t, REL_TOL), _loewner(gm_t, harm, REL_TOL)]
+    outcomes = yield [_loewner_geq(arith, gm_t, REL_TOL), _loewner_geq(gm_t, harm, REL_TOL)]
     upper, lower = map(bc._solved, outcomes)
     checks.append(
         _check(
@@ -307,7 +310,7 @@ def _run_bounds_golden(rng: np.random.Generator, spec: EnsembleSpec) -> Generato
     pair = [np.array([[1.0, 2.0], [2.0, 5.0]]), np.array([[4.0, 4.0], [4.0, 5.0]])]
     a, b = yield from bc._admitted(pair)
     problem = bc.MeanProblem((a, b), bc.WeightVector.uniform(2))
-    outcomes = yield [bc._transport(problem), bc._fixed_point(problem, None, bc._Karcher)]
+    outcomes = yield [bc._wasserstein_mean(problem), bc._karcher_mean(problem)]
     result, karcher = map(bc._solved, outcomes)
     golden = np.array([[9.0, 12.0], [12.0, 20.0]]) / 4.0
     mean_err = float(np.max(np.abs(result.mean.entries - golden)))
@@ -338,7 +341,7 @@ def _run_bounds_problem(rng: np.random.Generator, spec: EnsembleSpec) -> Generat
     problem = yield from _draw_problem(rng, spec)
     # the bounds need no mean, so they share the mean's rounds; each outcome
     # is taken where a check-by-check evaluation reaches it
-    outcome, report = yield [bc._transport(problem), bc._bounds_report(problem)]
+    outcome, report = yield [bc._wasserstein_mean(problem), bc._bounds_report(problem)]
     result = bc._solved(outcome)
     checks = [
         _check(
@@ -351,7 +354,7 @@ def _run_bounds_problem(rng: np.random.Generator, spec: EnsembleSpec) -> Generat
     def verdicts() -> Generator:
         return (yield from bc._check_bounds(problem, bc._solved(report), result.mean))
 
-    eq_res, items = yield [bc._equivalent_residual(result.mean, problem), verdicts()]
+    eq_res, items = yield [bc._equivalent_equation_residual(result.mean, problem), verdicts()]
     eq_res = bc._solved(eq_res)
     checks.append(
         _check("bounds.equivalent_residual", eq_res <= 1e-10, {"residual": eq_res})
@@ -370,7 +373,7 @@ def _run_det_problem(rng: np.random.Generator, spec: EnsembleSpec) -> Generator:
     # equality case: all matrices equal forces equality of the determinants
     first = problem.matrices[0]
     equal_problem = bc.MeanProblem((first,) * problem.n, problem.weights)
-    runs = [bc._transport(problem), bc._transport(equal_problem), bc._arithmetic_mean(problem)]
+    runs = [bc._wasserstein_mean(problem), bc._wasserstein_mean(equal_problem), bc._arithmetic_mean(problem)]
     outcome, equal_outcome, arith = yield runs
     result = bc._solved(outcome)
     rep = bc.det_inequality_check(problem, result.mean)
@@ -414,8 +417,8 @@ def _run_invariance_problem(rng: np.random.Generator, spec: EnsembleSpec) -> Gen
     admitted = yield from bc._admitted(arrays)
     *scaled, rotated = (bc.MeanProblem(admitted[k * n : (k + 1) * n], problem.weights) for k in range(3))
     # the seven means are solved in lockstep; the first failure in order is raised
-    runs = [bc._transport(p) for p in (problem, *scaled, permuted, repeated, rotated)]
-    outcomes = yield [*runs, bc._transport(problem, bc.SolverConfig(initial="identity"))]
+    runs = [bc._wasserstein_mean(p) for p in (problem, *scaled, permuted, repeated, rotated)]
+    outcomes = yield [*runs, bc._wasserstein_mean(problem, bc.SolverConfig(initial="identity"))]
     base, *scaled_means, perm_mean, rep_mean, rot_mean, identity_mean = (
         bc._solved(outcome).mean for outcome in outcomes
     )
@@ -485,8 +488,8 @@ def _run_lie_trotter_instance(rng: np.random.Generator, spec: EnsembleSpec) -> G
     curves = yield from _draw_curves(rng, n, dim)
     weights = bc.WeightVector(rng.uniform(0.2, 1.0, size=n))
     directions = tuple(c.derivative_at_zero for c in curves)
-    runs = [lt._trace(weights, curves, None, negate) for negate in (False, True)]
-    outcomes = yield [*runs, lt._derivative(weights, directions, None)]
+    runs = [lt._convergence_trace(weights, curves, negate=negate) for negate in (False, True)]
+    outcomes = yield [*runs, lt._derivative_at_identity_check(weights, directions)]
     trace_pos, trace_neg, deriv = map(bc._solved, outcomes)
     checks = []
 
@@ -542,7 +545,7 @@ def _run_lie_trotter_instance(rng: np.random.Generator, spec: EnsembleSpec) -> G
     acc = np.zeros((dim, dim))
     for wj, base in zip(weights.values, bases):
         acc = acc + wj * apply_spectral(base, "log").entries
-    outcomes = yield [lt._target(weights, power_curves), _applied([SymMatrix(acc)], "exp_of_sym")]
+    outcomes = yield [lt._lie_trotter_target(weights, power_curves), _applied([SymMatrix(acc)], "exp_of_sym")]
     target, (independent,) = map(bc._solved, outcomes)
     exact = bool(np.array_equal(target.entries, independent.entries))
     gap = float(np.max(np.abs(target.entries - independent.entries)))
@@ -559,7 +562,7 @@ class CheckStream:
     stream_id: str
     family: str
     count_of: Callable[[int], int]
-    # a ``bc._lockstep`` run that returns the checks of one instance
+    # a ``_lockstep`` run that returns the checks of one instance
     run: Callable[[np.random.Generator, EnsembleSpec], Generator]
 
 
@@ -577,21 +580,25 @@ STREAMS: tuple[CheckStream, ...] = (
 
 
 def expand_families(selection) -> tuple[str, ...]:
-    if isinstance(selection, str):
-        selection = (selection,)
-    chosen = []
+    """The families named by ``selection``, a name or names ("all" for every
+    family); ValueError when it is empty or names an unknown family."""
+    selection = (selection,) if isinstance(selection, str) else tuple(selection)
+    if not selection:
+        raise ValueError(f"select at least one suite family from {FAMILIES} or 'all'")
     for name in selection:
-        if name == "all":
-            return FAMILIES
-        if name not in FAMILIES:
+        if name != "all" and name not in FAMILIES:
             raise ValueError(f"unknown suite family {name!r}; choose from {FAMILIES} or 'all'")
-        if name not in chosen:
-            chosen.append(name)
-    return tuple(chosen)
+    return FAMILIES if "all" in selection else tuple(dict.fromkeys(selection))
 
 
-def _records(stream: CheckStream, instance_seed: int, spec: EnsembleSpec, index: int) -> Generator:
-    """Run of one instance for ``bc._lockstep``: its check records."""
+def _run_instance(
+    stream_id: str, instance_seed: int, spec: EnsembleSpec, index: int = -1
+) -> Run[list[CheckRecord]]:
+    """Re-run one instance of one stream from its recorded seed, as a batch
+    of one."""
+    stream = next((s for s in STREAMS if s.stream_id == stream_id), None)
+    if stream is None:
+        raise ValueError(f"unknown stream {stream_id!r}")
     checks = yield from stream.run(np.random.default_rng(instance_seed), spec)
     return [
         CheckRecord(check_id, stream.stream_id, index, instance_seed, passed, witness)
@@ -599,13 +606,7 @@ def _records(stream: CheckStream, instance_seed: int, spec: EnsembleSpec, index:
     ]
 
 
-def run_instance(stream_id: str, instance_seed: int, spec: EnsembleSpec, index: int = -1) -> list[CheckRecord]:
-    """Re-run one instance of one stream from its recorded seed, as a batch
-    of one."""
-    stream = next((s for s in STREAMS if s.stream_id == stream_id), None)
-    if stream is None:
-        raise ValueError(f"unknown stream {stream_id!r}")
-    return bc._solved(bc._lockstep([_records(stream, instance_seed, spec, index)])[0])
+run_instance = _public(_run_instance)
 
 
 def run_suite(spec: EnsembleSpec, families="all") -> SuiteReport:
@@ -615,7 +616,7 @@ def run_suite(spec: EnsembleSpec, families="all") -> SuiteReport:
     200 axiom triples, 50 oracle pairs, 100 perturbation quadruples, 100
     two-matrix instances, one golden worked-pair reproduction, 200 bound
     problems, 200 determinant problems, 50 invariance instances, 20 limit
-    instances).  Every instance is a run of one ``bc._lockstep`` call, so
+    instances).  Every instance is a run of one ``_lockstep`` call, so
     the means of all instances share their eigensolve rounds; each draws
     from its own generator, so the records are those of ``run_instance``.
     Once all have ended, the SolverError or LinearAlgebraError of the first
@@ -630,7 +631,7 @@ def run_suite(spec: EnsembleSpec, families="all") -> SuiteReport:
         if stream.family in chosen
         for index in range(stream.count_of(spec.count))
     ]
-    outcomes = bc._lockstep([_records(stream, seed, spec, index) for stream, index, seed in instances])
+    outcomes = _lockstep([_run_instance(s.stream_id, seed, spec, i) for s, i, seed in instances])
     records: list[CheckRecord] = []
     for (stream, index, seed), outcome in zip(instances, outcomes):
         if isinstance(outcome, ValueError):

@@ -12,6 +12,7 @@ from spdmeans import (
     SolverConfig,
     SolverError,
     SpdMatrix,
+    SymMatrix,
     WeightVector,
     apply_spectral,
     arithmetic_mean,
@@ -96,6 +97,13 @@ def test_mean_problem_validation():
         MeanProblem((a, identity(3)), WeightVector.uniform(2))
     with pytest.raises(ValueError):
         MeanProblem((a,), WeightVector.uniform(2))
+    # a symmetric matrix that is not an SpdMatrix has no cached spectrum
+    # for the solvers and reports to read
+    sym = (SymMatrix(np.eye(2)), SymMatrix(np.diag([2.0, 3.0])))
+    with pytest.raises(ValueError, match="SpdMatrix"):
+        MeanProblem(sym, WeightVector.uniform(2))
+    with pytest.raises(ValueError, match="SpdMatrix"):
+        MeanProblem((a, np.eye(2)), WeightVector.uniform(2))
 
 
 def test_solver_config_validation():
@@ -324,27 +332,39 @@ def test_iterations_build_no_matrix_objects(
 ):
     # the loop works on arrays: the returned mean is the one SpdMatrix (and
     # EigenDecomposition) a transport solve builds; Karcher adds exp(G), whose
-    # decomposition is solved and then reordered, in each iteration
+    # decomposition is solved and then reordered, in each iteration.  The
+    # package builds them through its private constructor, never through
+    # the checking public ones.
     built = {SpdMatrix: 0, EigenDecomposition: 0}
+    public_inits = []
+    real_frozen = spd_core._frozen
 
-    def counting(cls):
+    def frozen(obj, **fields):
+        if type(obj) in built:
+            built[type(obj)] += 1
+        return real_frozen(obj, **fields)
+
+    def counting_init(cls):
         real = cls.__init__
 
         def init(self, *args, **kwargs):
-            built[cls] += 1
+            public_inits.append(cls)
             real(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", init)
 
-    counting(SpdMatrix)
-    counting(EigenDecomposition)
+    monkeypatch.setattr(spd_core, "_frozen", frozen)
+    counting_init(SpdMatrix)
+    counting_init(EigenDecomposition)
     p = random_problem(np.random.default_rng(12), n=4, dim=5)
     for max_iter in (1, 2, 5):
         built[SpdMatrix] = built[EigenDecomposition] = 0
+        public_inits.clear()
         result = solve(p, SolverConfig(rel_tol=1e-300, max_iter=max_iter))
         assert result.iterations == max_iter
         assert built[SpdMatrix] == 1 + spd_per_iteration * max_iter
         assert built[EigenDecomposition] == 1 + eigen_per_iteration * max_iter
+        assert public_inits == []
 
 
 @SOLVERS
@@ -413,7 +433,7 @@ def _assert_same_outcomes(got_outcomes, want_outcomes):
 @LOCKSTEP
 def test_lockstep_loop_gives_the_sequential_results(solve, method):
     problems, cfg = _lockstep_batch()
-    batch = barycenter._lockstep([barycenter._fixed_point(p, cfg, method) for p in problems])
+    batch = spd_core._lockstep([barycenter._fixed_point(p, cfg, method) for p in problems])
     _assert_same_outcomes(batch, [_outcome_of(solve, p, cfg) for p in problems])
     # the batch holds a failure, a truncated solve and a converged one
     assert isinstance(batch[2], SolverError)
@@ -433,7 +453,7 @@ def test_lockstep_loop_gives_the_sequential_results(solve, method):
         SolverConfig(rel_tol=1e-8, max_iter=5),
         None,
     ]
-    batch = barycenter._lockstep(
+    batch = spd_core._lockstep(
         [barycenter._fixed_point(p, c, method) for p, c in zip(problems, configs)]
     )
     _assert_same_outcomes(batch, [_outcome_of(solve, p, c) for p, c in zip(problems, configs)])
@@ -452,7 +472,7 @@ def _round_sizes(monkeypatch, runs):
 
     with monkeypatch.context() as patch:
         patch.setattr(spd_core, "_jacobi_stack", counting_stack)
-        outcomes = barycenter._lockstep(runs)
+        outcomes = spd_core._lockstep(runs)
     return outcomes, sizes
 
 
@@ -534,10 +554,10 @@ def test_lockstep_batch_of_two_dimensions_gives_the_sequential_results(monkeypat
         return real_stack(arrays)
 
     monkeypatch.setattr(spd_core, "_jacobi_stack", one_dimension_stack)
-    batch = barycenter._lockstep([barycenter._fixed_point(p, cfg, method) for p in mixed])
+    batch = spd_core._lockstep([barycenter._fixed_point(p, cfg, method) for p in mixed])
     _assert_same_outcomes(batch, want)
     assert set(dims) == {3, 4}
-    assert barycenter._lockstep([]) == []
+    assert spd_core._lockstep([]) == []
 
 
 def test_lockstep_forks_child_runs_and_joins_their_outcomes():
@@ -549,19 +569,19 @@ def test_lockstep_forks_child_runs_and_joins_their_outcomes():
 
     def parent():
         # a fork of forks, a solve run inline between forks, and an empty fork
-        outer = yield [child(problems[:3]), barycenter._transport(problems[3], cfg), child(problems[4:])]
-        inline = yield from barycenter._transport(other, cfg)
+        outer = yield [child(problems[:3]), barycenter._wasserstein_mean(problems[3], cfg), child(problems[4:])]
+        inline = yield from barycenter._wasserstein_mean(other, cfg)
         seen.append((outer, inline, (yield [])))
         return "done"
 
     def child(ps):
-        return (yield [barycenter._transport(p, cfg) for p in ps])
+        return (yield [barycenter._wasserstein_mean(p, cfg) for p in ps])
 
     def failing():
-        yield [barycenter._transport(problems[0], cfg)]
+        yield [barycenter._wasserstein_mean(problems[0], cfg)]
         raise SolverError("after the join")
 
-    done, failed, lone = barycenter._lockstep([parent(), failing(), barycenter._transport(other, cfg)])
+    done, failed, lone = spd_core._lockstep([parent(), failing(), barycenter._wasserstein_mean(other, cfg)])
     assert done == "done"
     assert str(failed) == "after the join"
     _assert_same_outcomes([lone], [other_want])
@@ -633,9 +653,9 @@ def _two_matrix_cases():
                 mg._geodesic_perturbation_bound(a, b, c, t),
                 lambda a=a, b=b, c=c, t=t: geodesic_perturbation_bound(a, b, c, t),
             ),
-            (spd_core._loewner(a, b, 1e-8), lambda a=a, b=b: loewner_geq(a, b, 1e-8)),
-            (spd_core._loewner(sym_a, sym_b, 1e-8), lambda a=sym_a, b=sym_b: loewner_geq(a, b, 1e-8)),
-            (spd_core._loewner(a, sym_b), lambda a=a, b=sym_b: loewner_geq(a, b)),
+            (spd_core._loewner_geq(a, b, 1e-8), lambda a=a, b=b: loewner_geq(a, b, 1e-8)),
+            (spd_core._loewner_geq(sym_a, sym_b, 1e-8), lambda a=sym_a, b=sym_b: loewner_geq(a, b, 1e-8)),
+            (spd_core._loewner_geq(a, sym_b), lambda a=a, b=sym_b: loewner_geq(a, b)),
             (barycenter._arithmetic_mean(p), lambda p=p: arithmetic_mean(p)),
             (barycenter._harmonic_mean(p), lambda p=p: harmonic_mean(p)),
             (barycenter._bounds_report(p), lambda p=p: bounds_report(p)),
@@ -648,7 +668,7 @@ def _two_matrix_cases():
                 barycenter._check_bounds(small, bounds_report(small), mean),
                 lambda p=small, m=mean: check_bounds(p, bounds_report(p), m),
             ),
-            (barycenter._equivalent_residual(mean, p), lambda p=p, m=mean: equivalent_equation_residual(m, p)),
+            (barycenter._equivalent_equation_residual(mean, p), lambda p=p, m=mean: equivalent_equation_residual(m, p)),
         ]
     # A^{-1/2} B A^{-1/2} = diag(1e-7, 1e7) is not admitted, and the
     # mismatched pair is an input error
@@ -666,7 +686,7 @@ def _two_matrix_cases():
 def test_two_matrix_run_steps_in_one_batch_give_the_lone_results():
     cases = _two_matrix_cases()
     want = [_lone_outcome(call) for _, call in cases]
-    batch = barycenter._lockstep([step for step, _ in cases])
+    batch = spd_core._lockstep([step for step, _ in cases])
     _assert_same_values(batch, want)
     # the batch holds each kind of edge it is meant to
     assert any(isinstance(w, spd_core.NotPositiveDefiniteError) for w in want)
@@ -683,7 +703,7 @@ def _symmetric_factor_residual(x, p):
     eigensolve of x, where the solver uses the Cholesky factor of X."""
     sqrt_x = apply_spectral(x, "sqrt").entries
     cs = np.stack([spd_core.congruence(sqrt_x, a) for a in p.matrices])
-    q, _ = barycenter._solved(barycenter._lockstep([spd_core._spectra(cs)])[0])
+    q, _ = barycenter._solved(spd_core._lockstep([spd_core._spectra(cs)])[0])
     s = p.weights.combine(barycenter._sqrt_stack(q, cs))
     return frobenius_norm(x.entries - s) / frobenius_norm(x.entries)
 
@@ -850,7 +870,10 @@ def test_congruence_roots_take_in_what_jacobi_leaves_off_the_diagonal():
     l1, l2, eps = 4e-10, 1e-10, 1e-15
     c = np.diag([1.0, l1, l2])
     c[1, 2] = c[2, 1] = eps
-    leaky = SpdMatrix(c, _eigen=EigenDecomposition(q=np.eye(3), lam=np.array([1.0, l1, l2])))
+    lam = np.array([1.0, l1, l2])
+    spd_core._admit(lam)
+    eigen = spd_core._frozen(object.__new__(EigenDecomposition), q=np.eye(3), lam=lam)
+    leaky = spd_core._frozen(object.__new__(SpdMatrix), _entries=c, _eigen=eigen)
     sqrt_det = math.sqrt(l1 * l2 - eps * eps)  # closed-form root of the 2x2 block
     want = np.zeros((3, 3))
     want[0, 0] = 1.0

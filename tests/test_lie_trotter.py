@@ -159,7 +159,7 @@ def test_curve_point_batch_gives_the_lone_results():
     assert isinstance(failures[-1][2], SpectralDomainError)
     cases[3:3] = failures[:3]
     cases += failures[3:]
-    outcomes = _lockstep([module._curve_point(curve, s) for curve, s, _ in cases])
+    outcomes = _lockstep([module._evaluate_curve(curve, s) for curve, s, _ in cases])
     for (curve, s, expected), got in zip(cases, outcomes):
         if isinstance(expected, Exception):
             assert type(got) is type(expected) and str(got) == str(expected), (curve.kind, s)
@@ -458,11 +458,10 @@ def test_derivative_check_admits_and_solves_in_one_lockstep_call(monkeypatch):
     # the check is one run of one lockstep call; its first stacked round
     # holds the n direction spectra that bound the steps, the next all
     # 2 T n points, and nothing is solved alone
-    from spdmeans import lie_trotter as module
     from spdmeans import spd_core
 
     calls, solves = [], []
-    real_lockstep, real_stack, real_lone = module._lockstep, spd_core._jacobi_stack, spd_core._jacobi
+    real_lockstep, real_stack, real_lone = spd_core._lockstep, spd_core._jacobi_stack, spd_core._jacobi
 
     def counted_lockstep(runs):
         calls.append(len(runs))
@@ -476,7 +475,8 @@ def test_derivative_check_admits_and_solves_in_one_lockstep_call(monkeypatch):
         solves.append("lone")
         return real_lone(matrix)
 
-    monkeypatch.setattr(module, "_lockstep", counted_lockstep)
+    # the public function drives its run step through the ``spd_core`` binding
+    monkeypatch.setattr(spd_core, "_lockstep", counted_lockstep)
     monkeypatch.setattr(spd_core, "_jacobi_stack", counting_stack)
     monkeypatch.setattr(spd_core, "_jacobi", counting_lone)
     rng = np.random.default_rng(31)

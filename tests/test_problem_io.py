@@ -48,11 +48,62 @@ def test_parse_example_file(example_file):
             '{"schema_version": 1, "weights": [1.0], "matrices": [[[1, 2], [2, 1]]]}',
             "matrix 0: not positive definite",
         ),
+        # the failure of the lowest index is reported, whatever its kind
+        (
+            '{"schema_version": 1, "weights": [0.5, 0.5], "matrices": [[[1, 2], [2, 1]], [[1]]]}',
+            "matrix 0: not positive definite",
+        ),
+        (
+            '{"schema_version": 1, "weights": [1, 1, 1], "matrices": [[[1]], [[-1]], [[1, 0]]]}',
+            "matrix 1: not positive definite",
+        ),
+        (
+            '{"schema_version": 1, "weights": [0.5, 0.5], "matrices": [[[1, 0]], [[-1]]]}',
+            "matrix 0: not square",
+        ),
+        (
+            '{"schema_version": 1, "weights": [0.5, 0.5], "matrices": [[[1]], [[1e308, 1e308], [1, 1]]]}',
+            "matrix 1: dimension 2",
+        ),
+        (
+            '{"schema_version": 1, "weights": [0.5, 0.5], "matrices": [[[1, 0], [0, 1]], [[1e308, 1.7e308], [1, 1]]]}',
+            "matrix 1: symmetrization",
+        ),
     ],
 )
 def test_parse_errors_are_located(doc, fragment):
     with pytest.raises(ProblemFileError, match=fragment):
         parse_problem(doc)
+
+
+def test_parse_admits_every_matrix_in_one_round(monkeypatch):
+    # one stack per dimension, each slice with the bits of SpdMatrix(arr),
+    # and no lone eigensolve
+    from spdmeans import SpdMatrix, spd_core
+
+    rng = np.random.default_rng(5)
+    arrays = [spd_from_rng(rng, 3).entries for _ in range(3)]
+    stacks, lone = [], []
+    real_stack, real_lone = spd_core._jacobi_stack, spd_core._jacobi
+
+    def counting_stack(batch):
+        stacks.append(batch.shape)
+        return real_stack(batch)
+
+    def counting_lone(matrix):
+        lone.append(matrix.shape)
+        return real_lone(matrix)
+
+    monkeypatch.setattr(spd_core, "_jacobi_stack", counting_stack)
+    monkeypatch.setattr(spd_core, "_jacobi", counting_lone)
+    doc = {"schema_version": 1, "weights": [1.0] * 3, "matrices": [a.tolist() for a in arrays]}
+    problem = parse_problem(json.dumps(doc))
+    assert stacks == [(3, 3, 3)] and lone == []
+    for got, arr in zip(problem.matrices, arrays):
+        want = SpdMatrix(arr)
+        assert type(got) is SpdMatrix
+        for x, y in ((got.entries, want.entries), (got.eigen.q, want.eigen.q), (got.eigen.lam, want.eigen.lam)):
+            assert x.tobytes() == y.tobytes() and not x.flags.writeable
 
 
 def test_parse_reports_lambda_min():

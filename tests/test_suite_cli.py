@@ -64,8 +64,16 @@ def test_family_selection():
     assert all(r.check_id.startswith("metric.") for r in report.records)
     assert expand_families("all") == FAMILIES
     assert expand_families(("det", "metric", "det")) == ("det", "metric")
-    with pytest.raises(ValueError):
-        expand_families("spectra")
+    assert expand_families(["det", "all"]) == expand_families(["all", "det"]) == FAMILIES
+    # every name is checked, wherever "all" stands, and nothing is no selection
+    for bad in ("spectra", ["all", "bogus"], ["bogus", "all"], ["metric", "bogus"]):
+        with pytest.raises(ValueError, match="unknown suite family"):
+            expand_families(bad)
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="at least one"):
+            expand_families(empty)
+        with pytest.raises(ValueError, match="at least one"):
+            run_suite(EnsembleSpec(count=4), empty)
 
 
 def test_every_record_reruns_identically(small_report):
@@ -184,11 +192,10 @@ def test_bounds_instance_computes_one_report(monkeypatch):
 
 
 def test_invariance_instance_solves_its_seven_means_in_one_stack(monkeypatch):
-    import spdmeans.barycenter as bc
     import spdmeans.spd_core as core
 
     calls, stacks = [], []
-    original, real_stack = bc._lockstep, core._jacobi_stack
+    original, real_stack = core._lockstep, core._jacobi_stack
 
     def counted(runs):
         calls.append(len(runs))
@@ -198,7 +205,7 @@ def test_invariance_instance_solves_its_seven_means_in_one_stack(monkeypatch):
         stacks.append(len(arrays))
         return real_stack(arrays)
 
-    monkeypatch.setattr(bc, "_lockstep", counted)
+    monkeypatch.setattr(core, "_lockstep", counted)
     monkeypatch.setattr(core, "_jacobi_stack", recorded)
     run_instance("invariance.problem", 12345, EnsembleSpec())
     # the instance is one run: one round admits its n drawn matrices, the
@@ -255,21 +262,22 @@ def _every_instance(spec):
 
 
 def test_suite_batch_gives_the_records_of_one_instance_at_a_time(monkeypatch):
-    import spdmeans.barycenter as bc
-    import spdmeans.lie_trotter as lt
+    import spdmeans.spd_core as core
+    import spdmeans.suite as suite
 
     spec = EnsembleSpec(seed=3, count=10)
     calls = []
-    original = bc._lockstep
+    original = core._lockstep
 
     def counted(runs):
         calls.append(len(runs))
         return original(runs)
 
     # the limit instance forks its traces and derivative check, so neither
-    # the suite nor one instance starts a second driver
-    monkeypatch.setattr(bc, "_lockstep", counted)
-    monkeypatch.setattr(lt, "_lockstep", counted)
+    # the suite nor one instance starts a second driver: the suite calls its
+    # own binding of the driver, and ``run_instance`` the one in ``spd_core``
+    monkeypatch.setattr(core, "_lockstep", counted)
+    monkeypatch.setattr(suite, "_lockstep", counted)
     report = run_suite(spec, "all")
     instances = _every_instance(spec)
     assert calls == [len(instances)]
