@@ -5,10 +5,13 @@ Riemannian trace distance, the optimal-transport (Bures) distance with an
 independent brute-force minimizer for 2x2 input, the transport geodesic, and
 the geodesic perturbation bound report.
 
+The transport distance and geodesic share one factor M = C^{1/2} A^{-1/2},
+C = A^{1/2} B A^{1/2} (``_transport``), so neither subtracts traces.
+
 Each function that solves is written once, as a run step for
 ``spd_core._lockstep`` (``_geometric_mean``, ``_wasserstein_distance`` and
-so on): it yields the admissions of its inner and mixed products and of its
-result, so that the steps of many callers share their eigensolve rounds.
+so on): it yields the admissions of its inner or transport product and of
+its result, so that the steps of many callers share their eigensolve rounds.
 The public function is derived from its step by ``spd_core._public``.
 """
 
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spd_core import (
-    NumericalBreakdownError,
     Run,
     SpdMatrix,
     _admitted,
@@ -33,12 +35,7 @@ from .spd_core import (
     congruence,
     frobenius_norm,
     scale_exponent,
-    trace,
 )
-
-# tr((A+B)/2) - fidelity can dip microscopically negative when A is close to
-# B; values inside this window clamp to zero, anything lower is a breakdown.
-RADICAND_CLAMP = 1e-12
 
 # Angles in the coarse grid and in each refinement window of the 2x2 oracle.
 ORACLE_GRID = 720
@@ -59,13 +56,16 @@ def _inner(a: SpdMatrix, b: SpdMatrix) -> Generator:
     return inner
 
 
-def _mixed(a: SpdMatrix, b: SpdMatrix, sqrt_a: np.ndarray) -> Generator:
-    """Run step: s from ``scale_exponent`` and A^{1/2} B A^{1/2} times 16^-s,
-    admitted, for A^{1/2} = sqrt_a.  The scaling is exact, so the product
-    neither overflows nor underflows, and its root scales back by 4^s."""
+def _transport(a: SpdMatrix, b: SpdMatrix) -> Generator:
+    """Run step: A^{1/2} and M = C^{1/2} A^{-1/2}, C = A^{1/2} B A^{1/2}, as
+    arrays; M^T M = B.  C is formed times 16^-s, for s from ``scale_exponent``,
+    and admitted; the scaling is exact, so the product neither overflows nor
+    underflows, and its root scales back by 4^s."""
+    sqrt_a = apply_spectral(a, "sqrt").entries
     s = scale_exponent(a.entries, b.entries)
-    (mixed,) = yield from _admitted([congruence(np.ldexp(sqrt_a, -2 * s), b)])
-    return s, mixed
+    (c,) = yield from _admitted([congruence(np.ldexp(sqrt_a, -2 * s), b)])
+    root_c = np.ldexp(apply_spectral(c, "sqrt").entries, 2 * s)
+    return sqrt_a, root_c @ apply_spectral(a, "inv_sqrt").entries
 
 
 def _geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> Run[SpdMatrix]:
@@ -92,24 +92,16 @@ def _riemannian_distance(a: SpdMatrix, b: SpdMatrix) -> Run[float]:
 def _wasserstein_distance(a: SpdMatrix, b: SpdMatrix) -> Run[float]:
     """Optimal-transport distance [tr((A+B)/2) - tr(A^{1/2} B A^{1/2})^{1/2}]^{1/2}.
 
-    The cross term tr(A^{1/2} B A^{1/2})^{1/2} is the fidelity of the pair.
-    It is taken from the product times 16^-s (``_mixed``) and scaled back,
-    so the clamp window below applies to the unscaled radicand.
-    Equal inputs return exactly zero: the trace difference cancels
-    catastrophically there, so the formula path would only report the
-    cancellation noise inflated by the outer square root.
+    Evaluated in its polar form ||A^{1/2} - M||_F / sqrt(2), with M from
+    ``_transport``: M = U B^{1/2} for the orthogonal U that minimizes
+    ||A^{1/2} - U B^{1/2}||_F.  No traces are subtracted, so near-equal
+    inputs keep their relative accuracy; equal inputs return exactly zero.
     """
     _check_pair(a, b)
     if np.array_equal(a.entries, b.entries):
         return 0.0
-    s, mixed = yield from _mixed(a, b, apply_spectral(a, "sqrt").entries)
-    fidelity = math.ldexp(float(np.sum(np.sqrt(mixed.eigen.lam))), 2 * s)
-    radicand = 0.5 * (trace(a) + trace(b)) - fidelity
-    if radicand < -RADICAND_CLAMP:
-        raise NumericalBreakdownError(
-            f"squared distance evaluated to {radicand:.6e}, below the clamp window"
-        )
-    return math.sqrt(max(radicand, 0.0))
+    sqrt_a, m = yield from _transport(a, b)
+    return frobenius_norm(sqrt_a - m) / math.sqrt(2.0)
 
 
 def wasserstein_distance_oracle_2x2(a: SpdMatrix, b: SpdMatrix) -> float:
@@ -160,11 +152,8 @@ def wasserstein_distance_oracle_2x2(a: SpdMatrix, b: SpdMatrix) -> float:
 def _wasserstein_geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> Run[SpdMatrix]:
     """Transport geodesic (1-t)^2 A + t^2 B + t(1-t) [(AB)^{1/2} + (BA)^{1/2}].
 
-    Endpoints are exact.  (AB)^{1/2} is evaluated through the similarity
-    reduction A^{1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}, which keeps every
-    square root inside the symmetric eigensolver's domain.  The inner product
-    is formed times 16^-s, as in ``wasserstein_distance``, and its root
-    scaled back.
+    Endpoints are exact.  Inside, it is N^T N with N = (1-t) A^{1/2} + t M and
+    M from ``_transport``: M^T M = B and A^{1/2} M = (AB)^{1/2}.
     """
     _check_pair(a, b)
     t = _check_unit_interval(t)
@@ -172,12 +161,9 @@ def _wasserstein_geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> Run[SpdMatrix
         return a
     if t == 1.0:
         return b
-    sqrt_a = apply_spectral(a, "sqrt").entries
-    inv_sqrt_a = apply_spectral(a, "inv_sqrt").entries
-    s, mixed = yield from _mixed(a, b, sqrt_a)
-    cross = np.ldexp(sqrt_a @ apply_spectral(mixed, "sqrt").entries @ inv_sqrt_a, 2 * s)
-    g = (1.0 - t) ** 2 * a.entries + t**2 * b.entries + t * (1.0 - t) * (cross + cross.T)
-    (geodesic,) = yield from _admitted([g])
+    sqrt_a, m = yield from _transport(a, b)
+    n = (1.0 - t) * sqrt_a + t * m
+    (geodesic,) = yield from _admitted([n.T @ n])
     return geodesic
 
 

@@ -508,8 +508,8 @@ def apply_spectral(a: SymMatrix, f: str, p: float | None = None) -> SymMatrix | 
     ``f`` is one of SPECTRAL_FUNCTIONS; ``power`` takes the exponent ``p``.
     ``exp_of_sym`` accepts any symmetric matrix and returns an SpdMatrix; the
     remaining tags require a strictly positive spectrum and return SpdMatrix
-    except for ``log``, which returns a plain SymMatrix.  ``exp_of_sym`` and
-    ``power`` raise SpectralDomainError when a value overflows.
+    except for ``log``, which returns a plain SymMatrix.  Every tag but
+    ``log`` raises SpectralDomainError when a value overflows.
     """
     if f not in SPECTRAL_FUNCTIONS:
         raise ValueError(f"unknown spectral function {f!r}")
@@ -524,19 +524,18 @@ def _spectral(eigen: EigenDecomposition, f: str, p: float | None = None) -> SymM
     if f != "exp_of_sym" and lam[-1] <= 0.0:
         raise SpectralDomainError(f"{f} undefined on eigenvalue {float(lam[-1])!r}")
     if f == "log":
-        vals = np.log(lam)
-        return SymMatrix((eigen.q * vals) @ eigen.q.T)
-    if f == "sqrt":
-        vals = np.sqrt(lam)
-    elif f == "inv_sqrt":
-        vals = 1.0 / np.sqrt(lam)
-    elif f == "inverse":
-        vals = 1.0 / lam
-    else:
-        with np.errstate(over="ignore"):
+        return SymMatrix((eigen.q * np.log(lam)) @ eigen.q.T)
+    with np.errstate(over="ignore"):
+        if f == "sqrt":
+            vals = np.sqrt(lam)
+        elif f == "inv_sqrt":
+            vals = 1.0 / np.sqrt(lam)
+        elif f == "inverse":
+            vals = 1.0 / lam
+        else:
             vals = np.exp(lam) if f == "exp_of_sym" else lam ** float(p)
-        if not np.isfinite(vals).all():
-            raise SpectralDomainError(f"{f} overflows on spectrum [{lam[-1]:.6e}, {lam[0]:.6e}]")
+    if not np.isfinite(vals).all():
+        raise SpectralDomainError(f"{f} overflows on spectrum [{lam[-1]:.6e}, {lam[0]:.6e}]")
     return _recompose_spd(eigen.q, vals)
 
 

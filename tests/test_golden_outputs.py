@@ -23,9 +23,9 @@ from spdmeans.cli import main
 
 # verify --suite all --count 10, by seed
 VERIFY_SHA256 = {
-    42: "19ef26f69d62a348201209263eb8b790d2799762b604771798bb788d6cd7f7fb",
-    7: "a0b87a84c43413a2adc94565df547bfffdcdc2dde15ea8d8710f861228aa6c6e",
-    1: "3d70bd1e353eb23b565486ee59efdaee78f67a4eb8e08f13339d751b327b7ac2",
+    42: "61edcf3db0258fa1523dccc1f6a521781da365e2e2bc50391ef8ff3bef3c110e",
+    7: "6fd0443307433e615968832d7ab541ddfae60d66f33c2cc1c987bc4506e3d66f",
+    1: "8d5fcff8a9a05837f7655be712fb8b3ee7e30caef36134e6993070ea75c8dafe",
 }
 
 CLI_SHA256 = {
@@ -35,9 +35,9 @@ CLI_SHA256 = {
     "mean-arithmetic": "74ba9884fe4c9aa827539a0151aeae97547b6523ce95cff7a64d2e12c77d7b7a",
     "mean-harmonic": "ffa5844fdf202d4bfe6292c590767adfb9d309652ffc119cbbcdbb1635c6165f",
     "lie-trotter": "9dc2bf58db7d5a44fae3843fbafc95f9ede1383f1ba301e55785f2afa3b3701b",
-    "distance-wasserstein": "4ecdd70930069d5927cf5935b37e0fc0d8af9378750e47f31740d4f8760aad40",
+    "distance-wasserstein": "650f8458ec6e24a9ed4fec557dd3749c1ca64a792f958c000595997b74c78b9a",
     "distance-riemannian": "0aaec0745f9bfd1432eb43a533571e7ef7ba41a4cbf8c7d17f4862499af1cbfc",
-    "geodesic": "0cbd2b851bdda851d7fa31887ebfae292b81dcdd240f8dfda49ef4aa3a412278",
+    "geodesic": "1db30f4e8822bb6da72b7e026bc9e6b087db533bfa38e29f7d6478a62575e817",
 }
 
 CLI_ARGV = {

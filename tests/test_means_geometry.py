@@ -26,7 +26,7 @@ from spdmeans import (
     wasserstein_geodesic,
 )
 from spdmeans.problem_io import random_orthogonal, random_spd, spd_from_rng
-from spdmeans.spd_core import NotPositiveDefiniteError, NumericalBreakdownError
+from spdmeans.spd_core import NotPositiveDefiniteError
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -195,14 +195,54 @@ def test_oracle_rejects_other_dims():
         wasserstein_distance_oracle_2x2(identity(3), identity(3))
 
 
-def test_distance_breakdown_error(monkeypatch):
-    # shrink the clamp window below the roundoff floor so the cancellation
-    # noise of a near-equal pair trips the breakdown branch
-    from spdmeans import means_geometry
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10])
+def test_distance_of_near_equal_inputs_is_accurate(eps):
+    # d(diag(1, 2), diag(1 + e, 2)) = e / ((1 + sqrt(1 + e)) sqrt(2)), with e
+    # the exact difference of the stored entries; a trace difference loses
+    # every digit of this here, the polar form keeps them
+    a, b = SpdMatrix(np.diag([1.0, 2.0])), SpdMatrix(np.diag([1.0 + eps, 2.0]))
+    e = b.entries[0, 0] - 1.0
+    expected = e / ((1.0 + math.sqrt(1.0 + e)) * math.sqrt(2.0))
+    assert wasserstein_distance(a, b) == pytest.approx(expected, rel=1e-6)
 
-    monkeypatch.setattr(means_geometry, "RADICAND_CLAMP", -1.0)
-    with pytest.raises(NumericalBreakdownError):
-        wasserstein_distance(identity(2), SpdMatrix(np.diag([1.0, 1.0 + 1e-8])))
+
+def _eigh_function(m, f):
+    """f applied to the spectrum of a symmetric array, by LAPACK (test oracle)."""
+    lam, q = np.linalg.eigh((m + m.T) / 2.0)
+    return (q * f(lam)) @ q.T
+
+
+def _paper_squared_distance(a, b):
+    """tr((A+B)/2) - tr(A^{1/2} B A^{1/2})^{1/2}, by LAPACK; it cancels, and
+    may read below zero, for near-equal inputs."""
+    sqrt_a = _eigh_function(a, np.sqrt)
+    fidelity = float(np.sum(np.sqrt(np.linalg.eigvalsh(sqrt_a @ b @ sqrt_a))))
+    return 0.5 * (np.trace(a) + np.trace(b)) - fidelity
+
+
+def _paper_geodesic(a, b, t):
+    """(1-t)^2 A + t^2 B + t(1-t) [(AB)^{1/2} + (BA)^{1/2}], by LAPACK, with
+    (AB)^{1/2} = A^{1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}."""
+    sqrt_a, inv_sqrt_a = _eigh_function(a, np.sqrt), _eigh_function(a, lambda v: 1.0 / np.sqrt(v))
+    cross = sqrt_a @ _eigh_function(sqrt_a @ b @ sqrt_a, np.sqrt) @ inv_sqrt_a
+    return (1.0 - t) ** 2 * a + t**2 * b + t * (1.0 - t) * (cross + cross.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    dim=st.integers(2, 8),
+    kappa=st.floats(1.0, 100.0),
+    t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_transport_functions_match_the_paper_formulas(seed, dim, kappa, t):
+    rng = np.random.default_rng(seed)
+    a, b = spd_from_rng(rng, dim, kappa), spd_from_rng(rng, dim, kappa)
+    geodesic = _paper_geodesic(a.entries, b.entries, t)
+    assert rel_diff(wasserstein_geodesic(a, b, t).entries, geodesic) <= 1e-10
+    squared = _paper_squared_distance(a.entries, b.entries)
+    if squared > 1e-6:
+        assert abs(wasserstein_distance(a, b) - math.sqrt(squared)) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -278,9 +318,8 @@ def test_perturbation_bound_degenerate_cases():
 @settings(max_examples=30, deadline=None)
 @given(seed=seeds, dim=st.integers(2, 6), t=st.floats(1e-3, 1))
 def test_perturbation_bound_holds(seed, dim, t):
-    # t is kept above the degenerate corner: below ~1e-7 the two geodesic
-    # points nearly coincide and the computed lhs reports only the distance
-    # formula's cancellation floor (about sqrt(1e-12), see below)
+    # t is kept above the degenerate corner, where both sides are of the
+    # order of roundoff (see below)
     rng = np.random.default_rng(seed)
     a, b, c = (spd_from_rng(rng, dim) for _ in range(3))
     rep = geodesic_perturbation_bound(a, b, c, t)
@@ -288,11 +327,11 @@ def test_perturbation_bound_holds(seed, dim, t):
 
 
 def test_perturbation_bound_degenerate_corner_reports_noise_floor():
-    # with t tiny the true lhs is ~1e-12 but the computed distance cannot
-    # resolve below sqrt of the radicand clamp window; the report exposes
-    # both sides precisely so this regime is visible instead of asserted away
+    # with t tiny both sides are of the order of the roundoff in the two
+    # geodesic points; the report exposes both sides precisely so this
+    # regime is visible instead of asserted away
     rng = np.random.default_rng(99)
     a, b, c = (spd_from_rng(rng, 3) for _ in range(3))
     rep = geodesic_perturbation_bound(a, b, c, 1e-12)
     assert rep.rhs <= 1e-10  # true bound is tiny here
-    assert rep.lhs <= 1e-6  # computed side is capped by the resolution floor
+    assert rep.lhs <= 1e-6

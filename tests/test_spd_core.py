@@ -19,9 +19,11 @@ from spdmeans import (
     determinant,
     eigh,
     frobenius_norm,
+    harmonic_mean,
     identity,
     loewner_geq,
     operator_norm,
+    parse_problem,
     trace,
 )
 from spdmeans import spd_core
@@ -540,6 +542,26 @@ def test_spectral_domain_errors():
         apply_spectral(SymMatrix(np.diag([1000.0])), "exp_of_sym")
     with pytest.raises(SpectralDomainError):
         apply_spectral(SpdMatrix(np.diag([2.0, 1.0])), "power", 2000.0)
+
+
+TINY_PAIR = (
+    '{"schema_version": 1, "weights": [0.5, 0.5], '
+    '"matrices": [[[1e-309, 0], [0, 2e-309]], [[2e-309, 0], [0, 1e-309]]]}'
+)
+
+
+def test_inverse_overflow_is_a_spectral_domain_error():
+    # a valid problem at subnormal scale: the inverse of each matrix and the
+    # harmonic mean overflow, which is a SpectralDomainError, not a bare
+    # ValueError from the recomposition, and no RuntimeWarning is printed
+    problem = parse_problem(TINY_PAIR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in problem.matrices:
+            with pytest.raises(SpectralDomainError, match=r"^inverse overflows on spectrum \["):
+                apply_spectral(a, "inverse")
+        with pytest.raises(SpectralDomainError, match="^inverse overflows"):
+            harmonic_mean(problem)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,14 @@ def test_every_accepted_spec_runs_every_family(spec):
     assert run_instance("lie_trotter.instance", seed, spec)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_metric_family_passes_at_condition_one(seed):
+    # the first row of the stress tier: at condition_max 1.0 every draw is
+    # the identity up to roundoff, so every distance is of near-equal inputs
+    report = run_suite(EnsembleSpec(seed=seed, count=4, condition_max=1.0), ["metric"])
+    assert report.all_passed, [r for r in report.records if not r.passed]
+
+
 def test_bounds_instance_computes_one_report(monkeypatch):
     import spdmeans.barycenter as bc
 
@@ -705,6 +713,26 @@ def test_cli_numerical_failure_exits_2(tmp_path, doc, argv):
     assert done.returncode == EXIT_NO_CONVERGENCE
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv", [("mean", "--method", "harmonic"), ("bounds",)], ids=["mean-harmonic", "bounds"]
+)
+def test_cli_spectral_overflow_exits_2(tmp_path, capsys, argv):
+    # a valid pair at subnormal scale, whose inverses overflow
+    path = tmp_path / "tiny.json"
+    doc = {
+        "schema_version": 1,
+        "weights": [0.5, 0.5],
+        "matrices": [[[1e-309, 0], [0, 2e-309]], [[2e-309, 0], [0, 1e-309]]],
+    }
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == EXIT_NO_CONVERGENCE
+    assert out == ""
+    assert err == "error: inverse overflows on spectrum [1.000000e-309, 2.000000e-309]\n"
 
 
 EXTREME_SCALES = (1e154, 1e-170, 1e200)
