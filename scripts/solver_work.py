@@ -6,10 +6,12 @@
 Builds the inputs of ``bench/workloads.py`` for the workload and seed, runs
 one pass over its items (the first N with ``--items``) and prints one JSON
 object: the solves and fixed-point iterations of each mean's loop (on
-``solve_conditioned`` also by condition number), and the Jacobi work, that is
+``solve_conditioned`` also by condition number), the Jacobi work, that is
 the stacks solved, their slices, the plane rounds that rotated at least one
-plane and the planes rotated.  These counts do not depend on the host or on
-timing, so they compare two trees exactly.
+plane and the planes rotated, and the chord-root work, that is the calls of
+the warm transport root kernel, their slices and the slices it accepted and
+rejected.  These counts do not depend on the host or on timing, so they
+compare two trees exactly.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ METHODS = {barycenter._Transport: "transport", barycenter._Karcher: "karcher"}
 def solver_work(workload: str, seed: int, items: int | None = None) -> dict:
     """The counts of one pass, as the JSON object the script prints."""
     counts: Counter = Counter()
-    real_stack, real_rotations, real_fixed_point = (
+    real_stack, real_rotations, real_chord, real_fixed_point = (
         spd_core._jacobi_stack,
         spd_core._rotations,
+        barycenter._chord_roots,
         barycenter._fixed_point,
     )
     label = ""
@@ -53,6 +56,14 @@ def solver_work(workload: str, seed: int, items: int | None = None) -> dict:
         counts["jacobi.planes"] += len(a_pr)
         return real_rotations(a_pp, a_rr, a_pr)
 
+    def chord_roots(m):
+        t, taken = real_chord(m)
+        counts["chord.calls"] += 1
+        counts["chord.slices"] += len(m)
+        counts["chord.accepted"] += int(taken.sum())
+        counts["chord.rejected"] += int((~taken).sum())
+        return t, taken
+
     def fixed_point(p, cfg, method):
         result = yield from real_fixed_point(p, cfg, method)
         counts[f"solves.{METHODS[method]}{label}"] += 1
@@ -63,7 +74,7 @@ def solver_work(workload: str, seed: int, items: int | None = None) -> dict:
         work = WORKLOADS[workload](spdmeans, seed, Path(out_dir))
         chosen = work.items[:items]
         spd_core._jacobi_stack, spd_core._rotations = jacobi_stack, rotations
-        barycenter._fixed_point = fixed_point
+        barycenter._chord_roots, barycenter._fixed_point = chord_roots, fixed_point
         try:
             for item in chosen:
                 if workload == "solve_conditioned":
@@ -71,7 +82,7 @@ def solver_work(workload: str, seed: int, items: int | None = None) -> dict:
                 work.run(item)
         finally:
             spd_core._jacobi_stack, spd_core._rotations = real_stack, real_rotations
-            barycenter._fixed_point = real_fixed_point
+            barycenter._chord_roots, barycenter._fixed_point = real_chord, real_fixed_point
     return {"workload": workload, "seed": seed, "items": len(chosen), **dict(sorted(counts.items()))}
 
 

@@ -27,6 +27,7 @@ from .spd_core import (
     _applied,
     _check_pair,
     _congruences,
+    _frobenius_norms,
     _is_integer,
     _is_real,
     _loewner_geq,
@@ -47,6 +48,10 @@ LOEWNER_TOL = 1e-8
 # Anderson mixing runs while r_k > MIX_GATE r_{k-1} (``_anderson``).
 MIX_GATE = 0.05
 MIX_DEPENDENCE = 1e-10
+# A warm transport root takes CHORD_STEPS chord-Newton steps and is accepted
+# when its last step is at most CHORD_ACCEPT of the root (``_chord_roots``).
+CHORD_STEPS = 8
+CHORD_ACCEPT = 1e-15
 
 
 @dataclass(frozen=True)
@@ -183,19 +188,16 @@ def _scaled(p: MeanProblem) -> tuple[int, np.ndarray]:
     return t, np.ldexp(mats, -2 * t)
 
 
-def _transport_residual(
-    l: np.ndarray, cs: np.ndarray, q: np.ndarray, lam: np.ndarray, weights: WeightVector
-) -> tuple[float, np.ndarray]:
+def _transport_residual(l: np.ndarray, roots: np.ndarray, weights: WeightVector) -> tuple[float, np.ndarray]:
     """Relative Frobenius residual of X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2}
     at X = L L^T, and S = sum_j w_j (L^T A_j L)^{1/2} as a raw array, from
-    the congruences cs = L^T A_j L and their Jacobi eigenvectors q (the
-    roots do not read the eigenvalues lam).
+    the (n, d, d) stack of roots (L^T A_j L)^{1/2}.
 
     L^T stands in for X^{1/2}: L^T = U X^{1/2} with U orthogonal turns X and
     the right-hand side into L^T L and S, so ||L^T L - S||_F / ||L^T L||_F is
     the residual in exact arithmetic.
     """
-    s = weights.combine(_sqrt_stack(q, cs))
+    s = weights.combine(roots)
     ref = l.T @ l
     return frobenius_norm(ref - s) / frobenius_norm(ref), s
 
@@ -212,13 +214,41 @@ def _sqrt_stack(q: np.ndarray, cs: np.ndarray) -> np.ndarray:
     that over 2 sqrt(lambda_min): about 1e-10 relative when
     lambda_min / lambda_max is 1e-11, where this root is correct to roundoff.
     """
-    m = q.swapaxes(-1, -2) @ cs @ q
+    t, _ = _first_order_roots(q.swapaxes(-1, -2) @ cs @ q)
+    return _in_basis(q, t)
+
+
+def _first_order_roots(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T_ii = sqrt(m_ii), T_ik = m_ik / (sqrt(m_ii) + sqrt(m_kk)) over a stack of M, and those sums."""
     root = np.sqrt(np.diagonal(m, 0, -2, -1))
-    t = m / (root[..., :, None] + root[..., None, :])
+    den = root[..., :, None] + root[..., None, :]
+    t = m / den
     diag = np.arange(m.shape[-1])
     t[..., diag, diag] = root
+    return t, den
+
+
+def _in_basis(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Q T Q^T over a stack, symmetrized as (Y + Y^T)/2."""
     y = q @ t @ q.swapaxes(-1, -2)
     return (y + y.swapaxes(-1, -2)) / 2.0
+
+
+def _chord_roots(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked kernel: square roots T of a (k, d, d) stack of symmetric,
+    near-diagonal M, and per slice whether T is accepted.  From the
+    first-order root, CHORD_STEPS chord-Newton steps T <- T + sym(E), E =
+    (M - T^2) / (sqrt(m_ii) + sqrt(m_kk)) (Higham, *Functions of Matrices*,
+    SIAM 2008, ch. 6); accepted when the last E is finite and ||E||_F <=
+    CHORD_ACCEPT ||T||_F, else rejected without a warning.  Every slice
+    takes the same steps, so it has the bits of a lone call."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        t, den = _first_order_roots(m)
+        for _ in range(CHORD_STEPS):
+            e = (m - t @ t) / den
+            t = t + (e + e.swapaxes(-1, -2)) / 2.0
+        norms = _frobenius_norms(t)
+        return t, (_frobenius_norms(e) <= CHORD_ACCEPT * norms) & (norms < math.inf)
 
 
 def _residual(x: SpdMatrix, p: MeanProblem) -> Run[float]:
@@ -232,8 +262,8 @@ def _residual(x: SpdMatrix, p: MeanProblem) -> Run[float]:
     t, mats = _scaled(p)
     l = cholesky(np.ldexp(x.entries, -2 * t))[0]
     cs = _congruences(l.T, mats)
-    q, lam = yield from _spectra(cs)
-    return _transport_residual(l, cs, q, lam, p.weights)[0]
+    q, _ = yield from _spectra(cs)
+    return _transport_residual(l, _sqrt_stack(q, cs), p.weights)[0]
 
 
 def _equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> Run[float]:
@@ -247,10 +277,11 @@ def _equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> Run[float]:
 
 
 class _Transport:
-    """The transport map of ``wasserstein_mean``, split around the eigensolve
-    of its congruences: ``congruences`` forms the (n, d, d) stack L^T A_j L
-    at X = L L^T, ``measure`` turns their admitted spectra into the residual
-    and S, and ``step`` returns the next iterate L^{-T} S^2 L^{-1}."""
+    """The transport map of ``wasserstein_mean``, split around the roots of
+    its congruences: ``congruences`` forms the (n, d, d) stack L^T A_j L at
+    X = L L^T, ``spectrum`` roots it from Jacobi spectra and ``warm`` from
+    ``_chord_roots``, ``measure`` turns the roots into the residual and S,
+    and ``step`` returns the next iterate L^{-T} S^2 L^{-1}."""
 
     memory = 3
 
@@ -258,7 +289,16 @@ class _Transport:
     def congruences(l: np.ndarray, l_inv: np.ndarray, mats: np.ndarray) -> np.ndarray:
         return _congruences(l.T, mats)
 
-    measure = staticmethod(_transport_residual)
+    spectrum = staticmethod(lambda q, lam, cs: _sqrt_stack(q, cs))
+
+    @staticmethod
+    def warm(q: np.ndarray, m: np.ndarray) -> Generator:
+        t, taken = yield _chord_roots, m
+        roots = np.empty_like(m)
+        roots[taken] = _in_basis(q[taken], t[taken])
+        return roots, taken
+
+    measure = staticmethod(lambda l, cs, q, roots, weights: _transport_residual(l, roots, weights))
 
     @staticmethod
     def step(l: np.ndarray, l_inv: np.ndarray, s: np.ndarray) -> Generator:
@@ -279,6 +319,13 @@ class _Karcher:
     def congruences(l: np.ndarray, l_inv: np.ndarray, mats: np.ndarray) -> np.ndarray:
         return _congruences(l_inv, mats)
 
+    spectrum = staticmethod(lambda q, lam, cs: lam)
+
+    @staticmethod
+    def warm(q: np.ndarray, m: np.ndarray) -> Generator:
+        return np.empty(m.shape[:-1]), np.zeros(len(m), dtype=bool)
+        yield  # every warm Karcher measurement is solved by Jacobi
+
     @staticmethod
     def measure(l, cs, q: np.ndarray, lam: np.ndarray, weights: WeightVector):
         logs = (q * np.log(lam)[:, None, :]) @ q.swapaxes(-1, -2)
@@ -292,18 +339,24 @@ class _Karcher:
 
 
 def _measured(method: type, l, cs: np.ndarray, weights: WeightVector, q_prev=None) -> Generator:
-    """Run step: ``method.measure`` at L from the spectra of the congruences
-    C_j, solved cold, or warm as Q^T C_j Q from the eigenvectors Q = q_prev of
-    the measurement before.  Returns r, aux and the eigenvectors, made
-    orthogonal by a Newton-Schulz step."""
+    """Run step: ``method.measure`` at L from the ``method.spectrum`` of the
+    congruences C_j solved cold, or warm from M_j = Q^T C_j Q, Q = q_prev the
+    eigenvectors before: the slices ``method.warm`` takes keep Q, the others
+    are solved by Jacobi and get Q Q_jac.  Returns r, aux and the
+    eigenvectors, made orthogonal by a Newton-Schulz step."""
     if q_prev is None:
         q, lam = yield from _spectra(cs)
+        spectrum = method.spectrum(q, lam, cs)
     else:
         m = q_prev.swapaxes(-1, -2) @ cs @ q_prev  # cannot overflow: Q is orthogonal
         m = (m + m.swapaxes(-1, -2)) / 2.0  # the product is not kept through the round
-        q, lam = yield from _spectra(m)
-        q = q_prev @ q
-    r, aux = method.measure(l, cs, q, lam, weights)
+        q = q_prev.copy()
+        spectrum, taken = yield from method.warm(q_prev, m)
+        if not taken.all():
+            q_jac, lam = yield from _spectra(m[~taken])
+            q[~taken] = q_prev[~taken] @ q_jac
+            spectrum[~taken] = method.spectrum(q[~taken], lam, cs[~taken])
+    r, aux = method.measure(l, cs, q, spectrum, weights)
     return r, aux, (3.0 * q - q @ (q.swapaxes(-1, -2) @ q)) / 2.0
 
 

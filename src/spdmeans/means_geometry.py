@@ -26,7 +26,9 @@ import numpy as np
 from .spd_core import (
     Run,
     SpdMatrix,
+    SymMatrix,
     _admitted,
+    _applied,
     _check_pair,
     _is_real,
     _public,
@@ -58,14 +60,15 @@ def _inner(a: SpdMatrix, b: SpdMatrix) -> Generator:
 
 def _transport(a: SpdMatrix, b: SpdMatrix) -> Generator:
     """Run step: A^{1/2} and M = C^{1/2} A^{-1/2}, C = A^{1/2} B A^{1/2}, as
-    arrays; M^T M = B.  C is formed times 16^-s, for s from ``scale_exponent``,
-    and admitted; the scaling is exact, so the product neither overflows nor
-    underflows, and its root scales back by 4^s."""
+    arrays; M^T M = B.  C is formed times 16^-s, for s from ``scale_exponent``;
+    the scaling is exact, so the product neither overflows nor underflows,
+    and its root scales back by 4^s.  Only the root is admitted: kappa(C)
+    can reach kappa(A) kappa(B), and lambda_min(C) <= 0 raises
+    SpectralDomainError."""
     sqrt_a = apply_spectral(a, "sqrt").entries
     s = scale_exponent(a.entries, b.entries)
-    (c,) = yield from _admitted([congruence(np.ldexp(sqrt_a, -2 * s), b)])
-    root_c = np.ldexp(apply_spectral(c, "sqrt").entries, 2 * s)
-    return sqrt_a, root_c @ apply_spectral(a, "inv_sqrt").entries
+    (root_c,) = yield from _applied([SymMatrix(congruence(np.ldexp(sqrt_a, -2 * s), b))], "sqrt")
+    return sqrt_a, np.ldexp(root_c.entries, 2 * s) @ apply_spectral(a, "inv_sqrt").entries
 
 
 def _geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> Run[SpdMatrix]:

@@ -11,7 +11,7 @@ LAPACK.
 
 A small solve costs mostly per-round Python and dispatch, so solves are
 batched: ``_lockstep`` drives run steps (generators) together and solves
-what they ask for in one Jacobi stack per dimension and round.
+what they ask for in one stack per kernel, dimension and round.
 """
 
 from __future__ import annotations
@@ -423,13 +423,15 @@ def _admitted(arrays) -> Generator:
 
 
 def _lockstep(runs: list[Generator]) -> list:
-    """Drive runs together: generators, built on ``_spectra``, that yield a
-    (k, d, d) stack of symmetric arrays to solve, or a list of child runs,
-    driven with all the others, whose outcomes they are sent in order once
-    every child has ended.  Each round solves the stacks of every live run
-    as one Jacobi stack per dimension, whose slices have the bits of lone
-    solves, and sends each run the eigenvectors, eigenvalues and per-slice
-    convergence errors (q, lam, errors) of its own slices.
+    """Drive runs together: generators that yield a request, or a list of
+    child runs, driven with all the others, whose outcomes they are sent in
+    order once every child has ended.  A request is a (k, d, d) stack of
+    symmetric arrays to solve by Jacobi (``_spectra``), or a pair (kernel,
+    stack) for another kernel whose slices do not depend on each other.
+    Each round calls each kernel, ``_jacobi_stack`` looked up by name then,
+    once per dimension on the requests of every live run, and sends each run
+    its own slices of every output: for Jacobi, whose slices have the bits
+    of lone solves, the eigenvectors, eigenvalues and convergence errors.
 
     Returns per run, in input order, the value it returned or the
     SolverError, LinearAlgebraError or ValueError it raised; so is a child's
@@ -452,7 +454,8 @@ def _lockstep(runs: list[Generator]) -> list:
                 outcome = exc
             else:
                 if not isinstance(got, list):
-                    asked.setdefault(got.shape[-1], []).append((run, join, slot, got))
+                    kernel, stack = got if isinstance(got, tuple) else (None, got)
+                    asked.setdefault((kernel, stack.shape[-1]), []).append((run, join, slot, stack))
                 elif got:
                     fork = [[None] * len(got), len(got), (run, join, slot)]
                     ready.extend((child, None, fork, i) for i, child in enumerate(got))
@@ -465,12 +468,12 @@ def _lockstep(runs: list[Generator]) -> list:
                 parent, parent_join, parent_slot = join[2]
                 ready.append((parent, join[0], parent_join, parent_slot))
         ready = []
-        for asking in asked.values():
-            q, lam, errors = _jacobi_stack(np.concatenate([stack for *_, stack in asking]))
+        for (kernel, _), asking in asked.items():
+            outputs = (kernel or _jacobi_stack)(np.concatenate([stack for *_, stack in asking]))
             start = 0
             for run, join, slot, stack in asking:
                 end = start + len(stack)
-                ready.append((run, (q[start:end], lam[start:end], errors[start:end]), join, slot))
+                ready.append((run, tuple(out[start:end] for out in outputs), join, slot))
                 start = end
     return outcomes
 

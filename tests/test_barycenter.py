@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from spdmeans import (
 )
 from spdmeans import barycenter, spd_core
 from spdmeans import means_geometry as mg
-from spdmeans.problem_io import random_orthogonal, spd_from_rng
+from spdmeans.problem_io import random_orthogonal, spd_array_from_rng, spd_from_rng
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -285,41 +287,80 @@ def test_second_congruence_failing_admission_gives_the_loop_message():
     )
 
 
+def _kernel_calls(patch, calls, by_dimension=False):
+    """Patch the two kernels of ``_lockstep`` to append, per call, a Counter
+    of the slices handed to it ("jacobi" or "chord") and of the slices the
+    chord kernel accepted ("accepted") to ``calls``; ``by_dimension``, of
+    the call itself under (kernel, dimension) instead."""
+    real_stack, real_chord = spd_core._jacobi_stack, barycenter._chord_roots
+
+    def jacobi(arrays):
+        calls.append(Counter({("jacobi", arrays.shape[-1]): 1} if by_dimension else {"jacobi": len(arrays)}))
+        return real_stack(arrays)
+
+    def chord(m):
+        t, taken = real_chord(m)
+        sizes = {"chord": len(m), "accepted": int(taken.sum())}
+        calls.append(Counter({("chord", m.shape[-1]): 1} if by_dimension else sizes))
+        return t, taken
+
+    patch.setattr(spd_core, "_jacobi_stack", jacobi)
+    patch.setattr(barycenter, "_chord_roots", chord)
+
+
+def _loop_rounds(n, cold, rounds, method):
+    """The rounds of the measurements of one loop alone, cold or warm as in
+    ``cold``, each but the last followed by the rounds of its update: a cold
+    measurement, and a warm Karcher one, solve the n congruences by Jacobi;
+    a warm transport one hands them to the chord kernel and solves the ones
+    it rejects in the next round.  The slices accepted are read from the
+    chord calls in ``rounds``, in order."""
+    accepted = iter([r["accepted"] for r in rounds if "chord" in r])
+    update = [Counter(jacobi=1)] if method is barycenter._Karcher else []
+    want = []
+    for i, is_cold in enumerate(cold):
+        want += update if i else []
+        if is_cold or method is barycenter._Karcher:
+            want.append(Counter(jacobi=n))
+            continue
+        a = next(accepted)
+        want += [Counter(chord=n, accepted=a)] + ([Counter(jacobi=n - a)] if a < n else [])
+    return want
+
+
 @pytest.mark.parametrize(
-    "solve, update_rounds",
-    [(wasserstein_mean, 0), (karcher_mean, 1)],
+    "solve, method",
+    [(wasserstein_mean, barycenter._Transport), (karcher_mean, barycenter._Karcher)],
     ids=["wasserstein", "karcher"],
 )
-def test_each_iteration_solves_its_congruences_as_one_stack(
-    monkeypatch, solve, update_rounds
-):
+def test_each_iteration_solves_its_congruences_as_one_stack(monkeypatch, solve, method):
     # the iterate is carried as a Cholesky factor and the returned mean is
     # admitted in a round of its own; the Karcher update solves exp(G) in a
     # round of one, and no solve is a lone one
-    stacks, lone = [], []
-    real_stack, real_lone = spd_core._jacobi_stack, spd_core._jacobi
-
-    def counting_stack(arrays):
-        stacks.append(len(arrays))
-        return real_stack(arrays)
+    calls, lone = [], []
+    real_lone = spd_core._jacobi
 
     def counting_lone(matrix):
         lone.append(matrix.shape)
         return real_lone(matrix)
 
-    monkeypatch.setattr(spd_core, "_jacobi_stack", counting_stack)
+    _kernel_calls(monkeypatch, calls)
     monkeypatch.setattr(spd_core, "_jacobi", counting_lone)
     p = random_problem(np.random.default_rng(12), n=4, dim=5)
     for max_iter in (1, 2, 5):
-        stacks.clear()
+        calls.clear()
         lone.clear()
         result = solve(p, SolverConfig(rel_tol=1e-300, max_iter=max_iter))
         assert result.iterations == max_iter
-        # one round of n per measured iterate, the start included, each but
-        # the last followed by the rounds of its update, then one round of
-        # one that admits the returned mean
-        assert stacks == ([4] + [1] * update_rounds) * max_iter + [4, 1]
+        # one round per measured iterate, the start included, and one more
+        # for the congruences a warm transport measurement's chord kernel
+        # rejects; rel_tol is never met, so only the first two and the last
+        # are cold.  Then one round of one admits the returned mean
+        cold = [i < 2 or i == max_iter for i in range(max_iter + 1)]
+        assert calls == _loop_rounds(4, cold, calls, method) + [Counter(jacobi=1)]
         assert lone == []
+    if method is barycenter._Transport:
+        assert any(call["accepted"] for call in calls)
 
 
 @pytest.mark.parametrize(
@@ -460,54 +501,70 @@ def test_lockstep_loop_gives_the_sequential_results(solve, method):
     assert batch[1].iterations == 3
 
 
-def _round_sizes(monkeypatch, runs):
-    """Outcomes of one ``_lockstep`` call and the slice count of each stack
-    it solved, in order."""
-    sizes = []
-    real_stack = spd_core._jacobi_stack
+def _rounds(monkeypatch, runs, by_dimension=False):
+    """Outcomes of one ``_lockstep`` call and its rounds in order, each the
+    sum of the Counters of its kernel calls (``_kernel_calls``).  A round
+    ends where the runs are resumed again."""
+    calls = []  # the kernel calls, and None each time a run is resumed
 
-    def counting_stack(arrays):
-        sizes.append(len(arrays))
-        return real_stack(arrays)
+    def logged(run):
+        reply = None
+        while True:
+            calls.append(None)
+            try:
+                got = run.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            reply = yield got
 
     with monkeypatch.context() as patch:
-        patch.setattr(spd_core, "_jacobi_stack", counting_stack)
-        outcomes = spd_core._lockstep(runs)
-    return outcomes, sizes
+        _kernel_calls(patch, calls, by_dimension)
+        outcomes = spd_core._lockstep([logged(run) for run in runs])
+    rounds = []
+    for before, call in zip([None, *calls], calls):
+        if call is not None:
+            rounds += [Counter()] if before is None else []
+            rounds[-1] += call
+    return outcomes, rounds
 
 
 @LOCKSTEP
 def test_lockstep_solves_all_live_congruences_as_one_stack(monkeypatch, solve, method):
     problems, cfg = _lockstep_batch()
-    batch, rounds = _round_sizes(monkeypatch, [barycenter._fixed_point(p, cfg, method) for p in problems])
-    # alone, a problem solves its n congruences per measurement up to the
-    # iteration it ends in, each but the last followed by the Karcher
-    # update's exp(G).  The round after its last measurement admits the
-    # returned mean: alone when that measurement was cold (one of the first
-    # two, the one at max_iter, or one the rate of the two before put at
-    # rel_tol), and with the n congruences solved again cold when it was warm
-    update = [1] if method is barycenter._Karcher else []
+    batch, rounds = _rounds(monkeypatch, [barycenter._fixed_point(p, cfg, method) for p in problems])
+    # alone, a problem measures up to the iteration it ends in, each
+    # measurement but the last followed by the Karcher update's exp(G).  A
+    # measurement is cold when it is one of the first two, the one at
+    # max_iter, or one the rate of the two before puts at rel_tol.  The
+    # round after the last measurement admits the returned mean: alone when
+    # that measurement was cold, and with the n congruences solved again
+    # cold when it was warm
+    update = [Counter(jacobi=1)] if method is barycenter._Karcher else []
     alone = []
     for p, outcome in zip(problems, batch):
-        got, sizes = _round_sizes(monkeypatch, [barycenter._fixed_point(p, cfg, method)])
+        got, sizes = _rounds(monkeypatch, [barycenter._fixed_point(p, cfg, method)])
         _assert_same_outcomes(got, [outcome])
         if isinstance(outcome, SolverError):
+            # its residuals stay far above rel_tol, so only the first two
+            # measurements are cold
             last = int(str(outcome).split("iteration ")[1].split(":")[0])
-            measured = ([p.n] + update) * last + [p.n]
+            measured = _loop_rounds(p.n, [i < 2 for i in range(last + 1)], sizes, method)
             assert sizes[: len(measured)] == measured
             assert len(sizes) <= len(measured) + len(update)
         else:
             h, k = outcome.residual_history, outcome.iterations
-            cold = k < 2 or k == cfg.max_iter or h[k - 1] ** 2 <= cfg.rel_tol * h[k - 2]
-            assert sizes == ([p.n] + update) * k + [p.n, 1 if cold else p.n + 1]
+            cold = [i < 2 or i == cfg.max_iter or h[i - 1] ** 2 <= cfg.rel_tol * h[i - 2] for i in range(k + 1)]
+            assert sizes == _loop_rounds(p.n, cold, sizes, method) + [Counter(jacobi=1 if cold[-1] else p.n + 1)]
         alone.append(sizes)
-    # in the batch, round k stacks what every problem solves alone in its
-    # own round k
-    assert rounds == [sum(s[k] for s in alone if k < len(s)) for k in range(max(map(len, alone)))]
+    # in the batch, round k makes one call per kernel, which stacks what
+    # every problem asks of that kernel alone in its own round k
+    assert rounds == [sum((s[k] for s in alone if k < len(s)), Counter()) for k in range(max(map(len, alone)))]
+    if method is barycenter._Transport:
+        assert any(r["accepted"] for r in rounds) and any(r["chord"] > r["accepted"] for r in rounds)
     # a first, cold measurement that converges is its own certificate
     same = MeanProblem((problems[0].matrices[0],) * 3, WeightVector.uniform(3))
-    (result,), sizes = _round_sizes(monkeypatch, [barycenter._fixed_point(same, cfg, method)])
-    assert (result.iterations, result.converged, sizes) == (0, True, [3, 1])
+    (result,), sizes = _rounds(monkeypatch, [barycenter._fixed_point(same, cfg, method)])
+    assert (result.iterations, result.converged, sizes) == (0, True, [Counter(jacobi=3), Counter(jacobi=1)])
 
 
 @LOCKSTEP
@@ -516,20 +573,24 @@ def test_a_warm_residual_below_tolerance_is_solved_again_cold(monkeypatch, solve
     # it at rel_tol); its reading is forced to 0, so the round after solves
     # the congruences again cold together with the admission of the mean.
     # The cold residual misses rel_tol: it is the one recorded, the
-    # admission is dropped and the loop goes on from the cold solve
+    # admission is dropped and the loop goes on from the cold solve, with a
+    # warm measurement
     p, cfg = _lockstep_batch()[0][4], SolverConfig(max_iter=12)
     readings = []
     real_measure = method.measure
 
-    def measure(l, cs, q, lam, weights):
-        r, aux = real_measure(l, cs, q, lam, weights)
+    def measure(l, cs, q, spectrum, weights):
+        r, aux = real_measure(l, cs, q, spectrum, weights)
         readings.append(r)
         return (0.0 if len(readings) == 3 else r), aux
 
     monkeypatch.setattr(method, "measure", staticmethod(measure))
-    (result,), sizes = _round_sizes(monkeypatch, [barycenter._fixed_point(p, cfg, method)])
-    update = [1] if method is barycenter._Karcher else []
-    assert sizes[: 3 * (1 + len(update)) + 2] == ([p.n] + update) * 2 + [p.n, p.n + 1] + update + [p.n]
+    (result,), sizes = _rounds(monkeypatch, [barycenter._fixed_point(p, cfg, method)])
+    update = [Counter(jacobi=1)] if method is barycenter._Karcher else []
+    first = _loop_rounds(p.n, [True, True, False], sizes, method)
+    then = _loop_rounds(p.n, [False], sizes[len(first) :], method)
+    want = first + [Counter(jacobi=p.n + 1)] + update + then
+    assert sizes[: len(want)] == want
     assert result.residual_history[2] == readings[3] > cfg.rel_tol
     assert result.converged and result.iterations > 3
     if method is barycenter._Transport:
@@ -539,24 +600,19 @@ def test_a_warm_residual_below_tolerance_is_solved_again_cold(monkeypatch, solve
 @LOCKSTEP
 def test_lockstep_batch_of_two_dimensions_gives_the_sequential_results(monkeypatch, solve, method):
     # the dimension-3 batch (a failure, truncated and converged solves)
-    # interleaved with dimension-4 problems: each round solves one stack per
-    # dimension, and every outcome keeps the bits of a lone solve
+    # interleaved with dimension-4 problems: each round makes one kernel call
+    # per kernel and dimension, Jacobi and, for warm transport measurements,
+    # chord roots, and every outcome keeps the bits of a lone solve
     problems, cfg = _lockstep_batch()
     rng = np.random.default_rng(6)
     others = [random_problem(rng, n=n, dim=4, condition_max=1e4) for n in (2, 4, 3)]
     mixed = [others[0], *problems[:3], others[1], *problems[3:], others[2]]
     want = [_outcome_of(solve, p, cfg) for p in mixed]
-    dims = []
-    real_stack = spd_core._jacobi_stack
-
-    def one_dimension_stack(arrays):
-        dims.append(arrays.shape[-1])
-        return real_stack(arrays)
-
-    monkeypatch.setattr(spd_core, "_jacobi_stack", one_dimension_stack)
-    batch = spd_core._lockstep([barycenter._fixed_point(p, cfg, method) for p in mixed])
+    batch, rounds = _rounds(monkeypatch, [barycenter._fixed_point(p, cfg, method) for p in mixed], True)
     _assert_same_outcomes(batch, want)
-    assert set(dims) == {3, 4}
+    assert all(set(calls.values()) == {1} for calls in rounds)
+    kernels = ("jacobi", "chord") if method is barycenter._Transport else ("jacobi",)
+    assert {(kernel, d) for kernel in kernels for d in (3, 4)} in [set(calls) for calls in rounds]
     assert spd_core._lockstep([]) == []
 
 
@@ -727,7 +783,9 @@ def test_factored_certificate_agrees_with_the_symmetric_factor(condition_max, ga
 def test_warm_started_spectra_agree_with_lapack_as_tightly_as_cold(monkeypatch, condition_max):
     # LAPACK eigh is the oracle: the eigenvalues of every measurement, warm
     # started from the previous eigenvectors or cold, against those of the
-    # unrotated congruences C_j, relative to the largest of each C_j
+    # unrotated congruences C_j, relative to the largest of each C_j.  A
+    # transport measurement is handed the roots of the C_j, chord or Jacobi,
+    # so its eigenvalues are those of its roots, squared
     errors = {True: [], False: []}
     solved = []  # every stack handed to the eigensolver
     real_spectra = barycenter._spectra
@@ -737,12 +795,13 @@ def test_warm_started_spectra_agree_with_lapack_as_tightly_as_cold(monkeypatch, 
         return real_spectra(stack, admit)
 
     def measuring(real_measure):
-        def measure(l, cs, q, lam, weights):
+        def measure(l, cs, q, spectrum, weights):
             # a warm measurement solved Q^T C_j Q, never the C_j themselves
             warm = not any(stack is cs for stack in solved)
             want = np.linalg.eigvalsh(cs)[:, ::-1]
+            lam = spectrum if spectrum.ndim == 2 else np.linalg.eigvalsh(spectrum)[:, ::-1] ** 2
             errors[warm].append(float((np.abs(lam - want).max(axis=-1) / want[:, 0]).max()))
-            return real_measure(l, cs, q, lam, weights)
+            return real_measure(l, cs, q, spectrum, weights)
 
         return staticmethod(measure)
 
@@ -882,6 +941,112 @@ def test_congruence_roots_take_in_what_jacobi_leaves_off_the_diagonal():
     assert np.array_equal(root, root.T)
     assert np.abs(root - want).max() <= 1e-15
     assert np.abs(apply_spectral(leaky, "sqrt").entries - want).max() > 3e-11
+
+
+def _warm_stack(rng, condition_max, drift, k=8, dim=5):
+    """k congruences C_j drawn at condition_max, and the eigenvectors Q_j of
+    C_j + drift (E + E^T), E standard normal (LAPACK, test oracle): a warm
+    start's basis, as (C, Q, sym(Q^T C Q)) stacks."""
+    cs = np.stack([spd_array_from_rng(rng, dim, condition_max) for _ in range(k)])
+    noise = rng.standard_normal(cs.shape)
+    _, q = np.linalg.eigh(cs + drift * (noise + noise.swapaxes(-1, -2)))
+    m = q.swapaxes(-1, -2) @ cs @ q
+    return cs, q, (m + m.swapaxes(-1, -2)) / 2.0
+
+
+def _lapack_roots(m):
+    """Square roots of a stack of SPD arrays by LAPACK eigh (test oracle)."""
+    lam, v = np.linalg.eigh(m)
+    return (v * np.sqrt(lam)[..., None, :]) @ v.swapaxes(-1, -2)
+
+
+def test_chord_roots_of_a_slice_have_its_bits_alone_and_in_any_stack():
+    rng = np.random.default_rng(61)
+    m = np.concatenate([_warm_stack(rng, kappa, drift)[2] for kappa, drift in ((1e2, 1e-6), (1e6, 1e-4), (1e4, 1e-1))])
+    t, taken = barycenter._chord_roots(m)
+    assert 0 < taken.sum() < len(m)
+    for order in (np.arange(len(m))[::-1], rng.permutation(len(m))[:7]):
+        t_part, taken_part = barycenter._chord_roots(m[order])
+        assert t_part.tobytes() == t[order].tobytes()
+        assert np.array_equal(taken_part, taken[order])
+    for j in range(len(m)):
+        t_j, (taken_j,) = barycenter._chord_roots(m[j : j + 1])
+        assert t_j.tobytes() == t[j : j + 1].tobytes() and taken_j == taken[j]
+
+
+@pytest.mark.parametrize("condition_max", [1e2, 1e4, 1e6])
+def test_accepted_chord_roots_match_the_lapack_root(condition_max):
+    # relative to the root's own conditioning: u sqrt(kappa) is about what
+    # the oracle itself can resolve
+    rng = np.random.default_rng(62)
+    bound = 4.0 * np.finfo(float).eps / 2.0 * math.sqrt(condition_max)
+    for drift in (1e-10, 1e-8, 1e-6, 1e-4):
+        _, _, m = _warm_stack(rng, condition_max, drift)
+        t, taken = barycenter._chord_roots(m)
+        assert taken.sum() >= len(m) // 2
+        want = _lapack_roots(m[taken])
+        errors = np.linalg.norm(t[taken] - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
+        assert errors.max() <= bound
+
+
+def test_a_rejected_slice_is_measured_as_the_jacobi_path_measures_it():
+    # a congruence with no relation to its basis (Q = I) is far from
+    # diagonal: the chord kernel rejects it, and the warm measurement solves
+    # it by Jacobi from Q, as every warm slice was solved before the kernel
+    rng = np.random.default_rng(63)
+    near, q_near, _ = _warm_stack(rng, 1e4, 1e-8, k=2)
+    far = np.stack([spd_array_from_rng(rng, 5, 1e4) for _ in range(2)])
+    l = spd_core.cholesky(spd_array_from_rng(rng, 5, 10.0))[0]
+    weights = WeightVector(np.array([0.1, 0.2, 0.3, 0.4]))
+
+    def jacobi_path(cs, q_prev):
+        m = q_prev.swapaxes(-1, -2) @ cs @ q_prev
+        q_jac, _ = spd_core._solved(spd_core._lockstep([spd_core._spectra((m + m.swapaxes(-1, -2)) / 2.0)])[0])
+        q = q_prev @ q_jac
+        return q, barycenter._sqrt_stack(q, cs)
+
+    def warm_measurement(cs, q_prev):
+        seen = []
+        real = barycenter._Transport.measure
+
+        def measure(l, cs, q, roots, weights):
+            seen.append(roots)
+            return real(l, cs, q, roots, weights)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(barycenter._Transport, "measure", staticmethod(measure))
+            run = barycenter._measured(barycenter._Transport, l, cs, weights, q_prev)
+            return spd_core._solved(spd_core._lockstep([run])[0]), seen[0]
+
+    eyes = np.broadcast_to(np.eye(5), far.shape)
+    cs, q_prev = np.concatenate([far, far]), np.concatenate([eyes, eyes])
+    assert not barycenter._chord_roots(cs)[1].any()  # Q = I: M_j = C_j
+    (r, s, q), _ = warm_measurement(cs, q_prev)
+    want_q, want_roots = jacobi_path(cs, q_prev)
+    want_r, want_s = barycenter._transport_residual(l, want_roots, weights)
+    want_q = (3.0 * want_q - want_q @ (want_q.swapaxes(-1, -2) @ want_q)) / 2.0
+    assert (r.hex(), s.tobytes(), q.tobytes()) == (want_r.hex(), want_s.tobytes(), want_q.tobytes())
+    # next to accepted slices, a rejected one keeps its Jacobi root bit for bit
+    cs, q_prev = np.concatenate([near, far]), np.concatenate([q_near, eyes])
+    _, roots = warm_measurement(cs, q_prev)
+    _, want_roots = jacobi_path(far, eyes)
+    assert roots[2:].tobytes() == want_roots.tobytes()
+    assert np.abs(roots[:2] - _lapack_roots(near)).max() <= 1e-13
+
+
+def test_a_non_finite_slice_is_rejected_without_a_warning():
+    rng = np.random.default_rng(64)
+    _, _, m = _warm_stack(rng, 1e2, 1e-8, k=1)
+    bad = [m[0].copy() for _ in range(4)]
+    bad[0][1, 2] = bad[0][2, 1] = np.nan
+    bad[1][3, 3] = -bad[1][3, 3]
+    bad[2][0, 0] = 0.0
+    bad[3][4, 1] = bad[3][1, 4] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, taken = barycenter._chord_roots(np.stack([m[0], *bad]))
+    assert taken.tolist() == [True, False, False, False, False]
+    assert t[0].tobytes() == barycenter._chord_roots(m)[0][0].tobytes()
 
 
 def test_initial_point_options(example_problem):

@@ -23,18 +23,18 @@ from spdmeans.cli import main
 
 # verify --suite all --count 10, by seed
 VERIFY_SHA256 = {
-    42: "61edcf3db0258fa1523dccc1f6a521781da365e2e2bc50391ef8ff3bef3c110e",
-    7: "6fd0443307433e615968832d7ab541ddfae60d66f33c2cc1c987bc4506e3d66f",
-    1: "8d5fcff8a9a05837f7655be712fb8b3ee7e30caef36134e6993070ea75c8dafe",
+    42: "56b7cf234a67b6edcef630a6bfe9353347c1c04e255761e09a88c7fee8a3bf29",
+    7: "65b21e53c3fa83ef4c5eaac5faa2c3ed4f6359fecfd7cd586cd84f16c536bcef",
+    1: "a2ef49d921675b447d30f41a70bca906c5ed4e2561b55ebae38feee1caffbd35",
 }
 
 CLI_SHA256 = {
-    "bounds": "12b25cdfb8a5241cb83fc306a759c1aca605447dd2ba4f1717092e0359ed3730",
-    "mean-wasserstein": "e75bf38ce29103e763993192117003e2ccc9a93c63da72b64ac79ec28ffc26bd",
+    "bounds": "e9bdbae1f70f8e872dcaa96a7d282367a80ff787d59fa68b39ac6cd4c2abda70",
+    "mean-wasserstein": "5fbb204b3f8a119828a8443ee24e77fff0c86a9da95b260d530db8836220c150",
     "mean-karcher": "84390c63d64c2f553744c1e101faa4c9b5696bf6ac051d26903c0e1b705b0a19",
     "mean-arithmetic": "74ba9884fe4c9aa827539a0151aeae97547b6523ce95cff7a64d2e12c77d7b7a",
     "mean-harmonic": "ffa5844fdf202d4bfe6292c590767adfb9d309652ffc119cbbcdbb1635c6165f",
-    "lie-trotter": "9dc2bf58db7d5a44fae3843fbafc95f9ede1383f1ba301e55785f2afa3b3701b",
+    "lie-trotter": "89c3dc35c8c236054696ca571dde37a0401cb630553519ee720fb55317420171",
     "distance-wasserstein": "650f8458ec6e24a9ed4fec557dd3749c1ca64a792f958c000595997b74c78b9a",
     "distance-riemannian": "0aaec0745f9bfd1432eb43a533571e7ef7ba41a4cbf8c7d17f4862499af1cbfc",
     "geodesic": "1db30f4e8822bb6da72b7e026bc9e6b087db533bfa38e29f7d6478a62575e817",
@@ -91,9 +91,9 @@ LIMIT_INSTANCES = {
 # convergence_trace at +s and -s (s_values, errors, failed_s), and
 # derivative_at_identity_check (errors_pos, errors_neg), on the default schedules
 LIMIT_SHA256 = {
-    "d3": "bda663c3452df41850963828bd56aa091383a152fc5c9581f054697b7c567c0f",
-    "d5": "97b95b75979957e561ea42de6a019a0a8f3f91e7aacf87796a2b57106519b09a",
-    "d6": "5fa1bd0e1cf02d1e21241c1ea00317ee11f76839f4a1ef544a5faa3b63e14056",
+    "d3": "0710cb0ccfd1cc9789fa5a845c046e6e50c14e7220d81bfe863dcda7d567bac7",
+    "d5": "7eeffb4f460189c6dc4316c7048f7a920422d7a74632fbf4b5894f9501cf1fe4",
+    "d6": "3ad15337658d8719b4a0198c6ab50afc1d24794e40acd4d049744503b5682134",
 }
 
 

@@ -206,6 +206,19 @@ def test_distance_of_near_equal_inputs_is_accurate(eps):
     assert wasserstein_distance(a, b) == pytest.approx(expected, rel=1e-6)
 
 
+def test_transport_pair_accepts_inputs_whose_conditions_multiply_past_admission():
+    # both inputs are admitted (condition 1e7), but C = A^{1/2} B A^{1/2}
+    # has condition 1e14, below the admission threshold; only C's root
+    # (condition 1e7) is needed.  The distance is the closed form
+    # (sqrt(1 + e) - 1) / sqrt(2), e the stored difference, and the
+    # geodesic is diagonal with ((1 + sqrt(1 + e)) / 2)^2 and 1e-7
+    a, b = SpdMatrix(np.diag([1.0, 1e-7])), SpdMatrix(np.diag([1.0 + 1e-9, 1e-7]))
+    root = math.sqrt(b.entries[0, 0])
+    assert wasserstein_distance(a, b) == pytest.approx((root - 1.0) / math.sqrt(2.0), rel=1e-12)
+    want = np.diag([((1.0 + root) / 2.0) ** 2, 1e-7])
+    assert np.abs(wasserstein_geodesic(a, b, 0.5).entries - want).max() <= 1e-15
+
+
 def _eigh_function(m, f):
     """f applied to the spectrum of a symmetric array, by LAPACK (test oracle)."""
     lam, q = np.linalg.eigh((m + m.T) / 2.0)
@@ -292,17 +305,20 @@ def test_geodesic_affine_property(seed, s, t, u):
 def test_perturbation_bound_raises_the_first_failing_term():
     # the geodesics, their distance and the two means share their rounds,
     # yet the error raised is that of the first term that fails, in the
-    # formula's order: here both the geodesic A <>_t A and the mean
-    # A^{-1} # A fail admission, with different spectra
-    a, b = SpdMatrix(np.diag([1.0, 1e-7])), SpdMatrix(np.diag([1e-7, 1.0]))
-    with pytest.raises(NotPositiveDefiniteError) as geodesic:
-        wasserstein_geodesic(a, a, 0.5)
-    with pytest.raises(NotPositiveDefiniteError) as mean:
-        geometric_mean(apply_spectral(a, "inverse"), a)
-    assert str(geodesic.value) != str(mean.value)
+    # formula's order: here the geodesics and their distance are computed,
+    # and both means A^{-1} # A and A^{-1} # C fail admission, with
+    # different spectra
+    a, c = SpdMatrix(np.diag([1.0, 1e-7])), SpdMatrix(np.diag([1.0, 1e-8]))
+    wasserstein_distance(wasserstein_geodesic(a, a, 0.5), wasserstein_geodesic(a, c, 0.5))
+    inv_a = apply_spectral(a, "inverse")
+    with pytest.raises(NotPositiveDefiniteError) as first:
+        geometric_mean(inv_a, a)
+    with pytest.raises(NotPositiveDefiniteError) as second:
+        geometric_mean(inv_a, c)
+    assert str(first.value) != str(second.value)
     with pytest.raises(NotPositiveDefiniteError) as raised:
-        geodesic_perturbation_bound(a, a, b, 0.5)
-    assert str(raised.value) == str(geodesic.value)
+        geodesic_perturbation_bound(a, a, c, 0.5)
+    assert str(raised.value) == str(first.value)
 
 
 def test_perturbation_bound_degenerate_cases():
