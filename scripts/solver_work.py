@@ -7,10 +7,11 @@ Builds the inputs of ``bench/workloads.py`` for the workload and seed, runs
 one pass over its items (the first N with ``--items``) and prints one JSON
 object: the solves and fixed-point iterations of each mean's loop (on
 ``solve_conditioned`` also by condition number), the Jacobi work, that is
-the stacks solved, their slices, the plane rounds that rotated at least one
-plane and the planes rotated, and the chord-root work, that is the calls of
-the warm transport root kernel, their slices and the slices it accepted and
-rejected.  These counts do not depend on the host or on timing, so they
+the stacks solved, their slices, the largest stack, the plane rounds that
+rotated at least one plane and the planes rotated, the chord-root work, that
+is the calls of the warm transport root kernel, their slices and the slices
+it accepted and rejected, and the Cholesky work, that is the calls of the
+stacked factorization and their slices.  These counts do not depend on the host or on timing, so they
 compare two trees exactly.
 """
 
@@ -38,9 +39,10 @@ METHODS = {barycenter._Transport: "transport", barycenter._Karcher: "karcher"}
 def solver_work(workload: str, seed: int, items: int | None = None) -> dict:
     """The counts of one pass, as the JSON object the script prints."""
     counts: Counter = Counter()
-    real_stack, real_rotations, real_chord, real_fixed_point = (
+    real_stack, real_rotations, real_cholesky, real_chord, real_fixed_point = (
         spd_core._jacobi_stack,
         spd_core._rotations,
+        spd_core._cholesky_stack,
         barycenter._chord_roots,
         barycenter._fixed_point,
     )
@@ -49,12 +51,18 @@ def solver_work(workload: str, seed: int, items: int | None = None) -> dict:
     def jacobi_stack(arrays):
         counts["jacobi.stacks"] += 1
         counts["jacobi.slices"] += len(arrays)
+        counts["jacobi.largest_stack"] = max(counts["jacobi.largest_stack"], len(arrays))
         return real_stack(arrays)
 
     def rotations(a_pp, a_rr, a_pr):
         counts["jacobi.active_rounds"] += 1
         counts["jacobi.planes"] += len(a_pr)
         return real_rotations(a_pp, a_rr, a_pr)
+
+    def cholesky_stack(arrays):
+        counts["cholesky.calls"] += 1
+        counts["cholesky.slices"] += len(arrays)
+        return real_cholesky(arrays)
 
     def chord_roots(m):
         t, taken = real_chord(m)
@@ -73,7 +81,7 @@ def solver_work(workload: str, seed: int, items: int | None = None) -> dict:
     with tempfile.TemporaryDirectory() as out_dir:
         work = WORKLOADS[workload](spdmeans, seed, Path(out_dir))
         chosen = work.items[:items]
-        spd_core._jacobi_stack, spd_core._rotations = jacobi_stack, rotations
+        spd_core._jacobi_stack, spd_core._rotations, spd_core._cholesky_stack = jacobi_stack, rotations, cholesky_stack
         barycenter._chord_roots, barycenter._fixed_point = chord_roots, fixed_point
         try:
             for item in chosen:
@@ -81,7 +89,7 @@ def solver_work(workload: str, seed: int, items: int | None = None) -> dict:
                     label = f".k1e{round(math.log10(item[0]))}"
                 work.run(item)
         finally:
-            spd_core._jacobi_stack, spd_core._rotations = real_stack, real_rotations
+            spd_core._jacobi_stack, spd_core._rotations, spd_core._cholesky_stack = real_stack, real_rotations, real_cholesky
             barycenter._chord_roots, barycenter._fixed_point = real_chord, real_fixed_point
     return {"workload": workload, "seed": seed, "items": len(chosen), **dict(sorted(counts.items()))}
 

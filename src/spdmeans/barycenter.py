@@ -27,6 +27,7 @@ from .spd_core import (
     _applied,
     _check_pair,
     _congruences,
+    _factored,
     _frobenius_norms,
     _is_integer,
     _is_real,
@@ -35,7 +36,6 @@ from .spd_core import (
     _solved,
     _spectra,
     apply_spectral,
-    cholesky,
     determinant,
     frobenius_norm,
     operator_norm,
@@ -260,7 +260,7 @@ def _residual(x: SpdMatrix, p: MeanProblem) -> Run[float]:
     """
     _check_pair(x, p)
     t, mats = _scaled(p)
-    l = cholesky(np.ldexp(x.entries, -2 * t))[0]
+    l, _ = yield from _factored(np.ldexp(x.entries, -2 * t))
     cs = _congruences(l.T, mats)
     q, _ = yield from _spectra(cs)
     return _transport_residual(l, _sqrt_stack(q, cs), p.weights)[0]
@@ -389,19 +389,20 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
     Both means are homogeneous of degree 1 and the scaling is exact (square
     roots scale by 2^-t), so only a run whose unscaled iterates would overflow
     or underflow gets other bits.  Each iterate X is carried as its Cholesky
-    factor L (X = L L^T) and L^{-1}, never diagonalized.  Each measurement
-    yields an (n, d, d) stack and is sent back its admitted spectra; an
-    update that solves yields its stack too.  The certificate is a cold
-    solve.  A measurement that may be the last is cold: the first two (no
-    rate is known before the third), the one after max_iter updates, and
-    one that the rate of the two before puts at r <= rel_tol.  The others
-    start warm (``_measured``), and a warm r <= rel_tol is solved again cold
-    in the round that admits the mean, scaled back.  Converged only when
-    that r <= rel_tol; after max_iter updates the last iterate is returned
-    unconverged.  While r_k > MIX_GATE r_{k-1}, G(X_k) is mixed with the
-    ``method.memory`` pairs before it (``_anderson``); a mixed iterate with a
-    non-positive pivot gives way to G(X_k) and clears them.  A non-positive
-    pivot of G(X_k) or a failed SPD admission raises SolverError.
+    factor L (X = L L^T) and L^{-1}, factored within a round (``_factored``)
+    and never diagonalized.  The certificate is a cold solve.  A measurement
+    that may be the last is cold: the first two (no rate is known before the
+    third), and the one after max_iter updates or one that the rate of the
+    two before puts at r <= rel_tol, which are forked with the admission of
+    the mean, scaled back, into one round.  The others start warm
+    (``_measured``); the mean is admitted in the round after a cold one of
+    the first two that converges, and a warm r <= rel_tol is solved again
+    cold in the round that admits it.  Converged only when that r <= rel_tol;
+    after max_iter updates the last iterate is returned unconverged.  While
+    r_k > MIX_GATE r_{k-1}, G(X_k) is mixed with the ``method.memory`` pairs
+    before it (``_anderson``); a mixed iterate with a non-positive pivot
+    gives way to G(X_k) and clears them.  A non-positive pivot of G(X_k) or
+    a failed SPD admission raises SolverError.
     """
     cfg = cfg or SolverConfig()
     t, mats = _scaled(p)
@@ -412,15 +413,18 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
     history, pairs = [], []  # the residuals, and the last pairs (X_i, G(X_i))
     k = 0
     try:
-        l, l_inv = cholesky(x)
+        l, l_inv = yield from _factored(x)
         for k in range(cfg.max_iter + 1):
             cs = method.congruences(l, l_inv, mats)
-            cold = k < 2 or k == cfg.max_iter or history[-1] ** 2 <= cfg.rel_tol * history[-2]
-            r, aux, q = yield from _measured(method, l, cs, p.weights, None if cold else q)
-            if r <= cfg.rel_tol or k == cfg.max_iter:
-                recheck = [] if cold else [_measured(method, l, cs, p.weights)]
-                *recheck, mean = yield [*recheck, _admitted([np.ldexp(x, 2 * t)])]
-                for outcome in recheck:
+            last = k == cfg.max_iter or k >= 2 and history[-1] ** 2 <= cfg.rel_tol * history[-2]
+            measuring = [_measured(method, l, cs, p.weights, q if k >= 2 and not last else None)]
+            if not last:
+                r, aux, q = yield from measuring.pop()
+                if k >= 2 and r <= cfg.rel_tol:  # a warm reading at rel_tol is solved again cold
+                    measuring = [_measured(method, l, cs, p.weights)]
+            if last or r <= cfg.rel_tol:
+                *measuring, mean = yield [*measuring, _admitted([np.ldexp(x, 2 * t)])]
+                for outcome in measuring:
                     r, aux, q = _solved(outcome)
             history.append(r)
             if r <= cfg.rel_tol or k == cfg.max_iter:
@@ -430,12 +434,12 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
             pairs = [*pairs, (x, g)][-1 - method.memory :]
             x = _anderson(pairs) if len(pairs) > 1 and history[-1] > MIX_GATE * history[-2] else g
             try:
-                l, l_inv = cholesky(x)
+                l, l_inv = yield from _factored(x)
             except NonPositivePivotError:
                 if x is g:
                     raise
                 x, pairs = g, []
-                l, l_inv = cholesky(x)
+                l, l_inv = yield from _factored(x)
     except (NotPositiveDefiniteError, NonPositivePivotError) as exc:
         raise SolverError(f"non-SPD intermediate at iteration {k}: {exc}") from exc
 

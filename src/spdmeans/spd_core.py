@@ -4,14 +4,13 @@ Everything downstream (two-matrix means, barycenters, limit experiments) is
 spectral: square roots, logarithms, powers and Loewner comparisons are all
 obtained by diagonalising with the same solver, so this module is the single
 source of numerical truth for the package.  The one factorization besides it
-is a hand-written Cholesky, which the barycenter loops use in place of the
-iterate's square root.  Matrices are small and dense
-(desk scale, dims up to a few dozen); no attempt is made to compete with
-LAPACK.
+is a hand-written, stacked Cholesky, which the barycenter loops use in place
+of the iterate's square root.  Matrices are small and dense (desk scale, dims
+up to a few dozen); no attempt is made to compete with LAPACK.
 
 A small solve costs mostly per-round Python and dispatch, so solves are
-batched: ``_lockstep`` drives run steps (generators) together and solves
-what they ask for in one stack per kernel, dimension and round.
+batched: ``_lockstep`` drives run steps (generators) together.  Jacobi ends
+a round, one stack per dimension; the cheaper kernels resolve within it.
 """
 
 from __future__ import annotations
@@ -428,10 +427,14 @@ def _lockstep(runs: list[Generator]) -> list:
     order once every child has ended.  A request is a (k, d, d) stack of
     symmetric arrays to solve by Jacobi (``_spectra``), or a pair (kernel,
     stack) for another kernel whose slices do not depend on each other.
-    Each round calls each kernel, ``_jacobi_stack`` looked up by name then,
-    once per dimension on the requests of every live run, and sends each run
-    its own slices of every output: for Jacobi, whose slices have the bits
-    of lone solves, the eigenvectors, eigenvalues and convergence errors.
+    Jacobi is the one barrier of a round: after each pass over the ready
+    runs every other kernel is called, once per dimension, and its runs are
+    resumed within the round; ``_jacobi_stack``, looked up by name then, is
+    called once per dimension on the requests of every live run only when
+    no run asks for anything else.  Each run is sent its own slices of every
+    output (for Jacobi, whose slices have the bits of lone solves, the
+    eigenvectors, eigenvalues and convergence errors); a kernel that one
+    run alone asks is called on that run's stack as it is.
 
     Returns per run, in input order, the value it returned or the
     SolverError, LinearAlgebraError or ValueError it raised; so is a child's
@@ -441,8 +444,8 @@ def _lockstep(runs: list[Generator]) -> list:
     # a join is [outcomes, runs not yet ended, (parent, its join, its slot) or None]
     root = [outcomes, len(runs), None]
     ready = [(run, None, root, i) for i, run in enumerate(runs)]
+    asked: dict[tuple, list] = {}  # the requests not yet solved, by (kernel, dimension)
     while ready:
-        asked: dict[int, list] = {}
         # forked children and resumed parents are appended to ``ready`` and
         # so are resumed in this same pass
         for run, reply, join, slot in ready:
@@ -467,9 +470,17 @@ def _lockstep(runs: list[Generator]) -> list:
             if join[1] == 0 and join[2] is not None:
                 parent, parent_join, parent_slot = join[2]
                 ready.append((parent, join[0], parent_join, parent_slot))
+        # every other kernel resolves within the round; Jacobi ends it
+        cheap = [key for key in asked if key[0] is not None]
         ready = []
-        for (kernel, _), asking in asked.items():
-            outputs = (kernel or _jacobi_stack)(np.concatenate([stack for *_, stack in asking]))
+        for key in cheap or list(asked):
+            asking = asked.pop(key)
+            kernel = key[0] or _jacobi_stack
+            if len(asking) == 1:
+                (run, join, slot, stack), = asking
+                ready.append((run, kernel(stack), join, slot))
+                continue
+            outputs = kernel(np.concatenate([stack for *_, stack in asking]))
             start = 0
             for run, join, slot, stack in asking:
                 end = start + len(stack)
@@ -593,26 +604,51 @@ def _congruences(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def cholesky(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower triangular L with X = L L^T, and L^{-1}, for a symmetric array x
-    (only its lower triangle is read).
+    """``_cholesky_stack`` on one array, raising its NonPositivePivotError."""
+    (lower,), (inv,), (error,) = _cholesky_stack(x[None])
+    if error is not None:
+        raise error
+    return lower, inv
+
+
+def _cholesky_stack(arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Lower triangular L with X = L L^T, and L^{-1}, for each slice X of a
+    (k, d, d) stack of symmetric arrays (only lower triangles are read), and
+    per slice None or the NonPositivePivotError of its first pivot that is
+    not positive and finite.
 
     Left-looking: step j forms column j of L from the columns before it, then
-    row j of L^{-1} by forward substitution.  A pivot that is not positive and
-    finite raises NonPositivePivotError.
+    row j of L^{-1} by forward substitution, each product one ``np.matmul``
+    over the stack, which calls per slice the BLAS dot or gemv of the 2-D
+    loop on one array: each slice has its lone bits, whatever its neighbours.
     """
-    d = x.shape[0]
-    lower = np.zeros((d, d))
-    inv = np.zeros((d, d))
-    for j in range(d):
-        row = lower[j, :j]
-        pivot = float(x[j, j] - row @ row)
-        if not 0.0 < pivot < math.inf:
-            raise NonPositivePivotError(j, pivot)
-        ljj = math.sqrt(pivot)
-        lower[j, j] = ljj
-        lower[j + 1 :, j] = (x[j + 1 :, j] - lower[j + 1 :, :j] @ row) / ljj
-        inv[j, :j] = -(row @ inv[:j, :j]) / ljj
-        inv[j, j] = 1.0 / ljj
+    k, d = arrays.shape[:2]
+    lower, inv, pivots = np.zeros((k, d, d)), np.zeros((k, d, d)), np.empty((k, d))
+    # a failed slice goes on, its later values unread and its warnings silent
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for j in range(d):
+            row = lower[:, j : j + 1, :j]
+            col = row.swapaxes(-1, -2)
+            pivot = np.subtract(arrays[:, j : j + 1, j : j + 1], row @ col, out=pivots[:, j : j + 1, None])
+            ljj = np.sqrt(pivot, out=lower[:, j : j + 1, j : j + 1])
+            column = arrays[:, j + 1 :, j : j + 1] - lower[:, j + 1 :, :j] @ col
+            np.divide(column, ljj, out=lower[:, j + 1 :, j : j + 1])
+            np.divide(-(row @ inv[:, :j, :j]), ljj, out=inv[:, j : j + 1, :j])
+            np.divide(1.0, ljj, out=inv[:, j : j + 1, j : j + 1])
+    bad = ~((0.0 < pivots) & (pivots < math.inf))
+    errors: list[NonPositivePivotError | None] = [None] * k
+    for i in np.flatnonzero(bad.any(axis=1)):
+        j = int(bad[i].argmax())
+        errors[i] = NonPositivePivotError(j, float(pivots[i, j]))
+    return lower, inv, errors
+
+
+def _factored(x: np.ndarray) -> Generator:
+    """Run step: ``cholesky(x)`` as a request to ``_cholesky_stack``, which
+    ``_lockstep`` stacks across runs within a round."""
+    (lower,), (inv,), (error,) = yield _cholesky_stack, x[None]
+    if error is not None:
+        raise error
     return lower, inv
 
 

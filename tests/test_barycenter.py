@@ -227,19 +227,19 @@ def test_solver_nonconvergence_reports(solve):
 
 @SOLVERS
 def test_solver_maps_non_spd_update_to_solver_error(solve, example_problem, monkeypatch):
-    real_cholesky = barycenter.cholesky
+    real_cholesky = spd_core._cholesky_stack
     calls = []
 
-    def rigged_cholesky(x):
+    def rigged_cholesky(arrays):
         # the second factorization is the first update's: flip the sign of its
         # last diagonal entry, so that its last pivot is negative
         calls.append(None)
         if len(calls) == 2:
-            x = x.copy()
-            x[-1, -1] = -x[-1, -1]
-        return real_cholesky(x)
+            arrays = arrays.copy()
+            arrays[:, -1, -1] = -arrays[:, -1, -1]
+        return real_cholesky(arrays)
 
-    monkeypatch.setattr(barycenter, "cholesky", rigged_cholesky)
+    monkeypatch.setattr(spd_core, "_cholesky_stack", rigged_cholesky)
     with pytest.raises(SolverError) as info:
         solve(example_problem)
     message = str(info.value)
@@ -288,44 +288,88 @@ def test_second_congruence_failing_admission_gives_the_loop_message():
 
 
 def _kernel_calls(patch, calls, by_dimension=False):
-    """Patch the two kernels of ``_lockstep`` to append, per call, a Counter
-    of the slices handed to it ("jacobi" or "chord") and of the slices the
-    chord kernel accepted ("accepted") to ``calls``; ``by_dimension``, of
-    the call itself under (kernel, dimension) instead."""
-    real_stack, real_chord = spd_core._jacobi_stack, barycenter._chord_roots
+    """Patch the three kernels of ``_lockstep`` to append, per call, a
+    Counter of the slices handed to it ("jacobi", "cholesky" or "chord"), of
+    the slices the chord kernel accepted ("accepted") and of those whose
+    factorization failed ("failed") to ``calls``; ``by_dimension``, of the
+    call itself under (kernel, dimension) instead."""
+    real_stack, real_cholesky, real_chord = spd_core._jacobi_stack, spd_core._cholesky_stack, barycenter._chord_roots
+
+    def record(kernel, stack, **verdicts):
+        calls.append(Counter({(kernel, stack.shape[-1]): 1} if by_dimension else {kernel: len(stack), **verdicts}))
 
     def jacobi(arrays):
-        calls.append(Counter({("jacobi", arrays.shape[-1]): 1} if by_dimension else {"jacobi": len(arrays)}))
+        record("jacobi", arrays)
         return real_stack(arrays)
+
+    def cholesky(arrays):
+        lower, inv, errors = real_cholesky(arrays)
+        record("cholesky", arrays, failed=sum(error is not None for error in errors))
+        return lower, inv, errors
 
     def chord(m):
         t, taken = real_chord(m)
-        sizes = {"chord": len(m), "accepted": int(taken.sum())}
-        calls.append(Counter({("chord", m.shape[-1]): 1} if by_dimension else sizes))
+        record("chord", m, accepted=int(taken.sum()))
         return t, taken
 
     patch.setattr(spd_core, "_jacobi_stack", jacobi)
+    patch.setattr(spd_core, "_cholesky_stack", cholesky)
     patch.setattr(barycenter, "_chord_roots", chord)
 
 
-def _loop_rounds(n, cold, rounds, method):
-    """The rounds of the measurements of one loop alone, cold or warm as in
-    ``cold``, each but the last followed by the rounds of its update: a cold
+def _is_jacobi(call):
+    """Whether a Counter of ``_kernel_calls`` records a Jacobi call."""
+    return any((key[0] if isinstance(key, tuple) else key) == "jacobi" for key in call)
+
+
+def _verdicts(calls):
+    """Iterators, in call order, over the slices each chord call in
+    ``calls`` accepted and over the slices each Cholesky call failed."""
+    return iter([call["accepted"] for call in calls if "chord" in call]), iter(
+        [call["failed"] for call in calls if "cholesky" in call]
+    )
+
+
+def _loop_calls(n, cold, verdicts, method, max_iter):
+    """The kernel calls of the measurements of one loop alone, cold or warm
+    as in ``cold``.  Each measurement follows the Cholesky factorization of
+    its iterate, and each but the first the update before it (Karcher:
+    exp(G), a Jacobi call of one); an update's mixed iterate whose
+    factorization fails gives way to the plain step, factored next.  A cold
     measurement, and a warm Karcher one, solve the n congruences by Jacobi;
-    a warm transport one hands them to the chord kernel and solves the ones
-    it rejects in the next round.  The slices accepted are read from the
-    chord calls in ``rounds``, in order."""
-    accepted = iter([r["accepted"] for r in rounds if "chord" in r])
+    a cold one that the rate or max_iter puts last (any after the first two,
+    and the one at max_iter) solves the admission of the mean with them.  A
+    warm transport one hands them to the chord kernel and solves the ones it
+    rejects by Jacobi.  The verdicts, accepted slices and failed
+    factorizations, are taken in turn from the iterators ``verdicts``."""
+    accepted, failed = verdicts
     update = [Counter(jacobi=1)] if method is barycenter._Karcher else []
     want = []
     for i, is_cold in enumerate(cold):
         want += update if i else []
+        if next(failed) and i:
+            want.append(Counter(cholesky=1, failed=1))
+            next(failed)
+        want.append(Counter(cholesky=1))
         if is_cold or method is barycenter._Karcher:
-            want.append(Counter(jacobi=n))
+            last = is_cold and (i >= 2 or i == max_iter)
+            want.append(Counter(jacobi=n + last))
             continue
         a = next(accepted)
         want += [Counter(chord=n, accepted=a)] + ([Counter(jacobi=n - a)] if a < n else [])
     return want
+
+
+def _loop_rounds(calls):
+    """The rounds of one run alone from its kernel calls: Jacobi is the one
+    barrier of a round, so each round ends with a Jacobi call and holds the
+    Cholesky and chord calls made since the one before."""
+    rounds = [Counter()]
+    for call in calls:
+        rounds[-1] += call
+        if _is_jacobi(call):
+            rounds.append(Counter())
+    return rounds if rounds[-1] else rounds[:-1]
 
 
 @pytest.mark.parametrize(
@@ -334,9 +378,10 @@ def _loop_rounds(n, cold, rounds, method):
     ids=["wasserstein", "karcher"],
 )
 def test_each_iteration_solves_its_congruences_as_one_stack(monkeypatch, solve, method):
-    # the iterate is carried as a Cholesky factor and the returned mean is
-    # admitted in a round of its own; the Karcher update solves exp(G) in a
-    # round of one, and no solve is a lone one
+    # the iterate is carried as a Cholesky factor, factored by the stacked
+    # kernel; the last measurement, cold at max_iter, is solved with the
+    # admission of the returned mean; the Karcher update solves exp(G) in a
+    # call of one, and no solve is a lone one
     calls, lone = [], []
     real_lone = spd_core._jacobi
 
@@ -352,12 +397,11 @@ def test_each_iteration_solves_its_congruences_as_one_stack(monkeypatch, solve, 
         lone.clear()
         result = solve(p, SolverConfig(rel_tol=1e-300, max_iter=max_iter))
         assert result.iterations == max_iter
-        # one round per measured iterate, the start included, and one more
-        # for the congruences a warm transport measurement's chord kernel
-        # rejects; rel_tol is never met, so only the first two and the last
-        # are cold.  Then one round of one admits the returned mean
+        # one factorization and one measurement per iterate, the start
+        # included; rel_tol is never met, so only the first two and the last
+        # are cold, and the last admits the returned mean
         cold = [i < 2 or i == max_iter for i in range(max_iter + 1)]
-        assert calls == _loop_rounds(4, cold, calls, method) + [Counter(jacobi=1)]
+        assert calls == _loop_calls(4, cold, _verdicts(calls), method, max_iter)
         assert lone == []
     if method is barycenter._Transport:
         assert any(call["accepted"] for call in calls)
@@ -502,9 +546,9 @@ def test_lockstep_loop_gives_the_sequential_results(solve, method):
 
 
 def _rounds(monkeypatch, runs, by_dimension=False):
-    """Outcomes of one ``_lockstep`` call and its rounds in order, each the
-    sum of the Counters of its kernel calls (``_kernel_calls``).  A round
-    ends where the runs are resumed again."""
+    """Outcomes of one ``_lockstep`` call, its rounds in order, each the sum
+    of the Counters of its kernel calls, and those calls (``_kernel_calls``).
+    A round ends where the runs are resumed after its Jacobi calls."""
     calls = []  # the kernel calls, and None each time a run is resumed
 
     def logged(run):
@@ -520,51 +564,60 @@ def _rounds(monkeypatch, runs, by_dimension=False):
     with monkeypatch.context() as patch:
         _kernel_calls(patch, calls, by_dimension)
         outcomes = spd_core._lockstep([logged(run) for run in runs])
-    rounds = []
-    for before, call in zip([None, *calls], calls):
-        if call is not None:
-            rounds += [Counter()] if before is None else []
-            rounds[-1] += call
-    return outcomes, rounds
+    rounds, solved = [Counter()], False
+    for call in calls:
+        if call is None:
+            if solved:
+                rounds.append(Counter())
+            solved = False
+            continue
+        rounds[-1] += call
+        solved = solved or _is_jacobi(call)
+    return outcomes, (rounds if rounds[-1] else rounds[:-1]), [call for call in calls if call is not None]
 
 
 @LOCKSTEP
 def test_lockstep_solves_all_live_congruences_as_one_stack(monkeypatch, solve, method):
     problems, cfg = _lockstep_batch()
-    batch, rounds = _rounds(monkeypatch, [barycenter._fixed_point(p, cfg, method) for p in problems])
-    # alone, a problem measures up to the iteration it ends in, each
-    # measurement but the last followed by the Karcher update's exp(G).  A
-    # measurement is cold when it is one of the first two, the one at
-    # max_iter, or one the rate of the two before puts at rel_tol.  The
-    # round after the last measurement admits the returned mean: alone when
-    # that measurement was cold, and with the n congruences solved again
-    # cold when it was warm
+    batch, rounds, _ = _rounds(monkeypatch, [barycenter._fixed_point(p, cfg, method) for p in problems])
+    # alone, a problem measures up to the iteration it ends in
+    # (``_loop_calls``).  A measurement is cold when it is one of the first
+    # two, the one at max_iter, or one the rate of the two before puts at
+    # rel_tol; such a last one admits the returned mean with it.  Otherwise
+    # the round after the last measurement admits the mean: alone when that
+    # measurement was cold, and with the n congruences solved again cold
+    # when it was warm
     update = [Counter(jacobi=1)] if method is barycenter._Karcher else []
     alone = []
     for p, outcome in zip(problems, batch):
-        got, sizes = _rounds(monkeypatch, [barycenter._fixed_point(p, cfg, method)])
+        got, sizes, calls = _rounds(monkeypatch, [barycenter._fixed_point(p, cfg, method)])
         _assert_same_outcomes(got, [outcome])
+        verdicts = _verdicts(calls)
         if isinstance(outcome, SolverError):
             # its residuals stay far above rel_tol, so only the first two
-            # measurements are cold
+            # measurements are cold; the update of the last may follow, and
+            # the factorization of its result
             last = int(str(outcome).split("iteration ")[1].split(":")[0])
-            measured = _loop_rounds(p.n, [i < 2 for i in range(last + 1)], sizes, method)
-            assert sizes[: len(measured)] == measured
-            assert len(sizes) <= len(measured) + len(update)
+            measured = _loop_calls(p.n, [i < 2 for i in range(last + 1)], verdicts, method, cfg.max_iter)
+            assert calls[: len(measured)] == measured
+            assert len(calls) <= len(measured) + len(update) + 1
         else:
             h, k = outcome.residual_history, outcome.iterations
             cold = [i < 2 or i == cfg.max_iter or h[i - 1] ** 2 <= cfg.rel_tol * h[i - 2] for i in range(k + 1)]
-            assert sizes == _loop_rounds(p.n, cold, sizes, method) + [Counter(jacobi=1 if cold[-1] else p.n + 1)]
+            admitted = [] if cold[-1] and (k >= 2 or k == cfg.max_iter) else [Counter(jacobi=1 if cold[-1] else p.n + 1)]
+            assert calls == _loop_calls(p.n, cold, verdicts, method, cfg.max_iter) + admitted
+        assert sizes == _loop_rounds(calls)
         alone.append(sizes)
-    # in the batch, round k makes one call per kernel, which stacks what
-    # every problem asks of that kernel alone in its own round k
+    # in the batch, round k stacks, per kernel, what every problem asks of
+    # that kernel alone in its own round k
     assert rounds == [sum((s[k] for s in alone if k < len(s)), Counter()) for k in range(max(map(len, alone)))]
     if method is barycenter._Transport:
         assert any(r["accepted"] for r in rounds) and any(r["chord"] > r["accepted"] for r in rounds)
     # a first, cold measurement that converges is its own certificate
     same = MeanProblem((problems[0].matrices[0],) * 3, WeightVector.uniform(3))
-    (result,), sizes = _rounds(monkeypatch, [barycenter._fixed_point(same, cfg, method)])
-    assert (result.iterations, result.converged, sizes) == (0, True, [Counter(jacobi=3), Counter(jacobi=1)])
+    (result,), sizes, _ = _rounds(monkeypatch, [barycenter._fixed_point(same, cfg, method)])
+    assert (result.iterations, result.converged) == (0, True)
+    assert sizes == [Counter(cholesky=1, jacobi=3), Counter(jacobi=1)]
 
 
 @LOCKSTEP
@@ -585,12 +638,13 @@ def test_a_warm_residual_below_tolerance_is_solved_again_cold(monkeypatch, solve
         return (0.0 if len(readings) == 3 else r), aux
 
     monkeypatch.setattr(method, "measure", staticmethod(measure))
-    (result,), sizes = _rounds(monkeypatch, [barycenter._fixed_point(p, cfg, method)])
+    (result,), _, calls = _rounds(monkeypatch, [barycenter._fixed_point(p, cfg, method)])
     update = [Counter(jacobi=1)] if method is barycenter._Karcher else []
-    first = _loop_rounds(p.n, [True, True, False], sizes, method)
-    then = _loop_rounds(p.n, [False], sizes[len(first) :], method)
+    verdicts = _verdicts(calls)
+    first = _loop_calls(p.n, [True, True, False], verdicts, method, cfg.max_iter)
+    then = _loop_calls(p.n, [False], verdicts, method, cfg.max_iter)
     want = first + [Counter(jacobi=p.n + 1)] + update + then
-    assert sizes[: len(want)] == want
+    assert calls[: len(want)] == want
     assert result.residual_history[2] == readings[3] > cfg.rel_tol
     assert result.converged and result.iterations > 3
     if method is barycenter._Transport:
@@ -600,20 +654,47 @@ def test_a_warm_residual_below_tolerance_is_solved_again_cold(monkeypatch, solve
 @LOCKSTEP
 def test_lockstep_batch_of_two_dimensions_gives_the_sequential_results(monkeypatch, solve, method):
     # the dimension-3 batch (a failure, truncated and converged solves)
-    # interleaved with dimension-4 problems: each round makes one kernel call
-    # per kernel and dimension, Jacobi and, for warm transport measurements,
-    # chord roots, and every outcome keeps the bits of a lone solve
+    # interleaved with dimension-4 problems: each round ends in one Jacobi
+    # call per dimension, after the Cholesky and, for warm transport
+    # measurements, chord calls made within it; the first factors every
+    # start in one call per dimension; every outcome keeps the bits of a
+    # lone solve
     problems, cfg = _lockstep_batch()
     rng = np.random.default_rng(6)
     others = [random_problem(rng, n=n, dim=4, condition_max=1e4) for n in (2, 4, 3)]
     mixed = [others[0], *problems[:3], others[1], *problems[3:], others[2]]
     want = [_outcome_of(solve, p, cfg) for p in mixed]
-    batch, rounds = _rounds(monkeypatch, [barycenter._fixed_point(p, cfg, method) for p in mixed], True)
+    batch, rounds, _ = _rounds(monkeypatch, [barycenter._fixed_point(p, cfg, method) for p in mixed], True)
     _assert_same_outcomes(batch, want)
-    assert all(set(calls.values()) == {1} for calls in rounds)
-    kernels = ("jacobi", "chord") if method is barycenter._Transport else ("jacobi",)
+    assert all(count == 1 for calls in rounds for (kernel, _), count in calls.items() if kernel == "jacobi")
+    assert rounds[0] == Counter({(kernel, d): 1 for kernel in ("cholesky", "jacobi") for d in (3, 4)})
+    kernels = ("jacobi", "cholesky", "chord") if method is barycenter._Transport else ("jacobi", "cholesky")
     assert {(kernel, d) for kernel in kernels for d in (3, 4)} in [set(calls) for calls in rounds]
     assert spd_core._lockstep([]) == []
+
+
+def test_rejected_chord_roots_add_no_round_to_their_loop(monkeypatch):
+    # a warm transport measurement whose chord kernel rejects slices solves
+    # them by Jacobi in the round of the chord call, so its loop stays in
+    # step with a loop that measures cold three times (max_iter 2): the
+    # batch makes as many Jacobi calls as the longer loop alone
+    problems, cfg = _lockstep_batch()
+
+    def loops():
+        return [
+            barycenter._fixed_point(problems[5], cfg, barycenter._Transport),
+            barycenter._fixed_point(problems[3], SolverConfig(max_iter=2), barycenter._Transport),
+        ]
+
+    alone = [_rounds(monkeypatch, [loop]) for loop in loops()]
+    batch, _, calls = _rounds(monkeypatch, loops())
+    _assert_same_outcomes(batch, [outcome for (outcome,), _, _ in alone])
+    (_, warm, warm_calls), (_, cold, cold_calls) = alone
+    # the warm loop rejects slices while the cold one still runs
+    assert any(r["chord"] > r["accepted"] for r in warm[: len(cold)])
+    assert not any("chord" in call for call in cold_calls)
+    jacobi_calls = [sum(map(_is_jacobi, c)) for c in (calls, warm_calls, cold_calls)]
+    assert jacobi_calls[0] == max(jacobi_calls[1:]) == len(warm)
 
 
 def test_lockstep_forks_child_runs_and_joins_their_outcomes():
@@ -889,7 +970,7 @@ def test_an_indefinite_mixed_iterate_takes_the_plain_step_and_clears_the_memory(
     # the loop factors the plain step G(X_k) instead, and the next mixing
     # starts from it, with no pair from before
     p = random_problem(np.random.default_rng(44), n=4, dim=6, condition_max=1e4)
-    real_anderson, real_cholesky = barycenter._anderson, barycenter.cholesky
+    real_anderson, real_cholesky = barycenter._anderson, spd_core._cholesky_stack
     mixings, factored = [], []
 
     def anderson(pairs):
@@ -897,12 +978,12 @@ def test_an_indefinite_mixed_iterate_takes_the_plain_step_and_clears_the_memory(
         mixings.append((list(pairs), -mixed if len(mixings) == 1 else mixed))
         return mixings[-1][1]
 
-    def cholesky(x):
-        factored.append(x)
-        return real_cholesky(x)
+    def cholesky(arrays):
+        factored.append(arrays.base)  # a lone run's stack is x[None], a view of x
+        return real_cholesky(arrays)
 
     monkeypatch.setattr(barycenter, "_anderson", anderson)
-    monkeypatch.setattr(barycenter, "cholesky", cholesky)
+    monkeypatch.setattr(spd_core, "_cholesky_stack", cholesky)
     result = wasserstein_mean(p)
     assert result.converged and residual(result.mean, p) == result.residual
     (pairs, rigged), (later, _) = mixings[1], mixings[2]

@@ -27,7 +27,7 @@ from spdmeans import (
     trace,
 )
 from spdmeans import spd_core
-from spdmeans.problem_io import random_orthogonal, random_spd, spd_from_rng
+from spdmeans.problem_io import random_orthogonal, random_spd, spd_array_from_rng, spd_from_rng
 from spdmeans.spd_core import EighConvergenceError, LinearAlgebraError
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -447,6 +447,63 @@ def test_cholesky_rejects_a_non_positive_pivot():
         assert info.value.index == index
         assert str(info.value).startswith(f"Cholesky pivot {index} is ")
         assert str(info.value).endswith(", not positive and finite")
+
+
+def _left_looking(x):
+    """Cholesky of one array by its 1-D and 2-D products: the loop that
+    ``_cholesky_stack`` runs over a stack (test reference)."""
+    d = x.shape[0]
+    lower, inv = np.zeros((d, d)), np.zeros((d, d))
+    for j in range(d):
+        row = lower[j, :j]
+        pivot = float(x[j, j] - row @ row)
+        if not 0.0 < pivot < math.inf:
+            raise spd_core.NonPositivePivotError(j, pivot)
+        ljj = math.sqrt(pivot)
+        lower[j, j] = ljj
+        lower[j + 1 :, j] = (x[j + 1 :, j] - lower[j + 1 :, :j] @ row) / ljj
+        inv[j, :j] = -(row @ inv[:j, :j]) / ljj
+        inv[j, j] = 1.0 / ljj
+    return lower, inv
+
+
+def _factor_or_error(factor, x):
+    try:
+        return factor(x)
+    except spd_core.NonPositivePivotError as error:
+        return error
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_cholesky_stack_keeps_lone_bits(dim):
+    # SPD slices with entries scaled over e^-8..e^8, some with a negative
+    # pivot, a zero pivot or a NaN entry: each slice gets the factors of
+    # lone ``cholesky`` bit for bit, or its error, whatever its neighbours
+    rng = np.random.default_rng(80 + dim)
+    for k in (1, 3, 17):
+        for _ in range(4):
+            stack = np.stack([spd_array_from_rng(rng, dim, 1e4) * math.exp(rng.uniform(-8, 8)) for _ in range(k)])
+            failing = rng.permutation(k)[: k // 3 + 1]
+            for i in failing:
+                j = rng.integers(dim)
+                kind = rng.integers(3)
+                if kind == 0:
+                    stack[i, j, j] = -stack[i, j, j]
+                elif kind == 1:
+                    stack[i, j, :] = stack[i, :, j] = 0.0
+                else:
+                    stack[i, j, rng.integers(j + 1)] = math.nan
+            lower, inv, errors = spd_core._cholesky_stack(stack)
+            assert [i for i, error in enumerate(errors) if error is not None] == sorted(failing)
+            for x, l_x, inv_x, error in zip(stack, lower, inv, errors):
+                want = _factor_or_error(spd_core.cholesky, x)
+                loop = _factor_or_error(_left_looking, x)
+                if error is not None:
+                    pivots = [(e.index, repr(e.pivot)) for e in (error, want, loop)]
+                    assert pivots == [pivots[0]] * 3
+                    continue
+                assert [l_x.tobytes(), inv_x.tobytes()] == [a.tobytes() for a in want] == [a.tobytes() for a in loop]
+
 
 
 PACKAGE = pathlib.Path(spd_core.__file__).parent
