@@ -27,7 +27,7 @@ from .spd_core import (
     _applied,
     _check_pair,
     _congruences,
-    _factored,
+    _cholesky,
     _frobenius_norms,
     _is_integer,
     _is_real,
@@ -188,36 +188,6 @@ def _scaled(p: MeanProblem) -> tuple[int, np.ndarray]:
     return t, np.ldexp(mats, -2 * t)
 
 
-def _transport_residual(l: np.ndarray, roots: np.ndarray, weights: WeightVector) -> tuple[float, np.ndarray]:
-    """Relative Frobenius residual of X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2}
-    at X = L L^T, and S = sum_j w_j (L^T A_j L)^{1/2} as a raw array, from
-    the (n, d, d) stack of roots (L^T A_j L)^{1/2}.
-
-    L^T stands in for X^{1/2}: L^T = U X^{1/2} with U orthogonal turns X and
-    the right-hand side into L^T L and S, so ||L^T L - S||_F / ||L^T L||_F is
-    the residual in exact arithmetic.
-    """
-    s = weights.combine(roots)
-    ref = l.T @ l
-    return frobenius_norm(ref - s) / frobenius_norm(ref), s
-
-
-def _sqrt_stack(q: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """Square roots of an (n, d, d) stack of admitted SPD matrices C_j, given
-    their Jacobi eigenvectors q (``_spectra``), as one (n, d, d) array.
-
-    Each root is built from the Jacobi eigenvectors Q of C_j and the
-    near-diagonal M = Q^T C_j Q: Q T Q^T with T_ii = sqrt(m_ii) and
-    T_ik = m_ik / (sqrt(m_ii) + sqrt(m_kk)), the root of M to first order
-    in its off-diagonal part.  Jacobi leaves up to 1e-14 ||C_j||_F off the
-    diagonal, and Q diag(sqrt(lambda)) Q^T, which drops it, is wrong by up to
-    that over 2 sqrt(lambda_min): about 1e-10 relative when
-    lambda_min / lambda_max is 1e-11, where this root is correct to roundoff.
-    """
-    t, _ = _first_order_roots(q.swapaxes(-1, -2) @ cs @ q)
-    return _in_basis(q, t)
-
-
 def _first_order_roots(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """T_ii = sqrt(m_ii), T_ik = m_ik / (sqrt(m_ii) + sqrt(m_kk)) over a stack of M, and those sums."""
     root = np.sqrt(np.diagonal(m, 0, -2, -1))
@@ -254,16 +224,15 @@ def _chord_roots(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _residual(x: SpdMatrix, p: MeanProblem) -> Run[float]:
     """Relative Frobenius residual of X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2} at x.
 
-    Evaluated as ``wasserstein_mean`` evaluates its certificate (on x and p
-    scaled by 4^-t, the Cholesky factor of x, a cold eigensolve), so at a
-    returned mean it is that result's ``residual`` bit for bit.
+    The cold measurement of ``wasserstein_mean`` (``_measured``) at the
+    Cholesky factor of x, on x and p scaled by 4^-t, so at a returned mean
+    it is that result's ``residual`` bit for bit.
     """
     _check_pair(x, p)
     t, mats = _scaled(p)
-    l, _ = yield from _factored(np.ldexp(x.entries, -2 * t))
-    cs = _congruences(l.T, mats)
-    q, _ = yield from _spectra(cs)
-    return _transport_residual(l, _sqrt_stack(q, cs), p.weights)[0]
+    l, l_inv = yield from _cholesky(np.ldexp(x.entries, -2 * t))
+    r, _, _ = yield from _measured(_Transport, l, _Transport.congruences(l, l_inv, mats), p.weights)
+    return r
 
 
 def _equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> Run[float]:
@@ -289,7 +258,15 @@ class _Transport:
     def congruences(l: np.ndarray, l_inv: np.ndarray, mats: np.ndarray) -> np.ndarray:
         return _congruences(l.T, mats)
 
-    spectrum = staticmethod(lambda q, lam, cs: _sqrt_stack(q, cs))
+    @staticmethod
+    def spectrum(q: np.ndarray, lam, cs: np.ndarray) -> np.ndarray:
+        # Q T Q^T from the Jacobi eigenvectors Q of C_j, T the first-order root
+        # of the near-diagonal M = Q^T C_j Q.  Jacobi leaves up to 1e-14 ||C_j||_F
+        # off the diagonal, and Q diag(sqrt(lambda)) Q^T, which drops it, is wrong
+        # by up to that over 2 sqrt(lambda_min): about 1e-10 relative when
+        # lambda_min / lambda_max is 1e-11, where this root is correct to roundoff.
+        t, _ = _first_order_roots(q.swapaxes(-1, -2) @ cs @ q)
+        return _in_basis(q, t)
 
     @staticmethod
     def warm(q: np.ndarray, m: np.ndarray) -> Generator:
@@ -298,7 +275,14 @@ class _Transport:
         roots[taken] = _in_basis(q[taken], t[taken])
         return roots, taken
 
-    measure = staticmethod(lambda l, cs, q, roots, weights: _transport_residual(l, roots, weights))
+    @staticmethod
+    def measure(l: np.ndarray, cs, q, roots: np.ndarray, weights: WeightVector):
+        # L^T stands in for X^{1/2}: L^T = U X^{1/2} with U orthogonal turns X
+        # and the right-hand side into L^T L and S = sum_j w_j (L^T A_j L)^{1/2},
+        # so ||L^T L - S||_F / ||L^T L||_F is the residual in exact arithmetic.
+        s = weights.combine(roots)
+        ref = l.T @ l
+        return frobenius_norm(ref - s) / frobenius_norm(ref), s
 
     @staticmethod
     def step(l: np.ndarray, l_inv: np.ndarray, s: np.ndarray) -> Generator:
@@ -389,7 +373,7 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
     Both means are homogeneous of degree 1 and the scaling is exact (square
     roots scale by 2^-t), so only a run whose unscaled iterates would overflow
     or underflow gets other bits.  Each iterate X is carried as its Cholesky
-    factor L (X = L L^T) and L^{-1}, factored within a round (``_factored``)
+    factor L (X = L L^T) and L^{-1}, factored within a round (``_cholesky``)
     and never diagonalized.  The certificate is a cold solve.  A measurement
     that may be the last is cold: the first two (no rate is known before the
     third), and the one after max_iter updates or one that the rate of the
@@ -413,7 +397,7 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
     history, pairs = [], []  # the residuals, and the last pairs (X_i, G(X_i))
     k = 0
     try:
-        l, l_inv = yield from _factored(x)
+        l, l_inv = yield from _cholesky(x)
         for k in range(cfg.max_iter + 1):
             cs = method.congruences(l, l_inv, mats)
             last = k == cfg.max_iter or k >= 2 and history[-1] ** 2 <= cfg.rel_tol * history[-2]
@@ -434,12 +418,12 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
             pairs = [*pairs, (x, g)][-1 - method.memory :]
             x = _anderson(pairs) if len(pairs) > 1 and history[-1] > MIX_GATE * history[-2] else g
             try:
-                l, l_inv = yield from _factored(x)
+                l, l_inv = yield from _cholesky(x)
             except NonPositivePivotError:
                 if x is g:
                     raise
                 x, pairs = g, []
-                l, l_inv = yield from _factored(x)
+                l, l_inv = yield from _cholesky(x)
     except (NotPositiveDefiniteError, NonPositivePivotError) as exc:
         raise SolverError(f"non-SPD intermediate at iteration {k}: {exc}") from exc
 

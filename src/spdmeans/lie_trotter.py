@@ -149,24 +149,19 @@ def _converged_mean(w: WeightVector, points: tuple[SpdMatrix, ...], at: str) -> 
     return result.mean
 
 
-def _powered_mean(w: WeightVector, curves: tuple[CurveSpec, ...], s: float) -> Generator:
-    """Run step: the converged barycenter of the curve points at s,
-    raised to the power 1/s.  The points are solved in one round, and the
-    first failing curve in curve order raises."""
-    points = tuple(map(_solved, (yield [_evaluate_curve(c, s) for c in curves])))
-    mean = yield from _converged_mean(w, points, f"s={s!r}")
-    return apply_spectral(mean, "power", 1.0 / s)
-
-
 def _lie_trotter_value(
     w: WeightVector, curves: tuple[CurveSpec, ...] | list[CurveSpec], s: float
 ) -> Run[SpdMatrix]:
     """Barycenter of the curve points at parameter s, raised to the power 1/s."""
+    # the points are solved in one round, and the first failing curve in
+    # curve order raises
     curves = _check_matched(w, curves, "curves")
     s = _parameter(s)
     if s == 0.0:
         raise ValueError("s must be nonzero")
-    return (yield from _powered_mean(w, curves, s))
+    points = tuple(map(_solved, (yield [_evaluate_curve(c, s) for c in curves])))
+    mean = yield from _converged_mean(w, points, f"s={s!r}")
+    return (yield from _applied([mean], "power", 1.0 / s))[0]
 
 
 def _lie_trotter_target(
@@ -237,7 +232,7 @@ def _convergence_trace(
         raise ValueError(f"schedule must be strictly descending, got {schedule}")
     if not isinstance(negate, (bool, np.bool_)):
         raise ValueError(f"negate must be a bool, got {negate!r}")
-    runs = [_powered_mean(w, curves, -s if negate else s) for s in schedule]
+    runs = [_lie_trotter_value(w, curves, -s if negate else s) for s in schedule]
     target, *outcomes = yield [_lie_trotter_target(w, curves), *runs]
     target = _solved(target)
     s_ok: list[float] = []

@@ -17,7 +17,7 @@ from collections.abc import Generator
 import numpy as np
 
 from .barycenter import MeanProblem, WeightVector
-from .spd_core import NotPositiveDefiniteError, SpdMatrix, _admitted, _lockstep, _solved
+from .spd_core import NotPositiveDefiniteError, SpdMatrix, _admitted, _is_integer, _is_real, _lockstep, _solved
 
 SCHEMA_VERSION = 1
 
@@ -176,10 +176,10 @@ def spd_array_from_rng(rng: np.random.Generator, dim: int, condition_max: float 
     """Random SPD draw, as the array ``spd_from_rng`` admits: eigenvalues
     log-uniform in [1/sqrt(k), sqrt(k)], orthogonal factor from a seeded
     Gaussian QR."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if condition_max < 1.0:
-        raise ValueError("condition_max must be at least 1")
+    if not _is_integer(dim) or dim < 1:
+        raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
+    if not (_is_real(condition_max) and 1.0 <= condition_max < math.inf):
+        raise ValueError(f"condition_max must be a finite real number of at least 1, got {condition_max!r}")
     half_log = 0.5 * math.log(condition_max)
     lam = np.exp(rng.uniform(-half_log, half_log, size=dim))
     q = random_orthogonal(rng, dim)

@@ -99,11 +99,11 @@ class NonPositivePivotError(LinearAlgebraError):
 
 
 def _symmetrized(entries) -> np.ndarray:
-    """(M + M^T)/2 of a square array, required finite after symmetrizing, so
-    finite entries whose sum overflows are rejected too."""
+    """(M + M^T)/2 of a nonempty square array, required finite after
+    symmetrizing, so finite entries whose sum overflows are rejected too."""
     m = np.array(entries, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         sym = (m + m.T) / 2.0
     if not np.isfinite(sym).all():
@@ -150,6 +150,8 @@ class EigenDecomposition:
         lam = np.asarray(self.lam, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or lam.shape != (q.shape[0],):
             raise ValueError("inconsistent eigendecomposition shapes")
+        if q.size == 0:
+            raise ValueError("an eigendecomposition must have at least one eigenvalue")
         if np.any(np.diff(lam) > 0):
             raise ValueError("eigenvalues must be sorted in descending order")
         _frozen(self, q=q.copy(), lam=lam.copy())
@@ -207,6 +209,8 @@ def _frozen(obj, **fields):
 
 def identity(dim: int) -> SpdMatrix:
     """The dim x dim identity matrix."""
+    if not _is_integer(dim) or dim < 1:
+        raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
     return _recompose_spd(np.eye(dim), np.ones(dim))
 
 
@@ -519,16 +523,16 @@ def _public(step: Callable[..., Generator]) -> Callable:
 def apply_spectral(a: SymMatrix, f: str, p: float | None = None) -> SymMatrix | SpdMatrix:
     """Apply a scalar function to the spectrum: Q diag(f(lam)) Q^T.
 
-    ``f`` is one of SPECTRAL_FUNCTIONS; ``power`` takes the exponent ``p``.
-    ``exp_of_sym`` accepts any symmetric matrix and returns an SpdMatrix; the
-    remaining tags require a strictly positive spectrum and return SpdMatrix
-    except for ``log``, which returns a plain SymMatrix.  Every tag but
-    ``log`` raises SpectralDomainError when a value overflows.
+    ``f`` is one of SPECTRAL_FUNCTIONS; ``power`` takes a finite real exponent
+    ``p``.  ``exp_of_sym`` accepts any symmetric matrix and returns an
+    SpdMatrix; the remaining tags require a strictly positive spectrum and
+    return SpdMatrix except for ``log``, which returns a plain SymMatrix.
+    Every tag but ``log`` raises SpectralDomainError when a value overflows.
     """
     if f not in SPECTRAL_FUNCTIONS:
         raise ValueError(f"unknown spectral function {f!r}")
-    if f == "power" and p is None:
-        raise ValueError("power requires an exponent")
+    if f == "power" and not (_is_real(p) and math.isfinite(p)):
+        raise ValueError(f"power requires a finite real exponent, got {p!r}")
     return _spectral(eigh(a), f, p)
 
 
@@ -603,14 +607,6 @@ def _congruences(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return sym
 
 
-def cholesky(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_cholesky_stack`` on one array, raising its NonPositivePivotError."""
-    (lower,), (inv,), (error,) = _cholesky_stack(x[None])
-    if error is not None:
-        raise error
-    return lower, inv
-
-
 def _cholesky_stack(arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Lower triangular L with X = L L^T, and L^{-1}, for each slice X of a
     (k, d, d) stack of symmetric arrays (only lower triangles are read), and
@@ -643,9 +639,10 @@ def _cholesky_stack(arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     return lower, inv, errors
 
 
-def _factored(x: np.ndarray) -> Generator:
-    """Run step: ``cholesky(x)`` as a request to ``_cholesky_stack``, which
-    ``_lockstep`` stacks across runs within a round."""
+def _cholesky(x: np.ndarray) -> Run[tuple[np.ndarray, np.ndarray]]:
+    """Lower triangular L with X = L L^T, and L^{-1}, as a request to
+    ``_cholesky_stack``, which ``_lockstep`` stacks across runs within a round.
+    A pivot that is not positive and finite raises NonPositivePivotError."""
     (lower,), (inv,), (error,) = yield _cholesky_stack, x[None]
     if error is not None:
         raise error
@@ -711,3 +708,4 @@ def _loewner_geq(a: SymMatrix, b: SymMatrix, rel_tol: float = 0.0) -> Run[Loewne
 
 
 loewner_geq = _public(_loewner_geq)
+cholesky = _public(_cholesky)

@@ -840,8 +840,8 @@ def _symmetric_factor_residual(x, p):
     eigensolve of x, where the solver uses the Cholesky factor of X."""
     sqrt_x = apply_spectral(x, "sqrt").entries
     cs = np.stack([spd_core.congruence(sqrt_x, a) for a in p.matrices])
-    q, _ = barycenter._solved(spd_core._lockstep([spd_core._spectra(cs)])[0])
-    s = p.weights.combine(barycenter._sqrt_stack(q, cs))
+    q, lam = barycenter._solved(spd_core._lockstep([spd_core._spectra(cs)])[0])
+    s = p.weights.combine(barycenter._Transport.spectrum(q, lam, cs))
     return frobenius_norm(x.entries - s) / frobenius_norm(x.entries)
 
 
@@ -1018,7 +1018,7 @@ def test_congruence_roots_take_in_what_jacobi_leaves_off_the_diagonal():
     want = np.zeros((3, 3))
     want[0, 0] = 1.0
     want[1:, 1:] = (c[1:, 1:] + sqrt_det * np.eye(2)) / math.sqrt(l1 + l2 + 2.0 * sqrt_det)
-    (root,) = barycenter._sqrt_stack(leaky.eigen.q[None], leaky.entries[None])
+    (root,) = barycenter._Transport.spectrum(leaky.eigen.q[None], leaky.eigen.lam[None], leaky.entries[None])
     assert np.array_equal(root, root.T)
     assert np.abs(root - want).max() <= 1e-15
     assert np.abs(apply_spectral(leaky, "sqrt").entries - want).max() > 3e-11
@@ -1082,9 +1082,9 @@ def test_a_rejected_slice_is_measured_as_the_jacobi_path_measures_it():
 
     def jacobi_path(cs, q_prev):
         m = q_prev.swapaxes(-1, -2) @ cs @ q_prev
-        q_jac, _ = spd_core._solved(spd_core._lockstep([spd_core._spectra((m + m.swapaxes(-1, -2)) / 2.0)])[0])
+        q_jac, lam = spd_core._solved(spd_core._lockstep([spd_core._spectra((m + m.swapaxes(-1, -2)) / 2.0)])[0])
         q = q_prev @ q_jac
-        return q, barycenter._sqrt_stack(q, cs)
+        return q, barycenter._Transport.spectrum(q, lam, cs)
 
     def warm_measurement(cs, q_prev):
         seen = []
@@ -1104,7 +1104,7 @@ def test_a_rejected_slice_is_measured_as_the_jacobi_path_measures_it():
     assert not barycenter._chord_roots(cs)[1].any()  # Q = I: M_j = C_j
     (r, s, q), _ = warm_measurement(cs, q_prev)
     want_q, want_roots = jacobi_path(cs, q_prev)
-    want_r, want_s = barycenter._transport_residual(l, want_roots, weights)
+    want_r, want_s = barycenter._Transport.measure(l, cs, want_q, want_roots, weights)
     want_q = (3.0 * want_q - want_q @ (want_q.swapaxes(-1, -2) @ want_q)) / 2.0
     assert (r.hex(), s.tobytes(), q.tobytes()) == (want_r.hex(), want_s.tobytes(), want_q.tobytes())
     # next to accepted slices, a rejected one keeps its Jacobi root bit for bit

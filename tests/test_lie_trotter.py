@@ -324,7 +324,7 @@ def test_trace_records_solver_failures(mixed_instance, monkeypatch):
     w, curves = mixed_instance
     from spdmeans import lie_trotter as module
 
-    real = module._powered_mean
+    real = module._lie_trotter_value
     forked = []
 
     def flaky(w, curves, s):
@@ -335,7 +335,7 @@ def test_trace_records_solver_failures(mixed_instance, monkeypatch):
             raise SolverError("rigged failure")
         return powered
 
-    monkeypatch.setattr(module, "_powered_mean", flaky)
+    monkeypatch.setattr(module, "_lie_trotter_value", flaky)
     for negate in (False, True):
         forked.clear()
         trace = module.convergence_trace(w, curves, dyadic_schedule(4), negate=negate)

@@ -263,6 +263,16 @@ def test_random_spd_validation():
         random_spd(1, 3, condition_max=0.5)
 
 
+@pytest.mark.parametrize(
+    "dim, condition_max",
+    [(2.5, 100.0), (True, 100.0), ("3", 100.0), (3, math.nan), (3, math.inf), (3, True), (3, "100")],
+)
+def test_random_spd_rejects_what_is_not_a_dimension_or_a_condition_number(dim, condition_max):
+    with pytest.raises(ValueError, match="dim must be|condition_max must be"):
+        random_spd(1, dim, condition_max)
+    assert random_spd(1, np.int64(3), np.float64(1e6)).dim == 3
+
+
 def test_random_orthogonal_is_orthogonal():
     q = random_orthogonal(np.random.default_rng(3), 6)
     np.testing.assert_allclose(q.T @ q, np.eye(6), atol=1e-13)

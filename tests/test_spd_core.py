@@ -528,6 +528,24 @@ def test_eigendecomposition_validates():
         EigenDecomposition(q=np.eye(3), lam=np.array([1.0, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SymMatrix(np.zeros((0, 0))),
+        lambda: EigenDecomposition(np.zeros((0, 0)), np.zeros(0)),
+        lambda: SpdMatrix(np.zeros((0, 0))),
+        lambda: identity(0),
+        lambda: identity(2.5),
+        lambda: identity(True),
+    ],
+    ids=["sym", "eigen", "spd", "identity", "identity-float", "identity-bool"],
+)
+def test_empty_matrices_are_rejected(build):
+    # a 0 x 0 matrix has no spectrum to admit or solve
+    with pytest.raises(ValueError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # spectral functions
 
@@ -605,6 +623,14 @@ TINY_PAIR = (
     '{"schema_version": 1, "weights": [0.5, 0.5], '
     '"matrices": [[[1e-309, 0], [0, 2e-309]], [[2e-309, 0], [0, 1e-309]]]}'
 )
+
+
+@pytest.mark.parametrize("p", ["2", math.nan, math.inf, -math.inf, True, None, [2.0]])
+def test_power_requires_a_finite_real_exponent(p):
+    with pytest.raises(ValueError, match="finite real exponent"):
+        apply_spectral(identity(2), "power", p)
+    a = SpdMatrix(np.diag([4.0, 9.0]))
+    assert apply_spectral(a, "power", np.float64(0.5)).entries.tolist() == [[2.0, 0.0], [0.0, 3.0]]
 
 
 def test_inverse_overflow_is_a_spectral_domain_error():
