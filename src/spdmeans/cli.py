@@ -3,9 +3,10 @@
 Subcommands: ``mean``, ``geodesic``, ``distance``, ``bounds``, ``lie-trotter``
 and ``verify``.  Exit codes: 0 success, 1 verification failures, 2 solver
 non-convergence or a numerical failure (``SolverError`` or
-``LinearAlgebraError``), 3 input error, a usage error included.  Matrix
-output uses 17 significant digits so printed values round-trip exactly;
-identical invocations produce byte identical output.
+``LinearAlgebraError``), 3 a usage error or a ValueError (``ProblemFileError``
+too); ``main`` alone maps errors to codes.  Matrix output uses 17 significant
+digits so printed values round-trip exactly; identical invocations produce
+byte identical output.
 """
 
 from __future__ import annotations
@@ -59,10 +60,7 @@ def _cmd_mean(args) -> int:
         print("\n".join(lines))
         return EXIT_OK
     initial = "arithmetic_mean" if args.init == "arith" else "identity"
-    try:
-        cfg = bc.SolverConfig(rel_tol=args.tol, max_iter=args.max_iter, initial=initial)
-    except ValueError as exc:
-        raise ProblemFileError(str(exc)) from exc
+    cfg = bc.SolverConfig(rel_tol=args.tol, max_iter=args.max_iter, initial=initial)
     solve = bc.wasserstein_mean if args.method == "wasserstein" else bc.karcher_mean
     result = solve(problem, cfg)
     lines.append(f"converged: {'true' if result.converged else 'false'}")
@@ -79,8 +77,6 @@ def _cmd_mean(args) -> int:
 
 def _cmd_geodesic(args) -> int:
     a, b = _load_pair(args.input)
-    if not 0.0 <= args.t <= 1.0:
-        raise ProblemFileError(f"--t must lie in [0, 1], got {args.t}")
     point = mg.wasserstein_geodesic(a, b, args.t)
     print("\n".join(_matrix_lines(point)))
     return EXIT_OK
@@ -155,10 +151,7 @@ def _cmd_lie_trotter(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        spec = EnsembleSpec(seed=args.seed, count=args.count)
-    except ValueError as exc:
-        raise ProblemFileError(str(exc)) from exc
+    spec = EnsembleSpec(seed=args.seed, count=args.count)
     report = run_suite(spec, args.suite)
     text = report.to_json()
     if args.out:
@@ -242,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ProblemFileError as exc:
+    except ValueError as exc:  # a ProblemFileError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (bc.SolverError, LinearAlgebraError) as exc:

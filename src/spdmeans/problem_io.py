@@ -17,7 +17,8 @@ from collections.abc import Generator
 import numpy as np
 
 from .barycenter import MeanProblem, WeightVector
-from .spd_core import NotPositiveDefiniteError, SpdMatrix, _admitted, _is_integer, _is_real, _lockstep, _solved
+from .spd_core import SPD_ADMISSION, NotPositiveDefiniteError, SpdMatrix, _admitted, _is_integer, _is_real
+from .spd_core import _lockstep, _solved, _symmetrized
 
 SCHEMA_VERSION = 1
 
@@ -132,7 +133,7 @@ def _admitted_grid(idx: int, grid, dim: int | None) -> Generator:
     if dim is not None and arr.shape[0] != dim:
         raise ProblemFileError(f"matrix {idx}: dimension {arr.shape[0]} does not match matrix 0 ({dim})")
     try:
-        (matrix,) = yield from _admitted([arr])
+        (matrix,) = yield from _admitted([_symmetrized(arr)])
     except NotPositiveDefiniteError as exc:
         raise ProblemFileError(
             f"matrix {idx}: not positive definite (lambda_min={exc.lambda_min:.6e})"
@@ -174,16 +175,16 @@ def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def spd_array_from_rng(rng: np.random.Generator, dim: int, condition_max: float = 100.0) -> np.ndarray:
     """Random SPD draw, as the array ``spd_from_rng`` admits: eigenvalues
-    log-uniform in [1/sqrt(k), sqrt(k)], orthogonal factor from a seeded
-    Gaussian QR."""
+    log-uniform in [1/sqrt(k), sqrt(k)], k at most 1 / SPD_ADMISSION, and
+    orthogonal factor from a seeded Gaussian QR, symmetrized (M + M^T)/2."""
     if not _is_integer(dim) or dim < 1:
         raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
-    if not (_is_real(condition_max) and 1.0 <= condition_max < math.inf):
-        raise ValueError(f"condition_max must be a finite real number of at least 1, got {condition_max!r}")
+    if not (_is_real(condition_max) and 1.0 <= condition_max <= 1.0 / SPD_ADMISSION):
+        raise ValueError(f"condition_max must be a real number in [1, {1.0 / SPD_ADMISSION:.0e}], got {condition_max!r}")
     half_log = 0.5 * math.log(condition_max)
     lam = np.exp(rng.uniform(-half_log, half_log, size=dim))
     q = random_orthogonal(rng, dim)
-    return (q * lam) @ q.T
+    return _symmetrized((q * lam) @ q.T)
 
 
 def spd_from_rng(rng: np.random.Generator, dim: int, condition_max: float = 100.0) -> SpdMatrix:
@@ -192,5 +193,7 @@ def spd_from_rng(rng: np.random.Generator, dim: int, condition_max: float = 100.
 
 
 def random_spd(seed: int, dim: int, condition_max: float = 100.0) -> SpdMatrix:
-    """Deterministic SPD matrix for a given seed (same seed, same matrix)."""
+    """Deterministic SPD matrix for a non-negative integer seed (same seed, same matrix)."""
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return spd_from_rng(np.random.default_rng(seed), dim, condition_max)

@@ -35,7 +35,15 @@ OFFDIAG_TARGET = 1e-14
 # than silently regularized.
 SPD_ADMISSION = 1e-12
 
-SPECTRAL_FUNCTIONS = ("sqrt", "inv_sqrt", "log", "exp_of_sym", "power", "inverse")
+# The scalar function of each ``apply_spectral`` tag, on a spectrum lam and exponent p.
+SPECTRAL_FUNCTIONS = {
+    "sqrt": lambda lam, p: np.sqrt(lam),
+    "inv_sqrt": lambda lam, p: 1.0 / np.sqrt(lam),
+    "log": lambda lam, p: np.log(lam),
+    "exp_of_sym": lambda lam, p: np.exp(lam),
+    "power": lambda lam, p: lam ** float(p),
+    "inverse": lambda lam, p: 1.0 / lam,
+}
 
 
 def _is_integer(value) -> bool:
@@ -152,6 +160,8 @@ class EigenDecomposition:
             raise ValueError("inconsistent eigendecomposition shapes")
         if q.size == 0:
             raise ValueError("an eigendecomposition must have at least one eigenvalue")
+        if not (np.isfinite(q).all() and np.isfinite(lam).all()):
+            raise ValueError("eigendecomposition entries must be finite")
         if np.any(np.diff(lam) > 0):
             raise ValueError("eigenvalues must be sorted in descending order")
         _frozen(self, q=q.copy(), lam=lam.copy())
@@ -266,12 +276,9 @@ def _rotations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise cosines and sines of the Jacobi angles annihilating the
     (p, r) entries."""
+    # |theta| < 2e14 d: a_pr is above the skip level 1e-14 ||w||_F / (2d) and |a_rr - a_pp| <= 2 ||w||_F
     theta = (a_rr - a_pp) / (2.0 * a_pr)
-    abs_theta = np.abs(theta)
-    t = np.sign(theta) / (abs_theta + np.hypot(theta, 1.0))
-    huge = abs_theta > 1e150
-    if np.count_nonzero(huge):
-        t[huge] = 0.5 / theta[huge]
+    t = np.sign(theta) / (np.abs(theta) + np.hypot(theta, 1.0))
     t[theta == 0.0] = 1.0  # theta == 0 means a 45 degree rotation
     c = 1.0 / np.sqrt(t * t + 1.0)
     return c, t * c
@@ -403,10 +410,11 @@ def _frobenius_norms(w: np.ndarray) -> np.ndarray:
 
 def _spectra(stack: np.ndarray, admit: bool = True) -> Generator:
     """Run step: eigenvectors (k, d, d) and descending eigenvalues (k, d) of a
-    (k, d, d) stack of symmetric arrays, solved in one ``_lockstep`` round and
-    copied out of it.  The first failing slice in input order raises its
-    EighConvergenceError or, when ``admit``, its NotPositiveDefiniteError."""
-    q, lam, errors = yield stack
+    (k, d, d) stack of symmetric arrays, solved in one ``_lockstep`` round by
+    ``_jacobi_stack``, looked up when asked, and copied out of the round.  The
+    first failing slice in input order raises its EighConvergenceError or,
+    when ``admit``, its NotPositiveDefiniteError."""
+    q, lam, errors = yield _jacobi_stack, stack
     for lam_j, error in zip(lam, errors):
         if error is not None:
             raise error
@@ -416,29 +424,29 @@ def _spectra(stack: np.ndarray, admit: bool = True) -> Generator:
 
 
 def _admitted(arrays) -> Generator:
-    """Run step: ``arrays`` admitted as SpdMatrix objects in one round, with
-    the bits and errors of ``SpdMatrix(a)``: each array is symmetrized and
-    checked as ``SymMatrix`` does before the solve."""
-    sym = np.stack([_symmetrized(a) for a in arrays])
-    q, lam = yield from _spectra(sym)
+    """Run step: ``arrays``, finite and exactly symmetric as the package builds
+    them, admitted as SpdMatrix objects in one round, with the bits and errors
+    of ``SpdMatrix(a)``; outside input is symmetrized where it enters."""
+    stack = np.stack(arrays)
+    q, lam = yield from _spectra(stack)
     eigens = (_frozen(object.__new__(EigenDecomposition), q=q_j, lam=lam_j) for q_j, lam_j in zip(q, lam))
-    return tuple(_frozen(object.__new__(SpdMatrix), _entries=a, _eigen=eigen) for a, eigen in zip(sym, eigens))
+    return tuple(_frozen(object.__new__(SpdMatrix), _entries=a, _eigen=eigen) for a, eigen in zip(stack, eigens))
 
 
 def _lockstep(runs: list[Generator]) -> list:
     """Drive runs together: generators that yield a request, or a list of
     child runs, driven with all the others, whose outcomes they are sent in
-    order once every child has ended.  A request is a (k, d, d) stack of
-    symmetric arrays to solve by Jacobi (``_spectra``), or a pair (kernel,
-    stack) for another kernel whose slices do not depend on each other.
-    Jacobi is the one barrier of a round: after each pass over the ready
-    runs every other kernel is called, once per dimension, and its runs are
-    resumed within the round; ``_jacobi_stack``, looked up by name then, is
-    called once per dimension on the requests of every live run only when
-    no run asks for anything else.  Each run is sent its own slices of every
-    output (for Jacobi, whose slices have the bits of lone solves, the
-    eigenvectors, eigenvalues and convergence errors); a kernel that one
-    run alone asks is called on that run's stack as it is.
+    order once every child has ended.  A request is a pair (kernel, stack):
+    a stacked kernel whose slices do not depend on each other, and its
+    (k, d, d) stack.  Jacobi (``_spectra`` asks for it) is the one barrier
+    of a round: after each pass over the ready runs every other kernel is
+    called, once per dimension, and its runs are resumed within the round;
+    ``_jacobi_stack``, looked up by name then, is called once per dimension
+    on the requests of every live run only when no run asks for anything
+    else.  Each run is sent its own slices of every output (for Jacobi,
+    whose slices have the bits of lone solves, the eigenvectors, eigenvalues
+    and convergence errors); a kernel that one run alone asks is called on
+    that run's stack as it is.
 
     Returns per run, in input order, the value it returned or the
     SolverError, LinearAlgebraError or ValueError it raised; so is a child's
@@ -461,7 +469,7 @@ def _lockstep(runs: list[Generator]) -> list:
                 outcome = exc
             else:
                 if not isinstance(got, list):
-                    kernel, stack = got if isinstance(got, tuple) else (None, got)
+                    kernel, stack = got
                     asked.setdefault((kernel, stack.shape[-1]), []).append((run, join, slot, stack))
                 elif got:
                     fork = [[None] * len(got), len(got), (run, join, slot)]
@@ -475,11 +483,10 @@ def _lockstep(runs: list[Generator]) -> list:
                 parent, parent_join, parent_slot = join[2]
                 ready.append((parent, join[0], parent_join, parent_slot))
         # every other kernel resolves within the round; Jacobi ends it
-        cheap = [key for key in asked if key[0] is not None]
+        cheap = [key for key in asked if key[0] is not _jacobi_stack]
         ready = []
         for key in cheap or list(asked):
-            asking = asked.pop(key)
-            kernel = key[0] or _jacobi_stack
+            kernel, asking = key[0], asked.pop(key)
             if len(asking) == 1:
                 (run, join, slot, stack), = asking
                 ready.append((run, kernel(stack), join, slot))
@@ -541,17 +548,10 @@ def _spectral(eigen: EigenDecomposition, f: str, p: float | None = None) -> SymM
     lam = eigen.lam
     if f != "exp_of_sym" and lam[-1] <= 0.0:
         raise SpectralDomainError(f"{f} undefined on eigenvalue {float(lam[-1])!r}")
-    if f == "log":
-        return SymMatrix((eigen.q * np.log(lam)) @ eigen.q.T)
     with np.errstate(over="ignore"):
-        if f == "sqrt":
-            vals = np.sqrt(lam)
-        elif f == "inv_sqrt":
-            vals = 1.0 / np.sqrt(lam)
-        elif f == "inverse":
-            vals = 1.0 / lam
-        else:
-            vals = np.exp(lam) if f == "exp_of_sym" else lam ** float(p)
+        vals = SPECTRAL_FUNCTIONS[f](lam, p)
+    if f == "log":
+        return SymMatrix((eigen.q * vals) @ eigen.q.T)
     if not np.isfinite(vals).all():
         raise SpectralDomainError(f"{f} overflows on spectrum [{lam[-1]:.6e}, {lam[0]:.6e}]")
     return _recompose_spd(eigen.q, vals)
@@ -698,7 +698,7 @@ def _loewner_geq(a: SymMatrix, b: SymMatrix, rel_tol: float = 0.0) -> Run[Loewne
     if not rel_tol >= 0.0:
         raise ValueError(f"rel_tol must be nonnegative, got {rel_tol!r}")
     _check_pair(a, b)
-    _, lam = yield from _spectra(SymMatrix(a.entries - b.entries).entries[None], admit=False)
+    _, lam = yield from _spectra((a.entries - b.entries)[None], admit=False)
     witness = float(lam[0, -1])
     holds = witness >= 0.0
     if not holds:

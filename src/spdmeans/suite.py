@@ -34,8 +34,6 @@ from .spd_core import (
     frobenius_norm,
 )
 
-FAMILIES = ("metric", "geomean", "bounds", "det", "invariance", "lie-trotter")
-
 REL_TOL = 1e-9
 
 # Largest condition number an ensemble may draw.  Above it the transport
@@ -577,6 +575,9 @@ STREAMS: tuple[CheckStream, ...] = (
     CheckStream("invariance.problem", "invariance", lambda c: c // 4, _run_invariance_problem),
     CheckStream("lie_trotter.instance", "lie-trotter", lambda c: c // 10, _run_lie_trotter_instance),
 )
+
+# The families of the streams, in stream order.
+FAMILIES = tuple(dict.fromkeys(s.family for s in STREAMS))
 
 
 def expand_families(selection) -> tuple[str, ...]:

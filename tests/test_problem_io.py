@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spdmeans import MeanProblem, ProblemFileError, WeightVector, parse_problem, random_spd, serialize_problem
+from spdmeans import MeanProblem, ProblemFileError, SpdMatrix, WeightVector, parse_problem, random_spd, serialize_problem
 from spdmeans.problem_io import (
     derive_seed,
     dumps_canonical,
@@ -69,6 +69,10 @@ def test_parse_example_file(example_file):
             '{"schema_version": 1, "weights": [0.5, 0.5], "matrices": [[[1, 0], [0, 1]], [[1e308, 1.7e308], [1, 1]]]}',
             "matrix 1: symmetrization",
         ),
+        (
+            '{"schema_version": 1, "weights": [1], "matrices": [[[1.7e308, 1e308], [1e308, 1.7e308]]]}',
+            r"^matrix 0: symmetrization \(M \+ M\^T\)/2 overflows$",
+        ),
     ],
 )
 def test_parse_errors_are_located(doc, fragment):
@@ -104,6 +108,15 @@ def test_parse_admits_every_matrix_in_one_round(monkeypatch):
         assert type(got) is SpdMatrix
         for x, y in ((got.entries, want.entries), (got.eigen.q, want.eigen.q), (got.eigen.lam, want.eigen.lam)):
             assert x.tobytes() == y.tobytes() and not x.flags.writeable
+
+
+def test_parse_symmetrizes_a_grid_as_spd_matrix_does():
+    grid = np.random.default_rng(4).normal(size=(4, 4)) + 8.0 * np.eye(4)  # not symmetric
+    doc = {"schema_version": 1, "weights": [1.0], "matrices": [grid.tolist()]}
+    (got,) = parse_problem(json.dumps(doc)).matrices
+    want = SpdMatrix(grid)
+    for x, y in ((got.entries, want.entries), (got.eigen.q, want.eigen.q), (got.eigen.lam, want.eigen.lam)):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_parse_reports_lambda_min():
@@ -265,12 +278,22 @@ def test_random_spd_validation():
 
 @pytest.mark.parametrize(
     "dim, condition_max",
-    [(2.5, 100.0), (True, 100.0), ("3", 100.0), (3, math.nan), (3, math.inf), (3, True), (3, "100")],
+    [
+        (2.5, 100.0), (True, 100.0), ("3", 100.0), (3, math.nan), (3, math.inf), (3, True), (3, "100"),
+        (3, 1e20), (3, np.nextafter(1e12, math.inf)),  # beyond 1 / SPD_ADMISSION, which admission rejects
+    ],
 )
 def test_random_spd_rejects_what_is_not_a_dimension_or_a_condition_number(dim, condition_max):
     with pytest.raises(ValueError, match="dim must be|condition_max must be"):
         random_spd(1, dim, condition_max)
     assert random_spd(1, np.int64(3), np.float64(1e6)).dim == 3
+
+
+@pytest.mark.parametrize("seed", [1.5, "a", True, -1, None])
+def test_random_spd_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+        random_spd(seed, 3)
+    assert random_spd(np.uint64(7), 3).entries.tobytes() == random_spd(7, 3).entries.tobytes()
 
 
 def test_random_orthogonal_is_orthogonal():

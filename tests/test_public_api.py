@@ -109,25 +109,36 @@ def test_public_callable_keeps_its_name_signature_and_docstring(name):
     assert "Generator" not in returns and "Run[" not in returns
 
 
+def _uses(path: pathlib.Path, names: set[str]) -> list[tuple[str, ast.AST, tuple[ast.AST, ...]]]:
+    """Each read of one of ``names`` in a module, by name or as an
+    attribute: the outermost function around it, or "<module>" for a read
+    outside every function, the node that reads it and its ancestors,
+    innermost last."""
+    uses = []
+
+    def visit(node, outer, parents):
+        parents = (*parents, node)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, outer or getattr(child, "name", "<lambda>"), parents)
+                continue
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and name in names:
+                uses.append((outer or "<module>", child, parents))
+            visit(child, outer, parents)
+
+    visit(ast.parse(path.read_text()), None, ())
+    return uses
+
+
 def _lockstep_callers(path: pathlib.Path) -> list[str]:
     """The outermost function around each call of ``_lockstep`` in a module,
     or "<module>" for a call outside every function."""
-    callers = []
-
-    def visit(node, outer):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                visit(child, outer or getattr(child, "name", "<lambda>"))
-                continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "_lockstep":
-                    callers.append(outer or "<module>")
-            visit(child, outer)
-
-    visit(ast.parse(path.read_text()), None)
-    return callers
+    return [
+        outer
+        for outer, node, parents in _uses(path, {"_lockstep"})
+        if isinstance(parents[-1], ast.Call) and parents[-1].func is node
+    ]
 
 
 def test_only_the_helper_the_suite_and_the_parser_drive_runs():
@@ -139,3 +150,28 @@ def test_only_the_helper_the_suite_and_the_parser_drive_runs():
         for caller in _lockstep_callers(path)
     }
     assert calls == {"spd_core._public", "suite.run_suite", "problem_io.parse_problem"}
+
+
+def test_stacked_kernels_are_called_by_the_lone_solve_and_otherwise_requested():
+    # a run hands a kernel to ``_lockstep`` as the request (kernel, stack);
+    # only the lone Jacobi solve calls one by name, and the driver tells
+    # Jacobi, the barrier of its rounds, from the others by identity
+    kernels = {"_jacobi_stack", "_cholesky_stack", "_chord_roots"}
+    uses = {"call": set(), "request": set(), "identity": set(), "other": set()}
+    for path in sorted(SRC.glob("*.py")):
+        for outer, node, (*_, grandparent, parent) in _uses(path, kernels):
+            if isinstance(parent, ast.Call) and parent.func is node:
+                kind = "call"
+            elif isinstance(grandparent, ast.Yield) and isinstance(parent, ast.Tuple) and parent.elts[0] is node:
+                kind = "request" if len(parent.elts) == 2 else "other"
+            elif isinstance(parent, ast.Compare) and all(isinstance(op, (ast.Is, ast.IsNot)) for op in parent.ops):
+                kind = "identity"
+            else:
+                kind = "other"
+            uses[kind].add(f"{path.stem}.{outer}")
+    assert uses == {
+        "call": {"spd_core._jacobi"},
+        "request": {"spd_core._spectra", "spd_core._cholesky", "barycenter.warm"},
+        "identity": {"spd_core._lockstep"},
+        "other": set(),
+    }

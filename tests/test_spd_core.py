@@ -526,6 +526,9 @@ def test_eigendecomposition_validates():
         EigenDecomposition(q=np.eye(2), lam=np.array([1.0, 2.0]))  # ascending
     with pytest.raises(ValueError):
         EigenDecomposition(q=np.eye(3), lam=np.array([1.0, 0.5]))
+    for q, lam in ((np.eye(2), [np.nan, 1.0]), (np.eye(2), [np.inf, 1.0]), (np.full((2, 2), np.nan), [2.0, 1.0])):
+        with pytest.raises(ValueError, match="^eigendecomposition entries must be finite$"):
+            EigenDecomposition(q=q, lam=np.array(lam))
 
 
 @pytest.mark.parametrize(
@@ -717,6 +720,10 @@ def test_loewner_known_cases():
     cmp = loewner_geq(SpdMatrix(np.diag([1.0, 3.0])), SpdMatrix(np.diag([2.0, 2.0])), 1e-9)
     assert not cmp.holds
     assert cmp.witness == pytest.approx(-1.0)
+    # a - b is finite and exactly symmetric, though (M + M^T)/2 of it overflows
+    cmp = loewner_geq(SpdMatrix([[8.5e307, 8e307], [8e307, 8.5e307]]), SpdMatrix([[8.5e307, -8e307], [-8e307, 8.5e307]]))
+    assert not cmp.holds
+    assert cmp.witness == pytest.approx(-1.6e308)
 
 
 @pytest.mark.parametrize("delta, holds", [(5e-9, True), (5e-8, False)])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdmeans import EnsembleSpec, SolverError, run_instance, run_suite
+from spdmeans import EnsembleSpec, SolverError, SymMatrix, WeightVector, random_spd, run_instance, run_suite
 from spdmeans.cli import (
     EXIT_CHECK_FAILURES,
     EXIT_INPUT_ERROR,
@@ -222,6 +222,37 @@ def test_invariance_instance_solves_its_seven_means_in_one_stack(monkeypatch):
     n = int(np.random.default_rng(12345).integers(2, 6))
     assert calls == [1]
     assert stacks[:3] == [n, 3 * n, 8 * n]
+
+
+def test_every_array_reaching_admission_is_finite_and_exactly_symmetric(monkeypatch):
+    # ``_admitted`` trusts the arrays the package builds: the suite's draws
+    # are symmetrized where they are drawn, and every array derived from
+    # admitted matrices is finite and exactly symmetric by construction
+    import spdmeans
+    import spdmeans.spd_core as core
+    from spdmeans import lie_trotter as lt
+
+    seen, real = [], core._admitted
+
+    def recorded(arrays):
+        arrays = list(arrays)
+        seen.extend(arrays)
+        return (yield from real(arrays))
+
+    patched = set()
+    for name, module in vars(spdmeans).items():
+        if getattr(module, "_admitted", None) is real:
+            monkeypatch.setattr(module, "_admitted", recorded)
+            patched.add(name)
+    assert patched == {"spd_core", "barycenter", "means_geometry", "lie_trotter", "problem_io"}
+    run_suite(EnsembleSpec(seed=3, count=8))
+    rng = np.random.default_rng(3)
+    direction = SymMatrix(0.3 * rng.normal(size=(3, 3)))
+    curves = (lt.CurveSpec.affine(direction), lt.CurveSpec.power(random_spd(3, 3)), lt.CurveSpec.exp_line(direction))
+    lt.convergence_trace(WeightVector(np.array([0.2, 0.3, 0.5])), curves)
+    assert seen
+    for a in seen:
+        assert np.isfinite(a).all() and a.tobytes() == a.T.tobytes()
 
 
 TWO_MATRIX_STREAMS = (
@@ -508,11 +539,15 @@ def test_cli_input_errors(tmp_path, capsys):
         ("mean", "--method", "wasserstein", "--tol", "inf"),
         ("verify", "--count", "-1"),
         ("verify", "--seed", "-1"),
+        ("geodesic", "--t", "1.5"),
+        ("geodesic", "--t", "nan"),
     ],
-    ids=["max-iter", "tol", "tol-nan", "tol-inf", "count", "seed"],
+    ids=["max-iter", "tol", "tol-nan", "tol-inf", "count", "seed", "t", "t-nan"],
 )
 def test_cli_bad_flag_values_exit_3(example_file, capsys, argv):
-    if argv[0] == "mean":
+    # the command raises the ValueError of the function it calls, and
+    # ``main`` alone maps it to the exit code
+    if argv[0] in ("mean", "geodesic"):
         argv = argv + ("--input", str(example_file))
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_INPUT_ERROR
