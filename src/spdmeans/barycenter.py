@@ -224,14 +224,14 @@ def _chord_roots(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _residual(x: SpdMatrix, p: MeanProblem) -> Run[float]:
     """Relative Frobenius residual of X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2} at x.
 
-    The cold measurement of ``wasserstein_mean`` (``_measured``) at the
-    Cholesky factor of x, on x and p scaled by 4^-t, so at a returned mean
-    it is that result's ``residual`` bit for bit.
+    The cold measurement of ``wasserstein_mean`` (``_Transport.measured``)
+    at the Cholesky factor of x, on x and p scaled by 4^-t, so at a returned
+    mean it is that result's ``residual`` bit for bit.
     """
     _check_pair(x, p)
     t, mats = _scaled(p)
     l, l_inv = yield from _cholesky(np.ldexp(x.entries, -2 * t))
-    r, _, _ = yield from _measured(_Transport, l, _Transport.congruences(l, l_inv, mats), p.weights)
+    r, _, _ = yield from _Transport.measured(l, l_inv, mats, p.weights)
     return r
 
 
@@ -245,44 +245,63 @@ def _equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> Run[float]:
     return frobenius_norm(np.eye(p.dim) - acc)
 
 
+def _warm_stack(q: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """M_j = Q^T C_j Q over a stack, symmetrized; Q is orthogonal, so it cannot overflow."""
+    m = q.swapaxes(-1, -2) @ cs @ q
+    return (m + m.swapaxes(-1, -2)) / 2.0  # the product is not kept through the round
+
+
+def _newton_schulz(q: np.ndarray) -> np.ndarray:
+    """(3Q - Q Q^T Q) / 2 over a stack: a Newton-Schulz step that makes Q orthogonal."""
+    return (3.0 * q - q @ (q.swapaxes(-1, -2) @ q)) / 2.0
+
+
+def _jacobi_roots(q: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """Roots Q T Q^T of a stack of C_j from their Jacobi eigenvectors Q, T the
+    first-order root of the near-diagonal M = Q^T C_j Q.  Jacobi leaves up to
+    1e-14 ||C_j||_F off the diagonal, and Q diag(sqrt(lambda)) Q^T, which drops
+    it, is wrong by up to that over 2 sqrt(lambda_min): about 1e-10 relative
+    when lambda_min / lambda_max is 1e-11, where this root is correct to roundoff."""
+    t, _ = _first_order_roots(q.swapaxes(-1, -2) @ cs @ q)
+    return _in_basis(q, t)
+
+
 class _Transport:
-    """The transport map of ``wasserstein_mean``, split around the roots of
-    its congruences: ``congruences`` forms the (n, d, d) stack L^T A_j L at
-    X = L L^T, ``spectrum`` roots it from Jacobi spectra and ``warm`` from
-    ``_chord_roots``, ``measure`` turns the roots into the residual and S,
-    and ``step`` returns the next iterate L^{-T} S^2 L^{-1}."""
+    """The transport map of ``wasserstein_mean``: ``measured`` roots the
+    congruences L^T A_j L at X = L L^T into the residual and S, and ``step``
+    returns the next iterate L^{-T} S^2 L^{-1}."""
 
     memory = 3
 
     @staticmethod
-    def congruences(l: np.ndarray, l_inv: np.ndarray, mats: np.ndarray) -> np.ndarray:
-        return _congruences(l.T, mats)
-
-    @staticmethod
-    def spectrum(q: np.ndarray, lam, cs: np.ndarray) -> np.ndarray:
-        # Q T Q^T from the Jacobi eigenvectors Q of C_j, T the first-order root
-        # of the near-diagonal M = Q^T C_j Q.  Jacobi leaves up to 1e-14 ||C_j||_F
-        # off the diagonal, and Q diag(sqrt(lambda)) Q^T, which drops it, is wrong
-        # by up to that over 2 sqrt(lambda_min): about 1e-10 relative when
-        # lambda_min / lambda_max is 1e-11, where this root is correct to roundoff.
-        t, _ = _first_order_roots(q.swapaxes(-1, -2) @ cs @ q)
-        return _in_basis(q, t)
-
-    @staticmethod
     def warm(q: np.ndarray, m: np.ndarray) -> Generator:
+        """Run step: the roots of the slices of M that ``_chord_roots`` accepts, and which."""
         t, taken = yield _chord_roots, m
         roots = np.empty_like(m)
         roots[taken] = _in_basis(q[taken], t[taken])
         return roots, taken
 
     @staticmethod
-    def measure(l: np.ndarray, cs, q, roots: np.ndarray, weights: WeightVector):
+    def measured(l: np.ndarray, l_inv: np.ndarray, mats: np.ndarray, weights: WeightVector, q_prev=None) -> Generator:
+        """Run step: r, S and the eigenvectors at L, the C_j solved cold, or warm
+        from Q = q_prev: slices that ``warm`` takes keep Q, the others get Q Q_jac."""
+        cs = _congruences(l.T, mats)
+        if q_prev is None:
+            q, _ = yield from _spectra(cs)
+            roots = _jacobi_roots(q, cs)
+        else:
+            m, q = _warm_stack(q_prev, cs), q_prev.copy()
+            roots, taken = yield from _Transport.warm(q_prev, m)
+            if not taken.all():
+                q_jac, _ = yield from _spectra(m[~taken])
+                q[~taken] = q_prev[~taken] @ q_jac
+                roots[~taken] = _jacobi_roots(q[~taken], cs[~taken])
         # L^T stands in for X^{1/2}: L^T = U X^{1/2} with U orthogonal turns X
         # and the right-hand side into L^T L and S = sum_j w_j (L^T A_j L)^{1/2},
         # so ||L^T L - S||_F / ||L^T L||_F is the residual in exact arithmetic.
         s = weights.combine(roots)
         ref = l.T @ l
-        return frobenius_norm(ref - s) / frobenius_norm(ref), s
+        return frobenius_norm(ref - s) / frobenius_norm(ref), s, _newton_schulz(q)
 
     @staticmethod
     def step(l: np.ndarray, l_inv: np.ndarray, s: np.ndarray) -> Generator:
@@ -292,56 +311,31 @@ class _Transport:
 
 
 class _Karcher:
-    """The gradient map of ``karcher_mean``, split as ``_Transport`` is: the
-    congruences L^{-1} A_j L^{-T}, the gradient G = sum_j w_j log of them
-    with ||G||_F as residual, and the step L exp(G) L^T, which solves G in
+    """The gradient map of ``karcher_mean``: ``measured`` solves the
+    congruences L^{-1} A_j L^{-T} into the gradient G = sum_j w_j log of them,
+    with ||G||_F as residual, and ``step`` returns L exp(G) L^T, solving G in
     a round of its own."""
 
     memory = 0
 
     @staticmethod
-    def congruences(l: np.ndarray, l_inv: np.ndarray, mats: np.ndarray) -> np.ndarray:
-        return _congruences(l_inv, mats)
-
-    spectrum = staticmethod(lambda q, lam, cs: lam)
-
-    @staticmethod
-    def warm(q: np.ndarray, m: np.ndarray) -> Generator:
-        return np.empty(m.shape[:-1]), np.zeros(len(m), dtype=bool)
-        yield  # every warm Karcher measurement is solved by Jacobi
-
-    @staticmethod
-    def measure(l, cs, q: np.ndarray, lam: np.ndarray, weights: WeightVector):
+    def measured(l: np.ndarray, l_inv: np.ndarray, mats: np.ndarray, weights: WeightVector, q_prev=None) -> Generator:
+        """Run step: ||G||_F, G and the eigenvectors at L, the C_j solved by
+        Jacobi cold, or from Q^T C_j Q, Q = q_prev, with eigenvectors Q Q_jac."""
+        cs = _congruences(l_inv, mats)
+        if q_prev is None:
+            q, lam = yield from _spectra(cs)
+        else:
+            q_jac, lam = yield from _spectra(_warm_stack(q_prev, cs))
+            q = q_prev @ q_jac
         logs = (q * np.log(lam)[:, None, :]) @ q.swapaxes(-1, -2)
         grad = weights.combine((logs + logs.swapaxes(-1, -2)) / 2.0)
-        return frobenius_norm(grad), grad
+        return frobenius_norm(grad), grad, _newton_schulz(q)
 
     @staticmethod
     def step(l: np.ndarray, l_inv: np.ndarray, grad: np.ndarray) -> Generator:
-        (exp,) = yield from _applied([SymMatrix(grad)], "exp_of_sym")
+        (exp,) = yield from _applied([grad], "exp_of_sym")
         return _congruences(l, exp.entries)
-
-
-def _measured(method: type, l, cs: np.ndarray, weights: WeightVector, q_prev=None) -> Generator:
-    """Run step: ``method.measure`` at L from the ``method.spectrum`` of the
-    congruences C_j solved cold, or warm from M_j = Q^T C_j Q, Q = q_prev the
-    eigenvectors before: the slices ``method.warm`` takes keep Q, the others
-    are solved by Jacobi and get Q Q_jac.  Returns r, aux and the
-    eigenvectors, made orthogonal by a Newton-Schulz step."""
-    if q_prev is None:
-        q, lam = yield from _spectra(cs)
-        spectrum = method.spectrum(q, lam, cs)
-    else:
-        m = q_prev.swapaxes(-1, -2) @ cs @ q_prev  # cannot overflow: Q is orthogonal
-        m = (m + m.swapaxes(-1, -2)) / 2.0  # the product is not kept through the round
-        q = q_prev.copy()
-        spectrum, taken = yield from method.warm(q_prev, m)
-        if not taken.all():
-            q_jac, lam = yield from _spectra(m[~taken])
-            q[~taken] = q_prev[~taken] @ q_jac
-            spectrum[~taken] = method.spectrum(q[~taken], lam, cs[~taken])
-    r, aux = method.measure(l, cs, q, spectrum, weights)
-    return r, aux, (3.0 * q - q @ (q.swapaxes(-1, -2) @ q)) / 2.0
 
 
 def _anderson(pairs: list) -> np.ndarray:
@@ -374,19 +368,21 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
     roots scale by 2^-t), so only a run whose unscaled iterates would overflow
     or underflow gets other bits.  Each iterate X is carried as its Cholesky
     factor L (X = L L^T) and L^{-1}, factored within a round (``_cholesky``)
-    and never diagonalized.  The certificate is a cold solve.  A measurement
-    that may be the last is cold: the first two (no rate is known before the
-    third), and the one after max_iter updates or one that the rate of the
-    two before puts at r <= rel_tol, which are forked with the admission of
-    the mean, scaled back, into one round.  The others start warm
-    (``_measured``); the mean is admitted in the round after a cold one of
-    the first two that converges, and a warm r <= rel_tol is solved again
-    cold in the round that admits it.  Converged only when that r <= rel_tol;
-    after max_iter updates the last iterate is returned unconverged.  While
-    r_k > MIX_GATE r_{k-1}, G(X_k) is mixed with the ``method.memory`` pairs
-    before it (``_anderson``); a mixed iterate with a non-positive pivot
-    gives way to G(X_k) and clears them.  A non-positive pivot of G(X_k) or
-    a failed SPD admission raises SolverError.
+    and never diagonalized, and is read by ``method.measured`` and updated by
+    ``method.step``.  The certificate is a cold solve.  A measurement that may
+    be the last is cold: the first two (no rate is known before the third),
+    and the one after max_iter updates or one that the rate of the two before
+    puts at r <= rel_tol, which are forked with the admission of the mean,
+    scaled back, into one round.  The others start warm from the eigenvectors
+    of the measurement before; the mean is admitted in the round after a cold
+    one of the first two that converges, and a warm r <= rel_tol is solved
+    again cold in the round that admits it.  Converged only when that
+    r <= rel_tol; after max_iter updates the last iterate is returned
+    unconverged.  While r_k > MIX_GATE r_{k-1}, G(X_k) is mixed with the
+    ``method.memory`` pairs before it (``_anderson``); a mixed iterate with a
+    non-positive pivot, or whose measurement fails SPD admission, gives way to
+    G(X_k) and clears them.  Otherwise either failure, and any other failed
+    SPD admission, raises SolverError.
     """
     cfg = cfg or SolverConfig()
     t, mats = _scaled(p)
@@ -394,22 +390,28 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
         x = np.ldexp(np.eye(p.dim), -2 * t)
     else:
         x = p.weights.combine(mats)
-    history, pairs = [], []  # the residuals, and the last pairs (X_i, G(X_i))
-    k = 0
+    g, history, pairs = x, [], []  # G(X_k) (at first the start), the residuals, the last pairs (X_i, G(X_i))
+    k = 0  # the index of X_k once it factors: a failed update names the iteration that made it
     try:
-        l, l_inv = yield from _cholesky(x)
-        for k in range(cfg.max_iter + 1):
-            cs = method.congruences(l, l_inv, mats)
-            last = k == cfg.max_iter or k >= 2 and history[-1] ** 2 <= cfg.rel_tol * history[-2]
-            measuring = [_measured(method, l, cs, p.weights, q if k >= 2 and not last else None)]
-            if not last:
-                r, aux, q = yield from measuring.pop()
-                if k >= 2 and r <= cfg.rel_tol:  # a warm reading at rel_tol is solved again cold
-                    measuring = [_measured(method, l, cs, p.weights)]
-            if last or r <= cfg.rel_tol:
-                *measuring, mean = yield [*measuring, _admitted([np.ldexp(x, 2 * t)])]
-                for outcome in measuring:
-                    r, aux, q = _solved(outcome)
+        while True:
+            try:
+                l, l_inv = yield from _cholesky(x)
+                k = len(history)
+                last = k == cfg.max_iter or k >= 2 and history[-1] ** 2 <= cfg.rel_tol * history[-2]
+                measuring = [method.measured(l, l_inv, mats, p.weights, q if k >= 2 and not last else None)]
+                if not last:
+                    r, aux, q = yield from measuring.pop()
+                    if k >= 2 and r <= cfg.rel_tol:  # a warm reading at rel_tol is solved again cold
+                        measuring = [method.measured(l, l_inv, mats, p.weights)]
+                if last or r <= cfg.rel_tol:
+                    *measuring, mean = yield [*measuring, _admitted([np.ldexp(x, 2 * t)])]
+                    for outcome in measuring:
+                        r, aux, q = _solved(outcome)
+            except (NonPositivePivotError, NotPositiveDefiniteError):
+                if x is g:
+                    raise
+                x, pairs = g, []
+                continue
             history.append(r)
             if r <= cfg.rel_tol or k == cfg.max_iter:
                 (mean,) = _solved(mean)
@@ -417,13 +419,6 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
             g = yield from method.step(l, l_inv, aux)
             pairs = [*pairs, (x, g)][-1 - method.memory :]
             x = _anderson(pairs) if len(pairs) > 1 and history[-1] > MIX_GATE * history[-2] else g
-            try:
-                l, l_inv = yield from _cholesky(x)
-            except NonPositivePivotError:
-                if x is g:
-                    raise
-                x, pairs = g, []
-                l, l_inv = yield from _cholesky(x)
     except (NotPositiveDefiniteError, NonPositivePivotError) as exc:
         raise SolverError(f"non-SPD intermediate at iteration {k}: {exc}") from exc
 

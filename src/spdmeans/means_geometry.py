@@ -26,7 +26,6 @@ import numpy as np
 from .spd_core import (
     Run,
     SpdMatrix,
-    SymMatrix,
     _admitted,
     _applied,
     _check_pair,
@@ -67,7 +66,7 @@ def _transport(a: SpdMatrix, b: SpdMatrix) -> Generator:
     SpectralDomainError."""
     sqrt_a = apply_spectral(a, "sqrt").entries
     s = scale_exponent(a.entries, b.entries)
-    (root_c,) = yield from _applied([SymMatrix(congruence(np.ldexp(sqrt_a, -2 * s), b))], "sqrt")
+    (root_c,) = yield from _applied([congruence(np.ldexp(sqrt_a, -2 * s), b)], "sqrt")
     return sqrt_a, np.ldexp(root_c.entries, 2 * s) @ apply_spectral(a, "inv_sqrt").entries
 
 

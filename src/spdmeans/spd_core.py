@@ -531,10 +531,13 @@ def apply_spectral(a: SymMatrix, f: str, p: float | None = None) -> SymMatrix | 
     """Apply a scalar function to the spectrum: Q diag(f(lam)) Q^T.
 
     ``f`` is one of SPECTRAL_FUNCTIONS; ``power`` takes a finite real exponent
-    ``p``.  ``exp_of_sym`` accepts any symmetric matrix and returns an
-    SpdMatrix; the remaining tags require a strictly positive spectrum and
-    return SpdMatrix except for ``log``, which returns a plain SymMatrix.
-    Every tag but ``log`` raises SpectralDomainError when a value overflows.
+    ``p``.  ``exp_of_sym`` accepts any symmetric matrix; the remaining tags
+    require a strictly positive spectrum.  ``log`` returns a plain SymMatrix.
+    Every other tag returns an SpdMatrix and raises SpectralDomainError when
+    a value overflows.  Its result is admitted as ``SpdMatrix`` admits, so
+    one with lambda_min <= SPD_ADMISSION * lambda_max raises
+    NotPositiveDefiniteError, as ``exp_of_sym`` of diag(0, -28) and
+    ``power`` 5 of diag(1, 1e-3) do.
     """
     if f not in SPECTRAL_FUNCTIONS:
         raise ValueError(f"unknown spectral function {f!r}")
@@ -559,8 +562,9 @@ def _spectral(eigen: EigenDecomposition, f: str, p: float | None = None) -> SymM
 
 def _decompositions(mats) -> Generator:
     """Run step: ``eigh`` of each matrix in ``mats``, all of one dimension;
-    those without a cached decomposition are solved in one round."""
-    plain = [a.entries for a in mats if not isinstance(a, SpdMatrix)]
+    those without a cached decomposition are solved in one round.  An array,
+    finite and exactly symmetric as the package builds it, is such a matrix."""
+    plain = [getattr(a, "entries", a) for a in mats if not isinstance(a, SpdMatrix)]
     q, lam = (yield from _spectra(np.stack(plain), admit=False)) if plain else ((), ())
     solved = (_frozen(object.__new__(EigenDecomposition), q=q_j, lam=lam_j) for q_j, lam_j in zip(q, lam))
     return [a.eigen if isinstance(a, SpdMatrix) else next(solved) for a in mats]

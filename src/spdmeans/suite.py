@@ -37,8 +37,9 @@ from .spd_core import (
 REL_TOL = 1e-9
 
 # Largest condition number an ensemble may draw.  Above it the transport
-# solves of the default draws meet near-singular congruences: at 1e7, 15 of
-# 20 seeded runs at count 4 raised a non-SPD intermediate in the det stream.
+# solves of the default draws meet near-singular congruences: at 1e7, 12 of
+# the 20 runs at count 4, seeds 0-19, raise a non-SPD intermediate (10 in the
+# det stream, 2 in geomean), 11 of them at the start's own congruences.
 CONDITION_MAX_LIMIT = 1e6
 
 
@@ -543,7 +544,7 @@ def _run_lie_trotter_instance(rng: np.random.Generator, spec: EnsembleSpec) -> G
     acc = np.zeros((dim, dim))
     for wj, base in zip(weights.values, bases):
         acc = acc + wj * apply_spectral(base, "log").entries
-    outcomes = yield [lt._lie_trotter_target(weights, power_curves), _applied([SymMatrix(acc)], "exp_of_sym")]
+    outcomes = yield [lt._lie_trotter_target(weights, power_curves), _applied([acc], "exp_of_sym")]
     target, (independent,) = map(bc._solved, outcomes)
     exact = bool(np.array_equal(target.entries, independent.entries))
     gap = float(np.max(np.abs(target.entries - independent.entries)))

@@ -407,19 +407,35 @@ def test_each_iteration_solves_its_congruences_as_one_stack(monkeypatch, solve, 
         assert any(call["accepted"] for call in calls)
 
 
+def _solving(solve):
+    """A run of ``solve`` to max_iter updates, which rel_tol 1e-300 never stops."""
+
+    def run(p, max_iter):
+        result = solve(p, SolverConfig(rel_tol=1e-300, max_iter=max_iter))
+        assert result.iterations == max_iter
+
+    return run
+
+
 @pytest.mark.parametrize(
-    "solve, spd_per_iteration, eigen_per_iteration",
-    [(wasserstein_mean, 0, 0), (karcher_mean, 1, 2)],
-    ids=["wasserstein", "karcher"],
+    "run, built_per_run, spd_per_iteration, eigen_per_iteration",
+    [
+        (_solving(wasserstein_mean), (1, 1), 0, 0),
+        (_solving(karcher_mean), (1, 1), 1, 2),
+        (lambda p, max_iter: wasserstein_distance(*p.matrices[:2]), (3, 4), 0, 0),
+    ],
+    ids=["wasserstein", "karcher", "transport_pair"],
 )
 def test_iterations_build_no_matrix_objects(
-    monkeypatch, solve, spd_per_iteration, eigen_per_iteration
+    monkeypatch, run, built_per_run, spd_per_iteration, eigen_per_iteration
 ):
     # the loop works on arrays: the returned mean is the one SpdMatrix (and
     # EigenDecomposition) a transport solve builds; Karcher adds exp(G), whose
     # decomposition is solved and then reordered, in each iteration.  The
-    # package builds them through its private constructor, never through
-    # the checking public ones.
+    # transport pair of a distance builds A^{1/2}, the root of its product and
+    # A^{-1/2}, with the decomposition of that product.  The package builds
+    # them through its private constructor, never through the checking public
+    # ones, and hands its arrays to the eigensolver with no SymMatrix around them.
     built = {SpdMatrix: 0, EigenDecomposition: 0}
     public_inits = []
     real_frozen = spd_core._frozen
@@ -439,16 +455,17 @@ def test_iterations_build_no_matrix_objects(
         monkeypatch.setattr(cls, "__init__", init)
 
     monkeypatch.setattr(spd_core, "_frozen", frozen)
+    counting_init(SymMatrix)
     counting_init(SpdMatrix)
     counting_init(EigenDecomposition)
     p = random_problem(np.random.default_rng(12), n=4, dim=5)
+    spd_base, eigen_base = built_per_run
     for max_iter in (1, 2, 5):
         built[SpdMatrix] = built[EigenDecomposition] = 0
         public_inits.clear()
-        result = solve(p, SolverConfig(rel_tol=1e-300, max_iter=max_iter))
-        assert result.iterations == max_iter
-        assert built[SpdMatrix] == 1 + spd_per_iteration * max_iter
-        assert built[EigenDecomposition] == 1 + eigen_per_iteration * max_iter
+        run(p, max_iter)
+        assert built[SpdMatrix] == spd_base + spd_per_iteration * max_iter
+        assert built[EigenDecomposition] == eigen_base + eigen_per_iteration * max_iter
         assert public_inits == []
 
 
@@ -630,14 +647,14 @@ def test_a_warm_residual_below_tolerance_is_solved_again_cold(monkeypatch, solve
     # warm measurement
     p, cfg = _lockstep_batch()[0][4], SolverConfig(max_iter=12)
     readings = []
-    real_measure = method.measure
+    real_measured = method.measured
 
-    def measure(l, cs, q, spectrum, weights):
-        r, aux = real_measure(l, cs, q, spectrum, weights)
+    def measured(*args):
+        r, aux, q = yield from real_measured(*args)
         readings.append(r)
-        return (0.0 if len(readings) == 3 else r), aux
+        return (0.0 if len(readings) == 3 else r), aux, q
 
-    monkeypatch.setattr(method, "measure", staticmethod(measure))
+    monkeypatch.setattr(method, "measured", staticmethod(measured))
     (result,), _, calls = _rounds(monkeypatch, [barycenter._fixed_point(p, cfg, method)])
     update = [Counter(jacobi=1)] if method is barycenter._Karcher else []
     verdicts = _verdicts(calls)
@@ -840,8 +857,8 @@ def _symmetric_factor_residual(x, p):
     eigensolve of x, where the solver uses the Cholesky factor of X."""
     sqrt_x = apply_spectral(x, "sqrt").entries
     cs = np.stack([spd_core.congruence(sqrt_x, a) for a in p.matrices])
-    q, lam = barycenter._solved(spd_core._lockstep([spd_core._spectra(cs)])[0])
-    s = p.weights.combine(barycenter._Transport.spectrum(q, lam, cs))
+    q, _ = barycenter._solved(spd_core._lockstep([spd_core._spectra(cs)])[0])
+    s = p.weights.combine(barycenter._jacobi_roots(q, cs))
     return frobenius_norm(x.entries - s) / frobenius_norm(x.entries)
 
 
@@ -865,30 +882,59 @@ def test_warm_started_spectra_agree_with_lapack_as_tightly_as_cold(monkeypatch, 
     # LAPACK eigh is the oracle: the eigenvalues of every measurement, warm
     # started from the previous eigenvectors or cold, against those of the
     # unrotated congruences C_j, relative to the largest of each C_j.  A
-    # transport measurement is handed the roots of the C_j, chord or Jacobi,
-    # so its eigenvalues are those of its roots, squared
+    # Karcher measurement's eigenvalues are those Jacobi returns; a transport
+    # measurement sums the roots of the C_j, chord or Jacobi, so its
+    # eigenvalues are those of its roots, squared
     errors = {True: [], False: []}
-    solved = []  # every stack handed to the eigensolver
-    real_spectra = barycenter._spectra
+    # within one measurement: the congruences formed, the stacks handed to the
+    # eigensolver and the eigenvalues it returned, and the roots summed (the
+    # array ``warm`` returns is the one a warm measurement fills and sums)
+    formed, solved, spectra_out, roots = [], [], [], []
+    real_congruences, real_spectra = barycenter._congruences, barycenter._spectra
+    real_roots, real_warm = barycenter._jacobi_roots, barycenter._Transport.warm
+
+    def congruences(x, a):
+        formed.append(real_congruences(x, a))
+        return formed[-1]
 
     def spectra(stack, admit=True):
         solved.append(stack)
-        return real_spectra(stack, admit)
+        q, lam = yield from real_spectra(stack, admit)
+        spectra_out.append(lam)
+        return q, lam
 
-    def measuring(real_measure):
-        def measure(l, cs, q, spectrum, weights):
+    def jacobi_roots(q, cs):
+        roots.append(real_roots(q, cs))
+        return roots[-1]
+
+    def warm(q, m):
+        out = yield from real_warm(q, m)
+        roots.append(out[0])
+        return out
+
+    def measuring(method):
+        real_measured = method.measured
+
+        def measured(*args):
+            for record in (formed, solved, spectra_out, roots):
+                record.clear()
+            out = yield from real_measured(*args)
+            cs = formed[0]
             # a warm measurement solved Q^T C_j Q, never the C_j themselves
             warm = not any(stack is cs for stack in solved)
             want = np.linalg.eigvalsh(cs)[:, ::-1]
-            lam = spectrum if spectrum.ndim == 2 else np.linalg.eigvalsh(spectrum)[:, ::-1] ** 2
+            lam = spectra_out[0] if method is barycenter._Karcher else np.linalg.eigvalsh(roots[0])[:, ::-1] ** 2
             errors[warm].append(float((np.abs(lam - want).max(axis=-1) / want[:, 0]).max()))
-            return real_measure(l, cs, q, spectrum, weights)
+            return out
 
-        return staticmethod(measure)
+        return staticmethod(measured)
 
+    monkeypatch.setattr(barycenter, "_congruences", congruences)
     monkeypatch.setattr(barycenter, "_spectra", spectra)
+    monkeypatch.setattr(barycenter, "_jacobi_roots", jacobi_roots)
+    monkeypatch.setattr(barycenter._Transport, "warm", staticmethod(warm))
     for method in (barycenter._Transport, barycenter._Karcher):
-        monkeypatch.setattr(method, "measure", measuring(method.measure))
+        monkeypatch.setattr(method, "measured", measuring(method))
     rng = np.random.default_rng(43)
     for _ in range(6):
         p = random_problem(rng, condition_max=condition_max)
@@ -919,12 +965,12 @@ def test_warm_starts_keep_the_jacobi_work_of_a_solve_down(monkeypatch):
     assert len(calls) <= 347
 
     calls.clear()
-    real_measured = barycenter._measured
+    real_measured = barycenter._Transport.measured
 
-    def cold(method, l, cs, weights, q_prev=None):
-        return real_measured(method, l, cs, weights)
+    def cold(l, l_inv, mats, weights, q_prev=None):
+        return real_measured(l, l_inv, mats, weights)
 
-    monkeypatch.setattr(barycenter, "_measured", cold)
+    monkeypatch.setattr(barycenter._Transport, "measured", staticmethod(cold))
     result = wasserstein_mean(p)
     assert (result.iterations, result.converged) == (20, True)
     assert len(calls) <= 549
@@ -965,17 +1011,17 @@ def test_anderson_mixing_does_not_wander_at_the_roundoff_floor():
             assert max(result.residual_history[-100:]) <= 1e-13
 
 
-def test_an_indefinite_mixed_iterate_takes_the_plain_step_and_clears_the_memory(monkeypatch):
-    # the second mixed iterate is negated, so its first pivot is negative:
-    # the loop factors the plain step G(X_k) instead, and the next mixing
-    # starts from it, with no pair from before
+def _assert_the_plain_step_replaces(monkeypatch, rig):
+    """Solve a kappa 1e4 problem with its second mixed iterate X replaced by
+    rig(X); the loop must factor the plain step G(X_k) next, converge, and
+    start the next mixing from G(X_k), with no pair from before."""
     p = random_problem(np.random.default_rng(44), n=4, dim=6, condition_max=1e4)
     real_anderson, real_cholesky = barycenter._anderson, spd_core._cholesky_stack
     mixings, factored = [], []
 
     def anderson(pairs):
         mixed = real_anderson(pairs)
-        mixings.append((list(pairs), -mixed if len(mixings) == 1 else mixed))
+        mixings.append((list(pairs), rig(mixed) if len(mixings) == 1 else mixed))
         return mixings[-1][1]
 
     def cholesky(arrays):
@@ -991,6 +1037,22 @@ def test_an_indefinite_mixed_iterate_takes_the_plain_step_and_clears_the_memory(
     at = next(i for i, x in enumerate(factored) if x is rigged)
     assert factored[at + 1] is plain
     assert later[0][0] is plain
+
+
+def test_an_indefinite_mixed_iterate_takes_the_plain_step_and_clears_the_memory(monkeypatch):
+    # the second mixed iterate is negated, so its first pivot is negative
+    _assert_the_plain_step_replaces(monkeypatch, lambda mixed: -mixed)
+
+
+def test_a_mixed_iterate_that_fails_admission_takes_the_plain_step(monkeypatch):
+    # the second mixed iterate is made diagonal with its last entry 1e-20 of
+    # the first: it factors, but its congruences L^T A_j L fail SPD admission
+    def near_singular(mixed):
+        d = np.diag(mixed).copy()
+        d[-1] = 1e-20 * d[0]
+        return np.diag(d)
+
+    _assert_the_plain_step_replaces(monkeypatch, near_singular)
 
 
 def test_the_karcher_loop_is_never_mixed(monkeypatch):
@@ -1018,7 +1080,7 @@ def test_congruence_roots_take_in_what_jacobi_leaves_off_the_diagonal():
     want = np.zeros((3, 3))
     want[0, 0] = 1.0
     want[1:, 1:] = (c[1:, 1:] + sqrt_det * np.eye(2)) / math.sqrt(l1 + l2 + 2.0 * sqrt_det)
-    (root,) = barycenter._Transport.spectrum(leaky.eigen.q[None], leaky.eigen.lam[None], leaky.entries[None])
+    (root,) = barycenter._jacobi_roots(leaky.eigen.q[None], leaky.entries[None])
     assert np.array_equal(root, root.T)
     assert np.abs(root - want).max() <= 1e-15
     assert np.abs(apply_spectral(leaky, "sqrt").entries - want).max() > 3e-11
@@ -1073,46 +1135,54 @@ def test_accepted_chord_roots_match_the_lapack_root(condition_max):
 def test_a_rejected_slice_is_measured_as_the_jacobi_path_measures_it():
     # a congruence with no relation to its basis (Q = I) is far from
     # diagonal: the chord kernel rejects it, and the warm measurement solves
-    # it by Jacobi from Q, as every warm slice was solved before the kernel
+    # it by Jacobi from Q, as every warm slice was solved before the kernel.
+    # The measurement forms the congruences C_j = L^T A_j L itself, so the
+    # near ones are passed as A_j = L^{-T} C_j L^{-1}
     rng = np.random.default_rng(63)
     near, q_near, _ = _warm_stack(rng, 1e4, 1e-8, k=2)
     far = np.stack([spd_array_from_rng(rng, 5, 1e4) for _ in range(2)])
-    l = spd_core.cholesky(spd_array_from_rng(rng, 5, 10.0))[0]
+    l, l_inv = spd_core.cholesky(spd_array_from_rng(rng, 5, 10.0))
     weights = WeightVector(np.array([0.1, 0.2, 0.3, 0.4]))
 
     def jacobi_path(cs, q_prev):
         m = q_prev.swapaxes(-1, -2) @ cs @ q_prev
         q_jac, lam = spd_core._solved(spd_core._lockstep([spd_core._spectra((m + m.swapaxes(-1, -2)) / 2.0)])[0])
         q = q_prev @ q_jac
-        return q, barycenter._Transport.spectrum(q, lam, cs)
+        return q, barycenter._jacobi_roots(q, cs)
 
-    def warm_measurement(cs, q_prev):
+    def warm_measurement(mats, q_prev):
+        # the array ``warm`` returns is the one the measurement fills with
+        # the Jacobi roots of the rejected slices and sums
         seen = []
-        real = barycenter._Transport.measure
+        real = barycenter._Transport.warm
 
-        def measure(l, cs, q, roots, weights):
-            seen.append(roots)
-            return real(l, cs, q, roots, weights)
+        def warm(q, m):
+            out = yield from real(q, m)
+            seen.append(out[0])
+            return out
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(barycenter._Transport, "measure", staticmethod(measure))
-            run = barycenter._measured(barycenter._Transport, l, cs, weights, q_prev)
+            patch.setattr(barycenter._Transport, "warm", staticmethod(warm))
+            run = barycenter._Transport.measured(l, l_inv, mats, weights, q_prev)
             return spd_core._solved(spd_core._lockstep([run])[0]), seen[0]
 
     eyes = np.broadcast_to(np.eye(5), far.shape)
-    cs, q_prev = np.concatenate([far, far]), np.concatenate([eyes, eyes])
+    mats, q_prev = np.concatenate([far, far]), np.concatenate([eyes, eyes])
+    cs = spd_core._congruences(l.T, mats)
     assert not barycenter._chord_roots(cs)[1].any()  # Q = I: M_j = C_j
-    (r, s, q), _ = warm_measurement(cs, q_prev)
+    (r, s, q), _ = warm_measurement(mats, q_prev)
     want_q, want_roots = jacobi_path(cs, q_prev)
-    want_r, want_s = barycenter._Transport.measure(l, cs, want_q, want_roots, weights)
+    want_s = weights.combine(want_roots)
+    want_r = frobenius_norm(l.T @ l - want_s) / frobenius_norm(l.T @ l)
     want_q = (3.0 * want_q - want_q @ (want_q.swapaxes(-1, -2) @ want_q)) / 2.0
     assert (r.hex(), s.tobytes(), q.tobytes()) == (want_r.hex(), want_s.tobytes(), want_q.tobytes())
     # next to accepted slices, a rejected one keeps its Jacobi root bit for bit
-    cs, q_prev = np.concatenate([near, far]), np.concatenate([q_near, eyes])
-    _, roots = warm_measurement(cs, q_prev)
-    _, want_roots = jacobi_path(far, eyes)
+    mats = np.concatenate([spd_core._congruences(l_inv.T, near), far])
+    cs, q_prev = spd_core._congruences(l.T, mats), np.concatenate([q_near, eyes])
+    _, roots = warm_measurement(mats, q_prev)
+    _, want_roots = jacobi_path(cs[2:], eyes)
     assert roots[2:].tobytes() == want_roots.tobytes()
-    assert np.abs(roots[:2] - _lapack_roots(near)).max() <= 1e-13
+    assert np.abs(roots[:2] - _lapack_roots(cs[:2])).max() <= 1e-13
 
 
 def test_a_non_finite_slice_is_rejected_without_a_warning():

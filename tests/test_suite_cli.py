@@ -176,6 +176,25 @@ def test_every_accepted_spec_runs_every_family(spec):
     assert run_instance("lie_trotter.instance", seed, spec)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        EnsembleSpec(seed=4294967294, count=3, n_range=(1, 4), dim_range=(9, 10), condition_max=1e6),
+        *(
+            EnsembleSpec(seed=seed, count=4, n_range=(1, 6), dim_range=(8, 10), condition_max=1e6)
+            for seed in (842543356, 3879763903, 4156231188)
+        ),
+    ],
+    ids=lambda spec: str(spec.seed),
+)
+def test_specs_whose_mixed_iterates_fail_admission_run(spec):
+    # in each, a transport solve mixes an iterate at kappa 3e6 to 8e8 after
+    # one at kappa <= 1.7e5: it factors, but its congruences fail SPD
+    # admission, and the loop takes the plain step in its place
+    report = run_suite(spec, "all")
+    assert report.families == FAMILIES
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_metric_family_passes_at_condition_one(seed):
     # the first row of the stress tier: at condition_max 1.0 every draw is
