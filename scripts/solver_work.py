@@ -10,9 +10,11 @@ object: the solves and fixed-point iterations of each mean's loop (on
 the stacks solved, their slices, the largest stack, the plane rounds that
 rotated at least one plane and the planes rotated, the chord-root work, that
 is the calls of the warm transport root kernel, their slices and the slices
-it accepted and rejected, and the Cholesky work, that is the calls of the
-stacked factorization and their slices.  These counts do not depend on the host or on timing, so they
-compare two trees exactly.
+it accepted and rejected, the Cholesky work, that is the calls of the
+stacked factorization and their slices, and the spectral recompositions,
+that is the calls of ``spd_core._recompose_spd`` (Q diag(f(lam)) Q^T of a
+solved spectrum).  These counts do not depend on the host or on timing, so
+they compare two trees exactly.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ METHODS = {barycenter._Transport: "transport", barycenter._Karcher: "karcher"}
 def solver_work(workload: str, seed: int, items: int | None = None) -> dict:
     """The counts of one pass, as the JSON object the script prints."""
     counts: Counter = Counter()
-    real_stack, real_rotations, real_cholesky, real_chord, real_fixed_point = (
+    real_stack, real_rotations, real_cholesky, real_recompose, real_chord, real_fixed_point = (
         spd_core._jacobi_stack,
         spd_core._rotations,
         spd_core._cholesky_stack,
+        spd_core._recompose_spd,
         barycenter._chord_roots,
         barycenter._fixed_point,
     )
@@ -64,6 +67,10 @@ def solver_work(workload: str, seed: int, items: int | None = None) -> dict:
         counts["cholesky.slices"] += len(arrays)
         return real_cholesky(arrays)
 
+    def recompose_spd(q, vals):
+        counts["spectral.recompositions"] += 1
+        return real_recompose(q, vals)
+
     def chord_roots(m):
         t, taken = real_chord(m)
         counts["chord.calls"] += 1
@@ -82,6 +89,7 @@ def solver_work(workload: str, seed: int, items: int | None = None) -> dict:
         work = WORKLOADS[workload](spdmeans, seed, Path(out_dir))
         chosen = work.items[:items]
         spd_core._jacobi_stack, spd_core._rotations, spd_core._cholesky_stack = jacobi_stack, rotations, cholesky_stack
+        spd_core._recompose_spd = recompose_spd
         barycenter._chord_roots, barycenter._fixed_point = chord_roots, fixed_point
         try:
             for item in chosen:
@@ -90,6 +98,7 @@ def solver_work(workload: str, seed: int, items: int | None = None) -> dict:
                 work.run(item)
         finally:
             spd_core._jacobi_stack, spd_core._rotations, spd_core._cholesky_stack = real_stack, real_rotations, real_cholesky
+            spd_core._recompose_spd = real_recompose
             barycenter._chord_roots, barycenter._fixed_point = real_chord, real_fixed_point
     return {"workload": workload, "seed": seed, "items": len(chosen), **dict(sorted(counts.items()))}
 

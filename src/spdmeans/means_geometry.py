@@ -5,14 +5,15 @@ Riemannian trace distance, the optimal-transport (Bures) distance with an
 independent brute-force minimizer for 2x2 input, the transport geodesic, and
 the geodesic perturbation bound report.
 
-The transport distance and geodesic share one factor M = C^{1/2} A^{-1/2},
-C = A^{1/2} B A^{1/2} (``_transport``), so neither subtracts traces.
-
 Each function that solves is written once, as a run step for
 ``spd_core._lockstep`` (``_geometric_mean``, ``_wasserstein_distance`` and
-so on): it yields the admissions of its inner or transport product and of
-its result, so that the steps of many callers share their eigensolve rounds.
-The public function is derived from its step by ``spd_core._public``.
+so on), and the public function is derived from it by ``spd_core._public``.
+A step yields the Cholesky factor L of its base point A = L L^T
+(``spd_core._cholesky``), then the admissions of its inner or transport
+product and of its result, so that the steps of many callers share their
+rounds.  L stands in for A^{1/2}, exactly: L = A^{1/2} U, U orthogonal.  The
+transport distance and geodesic share one factor M = C^{1/2} L^{-1},
+C = L^T B L (``_transport``), so neither subtracts traces.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .spd_core import (
     _admitted,
     _applied,
     _check_pair,
+    _cholesky,
     _is_real,
     _public,
     _solved,
@@ -52,58 +54,57 @@ def _check_unit_interval(t) -> float:
 
 
 def _inner(a: SpdMatrix, b: SpdMatrix) -> Generator:
-    """Run step: A^{-1/2} B A^{-1/2}, admitted."""
-    (inner,) = yield from _admitted([congruence(apply_spectral(a, "inv_sqrt").entries, b)])
-    return inner
+    """Run step: L with A = L L^T, and L^{-1} B L^{-T}, admitted."""
+    lower, inv = yield from _cholesky(a.entries)
+    (inner,) = yield from _admitted([congruence(inv, b)])
+    return lower, inner
 
 
 def _transport(a: SpdMatrix, b: SpdMatrix) -> Generator:
-    """Run step: A^{1/2} and M = C^{1/2} A^{-1/2}, C = A^{1/2} B A^{1/2}, as
-    arrays; M^T M = B.  C is formed times 16^-s, for s from ``scale_exponent``;
-    the scaling is exact, so the product neither overflows nor underflows,
+    """Run step: L^T and M = C^{1/2} L^{-1}, C = L^T B L, as arrays, for
+    A = L L^T; M^T M = B and L M = (AB)^{1/2}.  C is formed times 16^-s, s
+    from ``scale_exponent``: exact, so it neither overflows nor underflows,
     and its root scales back by 4^s.  Only the root is admitted: kappa(C)
-    can reach kappa(A) kappa(B), and lambda_min(C) <= 0 raises
-    SpectralDomainError."""
-    sqrt_a = apply_spectral(a, "sqrt").entries
+    can reach kappa(A) kappa(B), and lambda_min(C) <= 0 raises SpectralDomainError."""
+    lower, inv = yield from _cholesky(a.entries)
     s = scale_exponent(a.entries, b.entries)
-    (root_c,) = yield from _applied([congruence(np.ldexp(sqrt_a, -2 * s), b)], "sqrt")
-    return sqrt_a, np.ldexp(root_c.entries, 2 * s) @ apply_spectral(a, "inv_sqrt").entries
+    (root_c,) = yield from _applied([congruence(np.ldexp(lower.T, -2 * s), b)], "sqrt")
+    return lower.T, np.ldexp(root_c.entries, 2 * s) @ inv
 
 
 def _geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> Run[SpdMatrix]:
     """Weighted geometric mean A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}.
 
     At t = 1/2 this is the unique SPD solution of the Riccati equation
-    X A^{-1} X = B.
+    X A^{-1} X = B.  Evaluated as L (L^{-1} B L^{-T})^t L^T, L from ``_inner``.
     """
     _check_pair(a, b)
     t = _check_unit_interval(t)
-    inner = yield from _inner(a, b)
-    inner_pow = apply_spectral(inner, "power", t)
-    (mean,) = yield from _admitted([congruence(apply_spectral(a, "sqrt").entries, inner_pow)])
+    lower, inner = yield from _inner(a, b)
+    (mean,) = yield from _admitted([congruence(lower, apply_spectral(inner, "power", t))])
     return mean
 
 
 def _riemannian_distance(a: SpdMatrix, b: SpdMatrix) -> Run[float]:
     """Trace-metric distance ||log(A^{-1/2} B A^{-1/2})||_F."""
     _check_pair(a, b)
-    inner = yield from _inner(a, b)
+    _, inner = yield from _inner(a, b)
     return math.sqrt(float(np.sum(np.log(inner.eigen.lam) ** 2)))
 
 
 def _wasserstein_distance(a: SpdMatrix, b: SpdMatrix) -> Run[float]:
     """Optimal-transport distance [tr((A+B)/2) - tr(A^{1/2} B A^{1/2})^{1/2}]^{1/2}.
 
-    Evaluated in its polar form ||A^{1/2} - M||_F / sqrt(2), with M from
-    ``_transport``: M = U B^{1/2} for the orthogonal U that minimizes
-    ||A^{1/2} - U B^{1/2}||_F.  No traces are subtracted, so near-equal
+    Evaluated in its polar form ||L^T - M||_F / sqrt(2), with L^T and M from
+    ``_transport``: M = V B^{1/2} for the orthogonal V that minimizes
+    ||L^T - V B^{1/2}||_F.  No traces are subtracted, so near-equal
     inputs keep their relative accuracy; equal inputs return exactly zero.
     """
     _check_pair(a, b)
     if np.array_equal(a.entries, b.entries):
         return 0.0
-    sqrt_a, m = yield from _transport(a, b)
-    return frobenius_norm(sqrt_a - m) / math.sqrt(2.0)
+    upper, m = yield from _transport(a, b)
+    return frobenius_norm(upper - m) / math.sqrt(2.0)
 
 
 def wasserstein_distance_oracle_2x2(a: SpdMatrix, b: SpdMatrix) -> float:
@@ -113,7 +114,7 @@ def wasserstein_distance_oracle_2x2(a: SpdMatrix, b: SpdMatrix) -> float:
     The group is sampled as rotations and rotation-reflections on an angle
     grid, then refined twice on a shrinking window around the best angle.
     Serves as an implementation-independent cross-check of
-    ``wasserstein_distance``; it shares only the matrix square root with it.
+    ``wasserstein_distance``, which takes no root of A or B: none is shared.
     """
     _check_pair(a, b)
     if a.dim != 2:
@@ -154,8 +155,8 @@ def wasserstein_distance_oracle_2x2(a: SpdMatrix, b: SpdMatrix) -> float:
 def _wasserstein_geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> Run[SpdMatrix]:
     """Transport geodesic (1-t)^2 A + t^2 B + t(1-t) [(AB)^{1/2} + (BA)^{1/2}].
 
-    Endpoints are exact.  Inside, it is N^T N with N = (1-t) A^{1/2} + t M and
-    M from ``_transport``: M^T M = B and A^{1/2} M = (AB)^{1/2}.
+    Endpoints are exact.  Inside, it is N^T N with N = (1-t) L^T + t M and
+    L^T and M from ``_transport``: L L^T = A, M^T M = B and L M = (AB)^{1/2}.
     """
     _check_pair(a, b)
     t = _check_unit_interval(t)
@@ -163,8 +164,8 @@ def _wasserstein_geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> Run[SpdMatrix
         return a
     if t == 1.0:
         return b
-    sqrt_a, m = yield from _transport(a, b)
-    n = (1.0 - t) * sqrt_a + t * m
+    upper, m = yield from _transport(a, b)
+    n = (1.0 - t) * upper + t * m
     (geodesic,) = yield from _admitted([n.T @ n])
     return geodesic
 

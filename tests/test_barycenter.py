@@ -422,9 +422,11 @@ def _solving(solve):
     [
         (_solving(wasserstein_mean), (1, 1), 0, 0),
         (_solving(karcher_mean), (1, 1), 1, 2),
-        (lambda p, max_iter: wasserstein_distance(*p.matrices[:2]), (3, 4), 0, 0),
+        (lambda p, max_iter: wasserstein_distance(*p.matrices[:2]), (1, 2), 0, 0),
+        (lambda p, max_iter: geometric_mean(*p.matrices[:2], 0.3), (3, 3), 0, 0),
+        (lambda p, max_iter: wasserstein_geodesic(*p.matrices[:2], 0.3), (2, 3), 0, 0),
     ],
-    ids=["wasserstein", "karcher", "transport_pair"],
+    ids=["wasserstein", "karcher", "transport_pair", "geometric_mean", "wasserstein_geodesic"],
 )
 def test_iterations_build_no_matrix_objects(
     monkeypatch, run, built_per_run, spd_per_iteration, eigen_per_iteration
@@ -432,8 +434,11 @@ def test_iterations_build_no_matrix_objects(
     # the loop works on arrays: the returned mean is the one SpdMatrix (and
     # EigenDecomposition) a transport solve builds; Karcher adds exp(G), whose
     # decomposition is solved and then reordered, in each iteration.  The
-    # transport pair of a distance builds A^{1/2}, the root of its product and
-    # A^{-1/2}, with the decomposition of that product.  The package builds
+    # two-matrix functions factor A = L L^T and build no root of A: the
+    # transport pair of a distance builds only the root of its product C =
+    # L^T B L, with the decomposition of C; a geodesic adds its result.  A
+    # geometric mean builds L^{-1} B L^{-T}, its power and the mean, each
+    # with its decomposition.  The package builds
     # them through its private constructor, never through the checking public
     # ones, and hands its arrays to the eigensolver with no SymMatrix around them.
     built = {SpdMatrix: 0, EigenDecomposition: 0}

@@ -23,9 +23,9 @@ from spdmeans.cli import main
 
 # verify --suite all --count 10, by seed
 VERIFY_SHA256 = {
-    42: "56b7cf234a67b6edcef630a6bfe9353347c1c04e255761e09a88c7fee8a3bf29",
-    7: "65b21e53c3fa83ef4c5eaac5faa2c3ed4f6359fecfd7cd586cd84f16c536bcef",
-    1: "a2ef49d921675b447d30f41a70bca906c5ed4e2561b55ebae38feee1caffbd35",
+    42: "a5c21bf4cef2a5cd5eefce9508c28530ba844631ba05d9ce640fc6b131d49c00",
+    7: "d8b2c028c15265965080940434e73997883cab7e823383d43dfcf18f3fea39af",
+    1: "0b2dc906e9ad2683738c32ad1f49920b8f94727944a2cd51ba68a369dcbe73cf",
 }
 
 CLI_SHA256 = {
@@ -35,9 +35,9 @@ CLI_SHA256 = {
     "mean-arithmetic": "74ba9884fe4c9aa827539a0151aeae97547b6523ce95cff7a64d2e12c77d7b7a",
     "mean-harmonic": "ffa5844fdf202d4bfe6292c590767adfb9d309652ffc119cbbcdbb1635c6165f",
     "lie-trotter": "89c3dc35c8c236054696ca571dde37a0401cb630553519ee720fb55317420171",
-    "distance-wasserstein": "650f8458ec6e24a9ed4fec557dd3749c1ca64a792f958c000595997b74c78b9a",
+    "distance-wasserstein": "e5fb7af6d283966b9e7c649d7f373a988cdd81fdea5014a7ef89aa5051c552d4",
     "distance-riemannian": "0aaec0745f9bfd1432eb43a533571e7ef7ba41a4cbf8c7d17f4862499af1cbfc",
-    "geodesic": "1db30f4e8822bb6da72b7e026bc9e6b087db533bfa38e29f7d6478a62575e817",
+    "geodesic": "7cb2a8655e120c785d3de2f0dd64c8fbe35703e1d4de78db5429ed783dff66a0",
 }
 
 CLI_ARGV = {

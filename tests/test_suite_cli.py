@@ -965,7 +965,11 @@ def test_solver_work_counts_a_tiny_pass_and_repeats_them_exactly():
         assert counts[f"iterations.transport.{kappa}"] >= 1
     jacobi = [counts[f"jacobi.{name}"] for name in ("stacks", "slices", "active_rounds", "planes")]
     assert 0 < jacobi[0] <= jacobi[1] and 0 < jacobi[2] <= jacobi[3]
-    # a limit item solves many means of a few iterations each
+    # the transport loop carries Cholesky factors and recomposes no spectrum
+    assert "spectral.recompositions" not in counts
+    # a limit item solves many means of a few iterations each, and its curve
+    # points are spectral functions
     limit = _solver_work("--workload", "limit_trace", "--seed", "3", "--items", "1")
     assert limit["solves.transport"] > 10
     assert 0 < limit["iterations.transport"] <= 5 * limit["solves.transport"]
+    assert limit["spectral.recompositions"] > 0
