@@ -1,8 +1,8 @@
 """n-matrix means on the SPD cone and the inequality reports around them.
 
-The transport barycenter is computed by Anderson-accelerated fixed-point
-iteration on the nonlinear matrix equation X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2};
-the Riemannian (Karcher) mean by the unit-step gradient fixed point.
+The transport barycenter, X = sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2}, and the
+Riemannian (Karcher) mean, sum_j w_j log(X^{-1/2} A_j X^{-1/2}) = 0, are
+computed by one Anderson-accelerated fixed-point loop.
 Convergence is always certified by the residual of the defining equation,
 solved cold, never by step size.
 """
@@ -245,12 +245,6 @@ def _equivalent_equation_residual(x: SpdMatrix, p: MeanProblem) -> Run[float]:
     return frobenius_norm(np.eye(p.dim) - acc)
 
 
-def _warm_stack(q: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """M_j = Q^T C_j Q over a stack, symmetrized; Q is orthogonal, so it cannot overflow."""
-    m = q.swapaxes(-1, -2) @ cs @ q
-    return (m + m.swapaxes(-1, -2)) / 2.0  # the product is not kept through the round
-
-
 def _newton_schulz(q: np.ndarray) -> np.ndarray:
     """(3Q - Q Q^T Q) / 2 over a stack: a Newton-Schulz step that makes Q orthogonal."""
     return (3.0 * q - q @ (q.swapaxes(-1, -2) @ q)) / 2.0
@@ -271,8 +265,6 @@ class _Transport:
     congruences L^T A_j L at X = L L^T into the residual and S, and ``step``
     returns the next iterate L^{-T} S^2 L^{-1}."""
 
-    memory = 3
-
     @staticmethod
     def warm(q: np.ndarray, m: np.ndarray) -> Generator:
         """Run step: the roots of the slices of M that ``_chord_roots`` accepts, and which."""
@@ -290,7 +282,7 @@ class _Transport:
             q, _ = yield from _spectra(cs)
             roots = _jacobi_roots(q, cs)
         else:
-            m, q = _warm_stack(q_prev, cs), q_prev.copy()
+            m, q = _in_basis(q_prev.swapaxes(-1, -2), cs), q_prev.copy()  # M_j = Q^T C_j Q
             roots, taken = yield from _Transport.warm(q_prev, m)
             if not taken.all():
                 q_jac, _ = yield from _spectra(m[~taken])
@@ -312,25 +304,17 @@ class _Transport:
 
 class _Karcher:
     """The gradient map of ``karcher_mean``: ``measured`` solves the
-    congruences L^{-1} A_j L^{-T} into the gradient G = sum_j w_j log of them,
-    with ||G||_F as residual, and ``step`` returns L exp(G) L^T, solving G in
-    a round of its own."""
-
-    memory = 0
+    congruences L^{-1} A_j L^{-T}, always cold, into the gradient G = sum_j w_j
+    log of them, with ||G||_F as residual, and ``step`` returns L exp(G) L^T,
+    solving G in a round of its own."""
 
     @staticmethod
     def measured(l: np.ndarray, l_inv: np.ndarray, mats: np.ndarray, weights: WeightVector, q_prev=None) -> Generator:
-        """Run step: ||G||_F, G and the eigenvectors at L, the C_j solved by
-        Jacobi cold, or from Q^T C_j Q, Q = q_prev, with eigenvectors Q Q_jac."""
-        cs = _congruences(l_inv, mats)
-        if q_prev is None:
-            q, lam = yield from _spectra(cs)
-        else:
-            q_jac, lam = yield from _spectra(_warm_stack(q_prev, cs))
-            q = q_prev @ q_jac
+        """Run step: ||G||_F, G and no eigenvectors at L, the C_j solved cold."""
+        q, lam = yield from _spectra(_congruences(l_inv, mats))
         logs = (q * np.log(lam)[:, None, :]) @ q.swapaxes(-1, -2)
         grad = weights.combine((logs + logs.swapaxes(-1, -2)) / 2.0)
-        return frobenius_norm(grad), grad, _newton_schulz(q)
+        return frobenius_norm(grad), grad, None
 
     @staticmethod
     def step(l: np.ndarray, l_inv: np.ndarray, grad: np.ndarray) -> Generator:
@@ -374,12 +358,12 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
     and the one after max_iter updates or one that the rate of the two before
     puts at r <= rel_tol, which are forked with the admission of the mean,
     scaled back, into one round.  The others start warm from the eigenvectors
-    of the measurement before; the mean is admitted in the round after a cold
-    one of the first two that converges, and a warm r <= rel_tol is solved
-    again cold in the round that admits it.  Converged only when that
-    r <= rel_tol; after max_iter updates the last iterate is returned
-    unconverged.  While r_k > MIX_GATE r_{k-1}, G(X_k) is mixed with the
-    ``method.memory`` pairs before it (``_anderson``); a mixed iterate with a
+    of the measurement before, if it returned any (a Karcher one returns
+    none); the mean is admitted in the round after a reading r <= rel_tol, and
+    a reading that started warm is then solved again cold with it.  Converged
+    only when the cold r <= rel_tol; after max_iter updates the last iterate
+    is returned unconverged.  While r_k > MIX_GATE r_{k-1}, G(X_k) is mixed
+    with the three pairs before it (``_anderson``); a mixed iterate with a
     non-positive pivot, or whose measurement fails SPD admission, gives way to
     G(X_k) and clears them.  Otherwise either failure, and any other failed
     SPD admission, raises SolverError.
@@ -398,10 +382,11 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
                 l, l_inv = yield from _cholesky(x)
                 k = len(history)
                 last = k == cfg.max_iter or k >= 2 and history[-1] ** 2 <= cfg.rel_tol * history[-2]
-                measuring = [method.measured(l, l_inv, mats, p.weights, q if k >= 2 and not last else None)]
+                q_prev = q if k >= 2 and not last else None  # a Karcher q is None: it reads cold
+                measuring = [method.measured(l, l_inv, mats, p.weights, q_prev)]
                 if not last:
                     r, aux, q = yield from measuring.pop()
-                    if k >= 2 and r <= cfg.rel_tol:  # a warm reading at rel_tol is solved again cold
+                    if q_prev is not None and r <= cfg.rel_tol:  # a warm reading at rel_tol is solved again cold
                         measuring = [method.measured(l, l_inv, mats, p.weights)]
                 if last or r <= cfg.rel_tol:
                     *measuring, mean = yield [*measuring, _admitted([np.ldexp(x, 2 * t)])]
@@ -417,7 +402,7 @@ def _fixed_point(p: MeanProblem, cfg: SolverConfig | None, method: type) -> Gene
                 (mean,) = _solved(mean)
                 return SolverResult(mean, k, r, r <= cfg.rel_tol, tuple(history))
             g = yield from method.step(l, l_inv, aux)
-            pairs = [*pairs, (x, g)][-1 - method.memory :]
+            pairs = [*pairs, (x, g)][-4:]
             x = _anderson(pairs) if len(pairs) > 1 and history[-1] > MIX_GATE * history[-2] else g
     except (NotPositiveDefiniteError, NonPositivePivotError) as exc:
         raise SolverError(f"non-SPD intermediate at iteration {k}: {exc}") from exc
@@ -441,13 +426,13 @@ def _wasserstein_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> Run[So
 
 
 def _karcher_mean(p: MeanProblem, cfg: SolverConfig | None = None) -> Run[SolverResult]:
-    """Riemannian (trace-metric) mean by the unit-step gradient fixed point
-    X <- X^{1/2} exp(sum_j w_j log(X^{-1/2} A_j X^{-1/2})) X^{1/2}, with the
-    Cholesky factor L of X in place of X^{1/2}:
+    """Riemannian (trace-metric) mean by the Anderson-mixed gradient fixed
+    point X <- X^{1/2} exp(sum_j w_j log(X^{-1/2} A_j X^{-1/2})) X^{1/2}, with
+    the Cholesky factor L of X in place of X^{1/2}:
     G = sum_j w_j log(L^{-1} A_j L^{-T}) and X <- L exp(G) L^T.
 
-    Converged when ||G||_F, which does not depend on the factor, falls below
-    rel_tol; the residual history records that norm, which is scale free.
+    Converged when ||G||_F, measured cold and independent of the factor,
+    falls below rel_tol; the residual history records that scale-free norm.
     """
     return _fixed_point(p, cfg, _Karcher)
 

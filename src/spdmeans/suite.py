@@ -24,6 +24,7 @@ from .spd_core import (
     SymMatrix,
     _applied,
     _decompositions,
+    _is_integer,
     _lockstep,
     _loewner_geq,
     _public,
@@ -601,6 +602,8 @@ def _run_instance(
     stream = next((s for s in STREAMS if s.stream_id == stream_id), None)
     if stream is None:
         raise ValueError(f"unknown stream {stream_id!r}")
+    if not _is_integer(instance_seed) or instance_seed < 0:
+        raise ValueError(f"instance seed must be a non-negative integer, got {instance_seed!r}")
     checks = yield from stream.run(np.random.default_rng(instance_seed), spec)
     return [
         CheckRecord(check_id, stream.stream_id, index, instance_seed, passed, witness)

@@ -336,11 +336,11 @@ def _loop_calls(n, cold, verdicts, method, max_iter):
     its iterate, and each but the first the update before it (Karcher:
     exp(G), a Jacobi call of one); an update's mixed iterate whose
     factorization fails gives way to the plain step, factored next.  A cold
-    measurement, and a warm Karcher one, solve the n congruences by Jacobi;
-    a cold one that the rate or max_iter puts last (any after the first two,
-    and the one at max_iter) solves the admission of the mean with them.  A
-    warm transport one hands them to the chord kernel and solves the ones it
-    rejects by Jacobi.  The verdicts, accepted slices and failed
+    measurement, and every Karcher one, solves the n congruences by Jacobi;
+    one that ``cold`` marks and the rate or max_iter puts last (any after the
+    first two, and the one at max_iter) solves the admission of the mean with
+    them.  A warm transport one hands them to the chord kernel and solves the
+    ones it rejects by Jacobi.  The verdicts, accepted slices and failed
     factorizations, are taken in turn from the iterators ``verdicts``."""
     accepted, failed = verdicts
     update = [Counter(jacobi=1)] if method is barycenter._Karcher else []
@@ -607,8 +607,8 @@ def test_lockstep_solves_all_live_congruences_as_one_stack(monkeypatch, solve, m
     # two, the one at max_iter, or one the rate of the two before puts at
     # rel_tol; such a last one admits the returned mean with it.  Otherwise
     # the round after the last measurement admits the mean: alone when that
-    # measurement was cold, and with the n congruences solved again cold
-    # when it was warm
+    # measurement was cold, as every Karcher one is, and with the n
+    # congruences solved again cold when it was warm
     update = [Counter(jacobi=1)] if method is barycenter._Karcher else []
     alone = []
     for p, outcome in zip(problems, batch):
@@ -626,7 +626,8 @@ def test_lockstep_solves_all_live_congruences_as_one_stack(monkeypatch, solve, m
         else:
             h, k = outcome.residual_history, outcome.iterations
             cold = [i < 2 or i == cfg.max_iter or h[i - 1] ** 2 <= cfg.rel_tol * h[i - 2] for i in range(k + 1)]
-            admitted = [] if cold[-1] and (k >= 2 or k == cfg.max_iter) else [Counter(jacobi=1 if cold[-1] else p.n + 1)]
+            again = 0 if cold[-1] or method is barycenter._Karcher else p.n
+            admitted = [] if cold[-1] and (k >= 2 or k == cfg.max_iter) else [Counter(jacobi=1 + again)]
             assert calls == _loop_calls(p.n, cold, verdicts, method, cfg.max_iter) + admitted
         assert sizes == _loop_rounds(calls)
         alone.append(sizes)
@@ -642,14 +643,14 @@ def test_lockstep_solves_all_live_congruences_as_one_stack(monkeypatch, solve, m
     assert sizes == [Counter(cholesky=1, jacobi=3), Counter(jacobi=1)]
 
 
-@LOCKSTEP
+@pytest.mark.parametrize("solve, method", [(wasserstein_mean, barycenter._Transport)], ids=["wasserstein"])
 def test_a_warm_residual_below_tolerance_is_solved_again_cold(monkeypatch, solve, method):
     # the third measurement is warm (the rate of the two before does not put
     # it at rel_tol); its reading is forced to 0, so the round after solves
     # the congruences again cold together with the admission of the mean.
     # The cold residual misses rel_tol: it is the one recorded, the
     # admission is dropped and the loop goes on from the cold solve, with a
-    # warm measurement
+    # warm measurement.  A Karcher reading is never warm
     p, cfg = _lockstep_batch()[0][4], SolverConfig(max_iter=12)
     readings = []
     real_measured = method.measured
@@ -661,16 +662,14 @@ def test_a_warm_residual_below_tolerance_is_solved_again_cold(monkeypatch, solve
 
     monkeypatch.setattr(method, "measured", staticmethod(measured))
     (result,), _, calls = _rounds(monkeypatch, [barycenter._fixed_point(p, cfg, method)])
-    update = [Counter(jacobi=1)] if method is barycenter._Karcher else []
     verdicts = _verdicts(calls)
     first = _loop_calls(p.n, [True, True, False], verdicts, method, cfg.max_iter)
     then = _loop_calls(p.n, [False], verdicts, method, cfg.max_iter)
-    want = first + [Counter(jacobi=p.n + 1)] + update + then
+    want = first + [Counter(jacobi=p.n + 1)] + then
     assert calls[: len(want)] == want
     assert result.residual_history[2] == readings[3] > cfg.rel_tol
     assert result.converged and result.iterations > 3
-    if method is barycenter._Transport:
-        assert residual(result.mean, p) == result.residual
+    assert residual(result.mean, p) == result.residual
 
 
 @LOCKSTEP
@@ -884,12 +883,12 @@ def test_factored_certificate_agrees_with_the_symmetric_factor(condition_max, ga
 
 @pytest.mark.parametrize("condition_max", [1e2, 1e6], ids=["k1e2", "k1e6"])
 def test_warm_started_spectra_agree_with_lapack_as_tightly_as_cold(monkeypatch, condition_max):
-    # LAPACK eigh is the oracle: the eigenvalues of every measurement, warm
-    # started from the previous eigenvectors or cold, against those of the
-    # unrotated congruences C_j, relative to the largest of each C_j.  A
-    # Karcher measurement's eigenvalues are those Jacobi returns; a transport
-    # measurement sums the roots of the C_j, chord or Jacobi, so its
-    # eigenvalues are those of its roots, squared
+    # LAPACK eigh is the oracle: the eigenvalues of every transport
+    # measurement, warm started from the previous eigenvectors or cold,
+    # against those of the unrotated congruences C_j, relative to the largest
+    # of each C_j.  A measurement sums the roots of the C_j, chord or Jacobi,
+    # so its eigenvalues are those of its roots, squared.  Every Karcher
+    # measurement is cold
     errors = {True: [], False: []}
     # within one measurement: the congruences formed, the stacks handed to the
     # eigensolver and the eigenvalues it returned, and the roots summed (the
@@ -917,37 +916,31 @@ def test_warm_started_spectra_agree_with_lapack_as_tightly_as_cold(monkeypatch, 
         roots.append(out[0])
         return out
 
-    def measuring(method):
-        real_measured = method.measured
+    real_measured = barycenter._Transport.measured
 
-        def measured(*args):
-            for record in (formed, solved, spectra_out, roots):
-                record.clear()
-            out = yield from real_measured(*args)
-            cs = formed[0]
-            # a warm measurement solved Q^T C_j Q, never the C_j themselves
-            warm = not any(stack is cs for stack in solved)
-            want = np.linalg.eigvalsh(cs)[:, ::-1]
-            lam = spectra_out[0] if method is barycenter._Karcher else np.linalg.eigvalsh(roots[0])[:, ::-1] ** 2
-            errors[warm].append(float((np.abs(lam - want).max(axis=-1) / want[:, 0]).max()))
-            return out
-
-        return staticmethod(measured)
+    def measured(*args):
+        for record in (formed, solved, spectra_out, roots):
+            record.clear()
+        out = yield from real_measured(*args)
+        cs = formed[0]
+        # a warm measurement solved Q^T C_j Q, never the C_j themselves
+        warm = not any(stack is cs for stack in solved)
+        want = np.linalg.eigvalsh(cs)[:, ::-1]
+        lam = np.linalg.eigvalsh(roots[0])[:, ::-1] ** 2
+        errors[warm].append(float((np.abs(lam - want).max(axis=-1) / want[:, 0]).max()))
+        return out
 
     monkeypatch.setattr(barycenter, "_congruences", congruences)
     monkeypatch.setattr(barycenter, "_spectra", spectra)
     monkeypatch.setattr(barycenter, "_jacobi_roots", jacobi_roots)
     monkeypatch.setattr(barycenter._Transport, "warm", staticmethod(warm))
-    for method in (barycenter._Transport, barycenter._Karcher):
-        monkeypatch.setattr(method, "measured", measuring(method))
+    monkeypatch.setattr(barycenter._Transport, "measured", staticmethod(measured))
     rng = np.random.default_rng(43)
     for _ in range(6):
-        p = random_problem(rng, condition_max=condition_max)
-        wasserstein_mean(p, SolverConfig(max_iter=60))
-        karcher_mean(p, SolverConfig(max_iter=60))
-    # each of the 12 solves measures cold at least twice, at its start and
-    # for its certificate, and warm in between
-    assert len(errors[True]) > len(errors[False]) >= 24
+        wasserstein_mean(random_problem(rng, condition_max=condition_max), SolverConfig(max_iter=60))
+    # each of the 6 solves measures cold at least three times, the first two
+    # and its certificate, and warm in between
+    assert len(errors[True]) > len(errors[False]) >= 18
     assert max(errors[True]) <= 2.0 * max(errors[False]) <= 2e-14
 
 
@@ -1004,22 +997,39 @@ def test_anderson_mixing_converges_on_every_seed_11_problem(condition_max, most_
         assert residual(r.mean, p) == r.residual
 
 
+@pytest.mark.parametrize(
+    "condition_max, least_converged, most_mean_iterations", [(1e2, 28, 12), (1e4, 28, 24), (1e6, 27, math.inf)]
+)
+def test_anderson_mixing_makes_the_karcher_mean_converge_on_the_seed_11_problems(
+    condition_max, least_converged, most_mean_iterations
+):
+    # the unit step converges here on 28 / 10 / 5 of the problems at kappa
+    # 1e2 / 1e4 / 1e6, in 22.5 updates on average at kappa 1e2; mixed, on
+    # 28 / 28 / 27, in 9.1 / 18.5 updates at kappa 1e2 / 1e4.  At kappa 1e6
+    # problem 20 (d 7, n 2) stalls at ||G||_F 1.6e-12, just above rel_tol
+    results = [karcher_mean(p) for p in _seed_11_problems(condition_max)]
+    assert sum(r.converged for r in results) >= least_converged
+    assert np.mean([r.iterations for r in results]) <= most_mean_iterations
+
+
 def test_anderson_mixing_does_not_wander_at_the_roundoff_floor():
     # rel_tol 1e-300 is never met, so every solve runs 200 updates, most of
-    # them at the floor, where the differences of F_i are roundoff
+    # them at the floor, where the differences of F_i are roundoff.  The
+    # Karcher residual ||G||_F is not relative, so its floor grows with kappa
     rng = np.random.default_rng(5)
     for condition_max in (1e2, 1e4, 1e6):
         for dim in range(3, 9):
             p = random_problem(rng, dim=dim, condition_max=condition_max)
-            result = wasserstein_mean(p, SolverConfig(rel_tol=1e-300, max_iter=200))
-            assert result.iterations == 200
-            assert max(result.residual_history[-100:]) <= 1e-13
+            for solve, floor in ((wasserstein_mean, 1e-13), (karcher_mean, condition_max * 1e-16)):
+                result = solve(p, SolverConfig(rel_tol=1e-300, max_iter=200))
+                assert result.iterations == 200
+                assert max(result.residual_history[-100:]) <= floor
 
 
-def _assert_the_plain_step_replaces(monkeypatch, rig):
-    """Solve a kappa 1e4 problem with its second mixed iterate X replaced by
-    rig(X); the loop must factor the plain step G(X_k) next, converge, and
-    start the next mixing from G(X_k), with no pair from before."""
+def _assert_the_plain_step_replaces(monkeypatch, solve, rig):
+    """Solve a kappa 1e4 problem by ``solve`` with its second mixed iterate X
+    replaced by rig(X); the loop must factor the plain step G(X_k) next,
+    converge, and start the next mixing from G(X_k), with no pair from before."""
     p = random_problem(np.random.default_rng(44), n=4, dim=6, condition_max=1e4)
     real_anderson, real_cholesky = barycenter._anderson, spd_core._cholesky_stack
     mixings, factored = [], []
@@ -1035,8 +1045,10 @@ def _assert_the_plain_step_replaces(monkeypatch, rig):
 
     monkeypatch.setattr(barycenter, "_anderson", anderson)
     monkeypatch.setattr(spd_core, "_cholesky_stack", cholesky)
-    result = wasserstein_mean(p)
-    assert result.converged and residual(result.mean, p) == result.residual
+    result = solve(p)
+    assert result.converged
+    if solve is wasserstein_mean:
+        assert residual(result.mean, p) == result.residual
     (pairs, rigged), (later, _) = mixings[1], mixings[2]
     plain = pairs[-1][1]
     at = next(i for i, x in enumerate(factored) if x is rigged)
@@ -1044,29 +1056,23 @@ def _assert_the_plain_step_replaces(monkeypatch, rig):
     assert later[0][0] is plain
 
 
-def test_an_indefinite_mixed_iterate_takes_the_plain_step_and_clears_the_memory(monkeypatch):
+@SOLVERS
+def test_an_indefinite_mixed_iterate_takes_the_plain_step_and_clears_the_memory(monkeypatch, solve):
     # the second mixed iterate is negated, so its first pivot is negative
-    _assert_the_plain_step_replaces(monkeypatch, lambda mixed: -mixed)
+    _assert_the_plain_step_replaces(monkeypatch, solve, lambda mixed: -mixed)
 
 
-def test_a_mixed_iterate_that_fails_admission_takes_the_plain_step(monkeypatch):
+@SOLVERS
+def test_a_mixed_iterate_that_fails_admission_takes_the_plain_step(monkeypatch, solve):
     # the second mixed iterate is made diagonal with its last entry 1e-20 of
-    # the first: it factors, but its congruences L^T A_j L fail SPD admission
+    # the first: it factors, but its congruences (L^T A_j L, or L^{-1} A_j
+    # L^{-T} for the Karcher mean) fail SPD admission
     def near_singular(mixed):
         d = np.diag(mixed).copy()
         d[-1] = 1e-20 * d[0]
         return np.diag(d)
 
-    _assert_the_plain_step_replaces(monkeypatch, near_singular)
-
-
-def test_the_karcher_loop_is_never_mixed(monkeypatch):
-    def anderson(pairs):
-        raise AssertionError("a Karcher iterate was mixed")
-
-    monkeypatch.setattr(barycenter, "_anderson", anderson)
-    for p in _seed_11_problems(1e2)[::5]:
-        karcher_mean(p, SolverConfig(max_iter=40))
+    _assert_the_plain_step_replaces(monkeypatch, solve, near_singular)
 
 
 def test_congruence_roots_take_in_what_jacobi_leaves_off_the_diagonal():

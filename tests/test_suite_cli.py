@@ -93,6 +93,10 @@ def test_every_record_reruns_identically(small_report):
 def test_run_instance_rejects_unknown_stream():
     with pytest.raises(ValueError):
         run_instance("metric.nonsense", 1, SMALL)
+    # the instance seed is a non-negative integer: neither 1.5 nor True
+    for seed in (1.5, True, -1):
+        with pytest.raises(ValueError, match="instance seed must be a non-negative integer"):
+            run_instance("metric.axioms", seed, SMALL)
 
 
 def test_spec_validation():
