@@ -11,6 +11,8 @@ up to a few dozen); no attempt is made to compete with LAPACK.
 A small solve costs mostly per-round Python and dispatch, so solves are
 batched: ``_lockstep`` drives run steps (generators) together.  Jacobi ends
 a round, one stack per dimension; the cheaper kernels resolve within it.
+Within a stack, a Jacobi rotation round reads and writes its planes by flat
+index, a fixed handful of numpy calls whatever the stack holds.
 """
 
 from __future__ import annotations
@@ -239,23 +241,22 @@ def eigh(a: SymMatrix) -> EigenDecomposition:
 
 
 @functools.cache
-def _round_robin_schedule(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _round_robin_schedule(m: int) -> np.ndarray:
     """Round-robin ordering of the index pairs: each sweep visits every pair
     exactly once, grouped into rounds of mutually disjoint planes so a whole
-    round can be applied as a single rotation matrix."""
+    round can be applied as a single rotation matrix.  Row i of the
+    (rounds, 4, pairs) table holds the flat offsets in an m x m array of the
+    (p, p), (r, r), (p, r) and (r, p) entries of round i's planes (p < r)."""
     padded = m if m % 2 == 0 else m + 1
     players = list(range(padded))
     rounds = []
     for _ in range(padded - 1):
-        ps, rs = [], []
-        for i in range(padded // 2):
-            a, b = players[i], players[padded - 1 - i]
-            if a < m and b < m:
-                ps.append(min(a, b))
-                rs.append(max(a, b))
-        rounds.append((np.array(ps), np.array(rs)))
+        pairs = (sorted((players[i], players[padded - 1 - i])) for i in range(padded // 2))
+        rounds.append([(p * m + p, r * m + r, p * m + r, r * m + p) for p, r in pairs if r < m])
         players = [players[0], players[-1]] + players[1:-1]
-    return tuple(rounds)
+    table = np.array(rounds, dtype=np.intp).reshape(padded - 1, -1, 4).transpose(0, 2, 1)
+    table.flags.writeable = False
+    return table
 
 
 def _rotation_params(a_pp: float, a_rr: float, a_pr: float) -> tuple[float, float]:
@@ -276,10 +277,10 @@ def _rotations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise cosines and sines of the Jacobi angles annihilating the
     (p, r) entries."""
-    # |theta| < 2e14 d: a_pr is above the skip level 1e-14 ||w||_F / (2d) and |a_rr - a_pp| <= 2 ||w||_F
-    theta = (a_rr - a_pp) / (2.0 * a_pr)
-    t = np.sign(theta) / (np.abs(theta) + np.hypot(theta, 1.0))
-    t[theta == 0.0] = 1.0  # theta == 0 means a 45 degree rotation
+    # |theta| < 2e14 d: a_pr is above the skip level 1e-14 ||w||_F / (2d) and |a_rr - a_pp| <= 2 ||w||_F.
+    # + 0.0 turns theta = -0.0 into +0.0: theta == 0 gives t = 1, a 45 degree rotation
+    theta = (a_rr - a_pp) / (2.0 * a_pr) + 0.0
+    t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
     c = 1.0 / np.sqrt(t * t + 1.0)
     return c, t * c
 
@@ -315,8 +316,13 @@ def _jacobi_stack(arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     array solved alone.  A round rotates the remaining slices by one
     ``np.matmul`` over the stack, which calls the same per-slice product as a
     lone solve; the slices share the per-round Python and dispatch cost that
-    dominates a small solve.  A lone array is solved as a 2-D array, which
-    skips the stack's indexing overhead and gives the same bits.
+    dominates a small solve.  A lone array is solved as a 2-D array, with
+    2-D products and the same bits.
+
+    A round reads and writes the stack by flat index: the schedule's in-slice
+    offsets, shifted by slice when the stack forms and when slices leave it,
+    give one gather of the a_pr, one ``nonzero`` for the active planes, and
+    one scatter each of their rotation entries and of the zeros they leave.
 
     Returns the eigenvectors (k, d, d) and eigenvalues (k, d), each slice
     sorted largest first, and per slice None or, for a slice that did not
@@ -349,7 +355,7 @@ def _jacobi_stack(arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     target = OFFDIAG_TARGET * _frobenius_norms(w)
     # Entries below this level cannot push the off-diagonal mass back above
     # the convergence target, so their rotations are skipped.
-    skip_level = (target / (2.0 * m))[..., None]
+    skip_level = target / (2.0 * m)
     off_mask = 1.0 - eye  # w * off_mask is w with its diagonal zeroed
     live = np.arange(slices)  # input index of each slice still in the stack
     for sweep in range(SWEEP_LIMIT + 2):
@@ -364,14 +370,19 @@ def _jacobi_stack(arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
             keep = ~done
             w, q, eyes, live = w[keep], q[keep], eyes[keep], live[keep]
             target, skip_level = target[keep], skip_level[keep]
-        for ps, rs in _round_robin_schedule(m):
-            apr = w[..., ps, rs]
-            *k, j = np.nonzero(np.abs(apr) > skip_level)
-            if len(j) == 0:
+        schedule = _round_robin_schedule(m)
+        if sweep == 0 or converged:
+            # each round's offsets into the flat stack, and each plane's skip level
+            rounds = (schedule[:, :, None, :] + m * m * np.arange(len(live))[:, None]).reshape(len(schedule), 4, -1)
+            skips = np.repeat(skip_level, schedule.shape[-1])
+        for planes in rounds:
+            apr = w.take(planes[2])
+            active = (np.abs(apr) > skips).nonzero()[0]
+            if len(active) == 0:
                 continue
-            pa, ra = ps[j], rs[j]
-            wdiag = w.diagonal(0, -2, -1)
-            c, s = _rotations(wdiag[(*k, pa)], wdiag[(*k, ra)], apr[(*k, j)])
+            at = planes.take(active, axis=1)
+            a_pp, a_rr = w.take(at[:2])
+            c, s = _rotations(a_pp, a_rr, apr[active])
             # One rotation matrix per slice for the whole round: the planes are
             # disjoint, so this equals applying the rotations sequentially.  A
             # slice of a stack with no active plane in this round gets the
@@ -381,13 +392,9 @@ def _jacobi_stack(arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
             # rotation makes the same change before any test could tell the
             # two zeros apart.
             rot = eyes.copy()
-            rot[(*k, pa, pa)] = c
-            rot[(*k, ra, ra)] = c
-            rot[(*k, pa, ra)] = s
-            rot[(*k, ra, pa)] = -s
+            rot.put(at, np.concatenate((c, c, s, -s)))
             w = rot.swapaxes(-1, -2) @ w @ rot
-            w[(*k, pa, ra)] = 0.0
-            w[(*k, ra, pa)] = 0.0
+            w.put(at[2:], 0.0)
             q = q @ rot
     q_out[live] = q
     lam_out[live] = w.diagonal(0, -2, -1)
@@ -621,8 +628,11 @@ def _cholesky_stack(arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     row j of L^{-1} by forward substitution, each product one ``np.matmul``
     over the stack, which calls per slice the BLAS dot or gemv of the 2-D
     loop on one array: each slice has its lone bits, whatever its neighbours.
+    A stack of one runs that 2-D loop, ``_cholesky_lone``.
     """
     k, d = arrays.shape[:2]
+    if k == 1:
+        return _cholesky_lone(arrays[0])
     lower, inv, pivots = np.zeros((k, d, d)), np.zeros((k, d, d)), np.empty((k, d))
     # a failed slice goes on, its later values unread and its warnings silent
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -641,6 +651,25 @@ def _cholesky_stack(arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
         j = int(bad[i].argmax())
         errors[i] = NonPositivePivotError(j, float(pivots[i, j]))
     return lower, inv, errors
+
+
+def _cholesky_lone(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """``_cholesky_stack`` of the stack of one (d, d) array x: the same products
+    on 2-D arrays, the pivot a Python float.  It stops at the first pivot that
+    is not positive and finite; a failed slice's factors are not read."""
+    d = len(x)
+    lower, inv = np.zeros((d, d)), np.zeros((d, d))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for j in range(d):
+            row = lower[j, :j]
+            pivot = float(x[j, j] - row @ row)
+            if not 0.0 < pivot < math.inf:
+                return lower[None], inv[None], [NonPositivePivotError(j, pivot)]
+            ljj = lower[j, j] = math.sqrt(pivot)
+            lower[j + 1 :, j] = (x[j + 1 :, j] - lower[j + 1 :, :j] @ row) / ljj
+            inv[j, :j] = -(row @ inv[:j, :j]) / ljj
+            inv[j, j] = 1.0 / ljj
+    return lower[None], inv[None], [None]
 
 
 def _cholesky(x: np.ndarray) -> Run[tuple[np.ndarray, np.ndarray]]:

@@ -1,12 +1,13 @@
 """A 50-digit reference for the two-matrix functions and the equivalent
 equation, for tests only.
 
-Each function takes the stored float entries of its inputs as exact values,
-evaluates the formula of the paper in ``DIGITS``-digit mpmath arithmetic
-(spectral functions through ``mpmath.eigsy``), and rounds the result to
-float once.  A float result is so held to the exact value of its own inputs,
-not of the matrices they were drawn to approximate.  Matrices may be given
-as arrays or as objects with ``entries``.
+Each function takes the stored float entries of its inputs, symmetrized as
+the package stores them ((M + M^T)/2 in float), as exact values, evaluates
+the formula of the paper in ``DIGITS``-digit mpmath arithmetic (spectral
+functions through ``mpmath.eigsy``), and rounds the result to float once.
+A float result is so held to the exact value of its own inputs, not of the
+matrices they were drawn to approximate.  Matrices may be given as arrays or
+as objects with ``entries``.
 """
 
 import mpmath
@@ -16,7 +17,9 @@ DIGITS = 50
 
 
 def _mp(m) -> mpmath.matrix:
-    return mpmath.matrix(np.asarray(getattr(m, "entries", m), dtype=float).tolist())
+    """The float (M + M^T)/2 of m, as the package symmetrizes its input."""
+    m = np.asarray(getattr(m, "entries", m), dtype=float)
+    return mpmath.matrix(((m + m.T) / 2.0).tolist())
 
 
 def _float(m: mpmath.matrix) -> np.ndarray:
@@ -47,7 +50,8 @@ def wasserstein_distance(a, b) -> float:
     with mpmath.workdps(DIGITS):
         a, b = _mp(a), _mp(b)
         root = _spectral(a, mpmath.sqrt)
-        lam, _ = mpmath.eigsy(root * b * root)
+        c = root * b * root
+        lam, _ = mpmath.eigsy((c + c.T) / 2)
         fidelity = mpmath.fsum(mpmath.sqrt(v) for v in lam)
         half_sum = mpmath.fsum(a[i, i] + b[i, i] for i in range(a.rows)) / 2
         return float(mpmath.sqrt(max(half_sum - fidelity, 0)))

@@ -268,15 +268,30 @@ def test_solver_bits_are_pinned(dim):
     assert _digest(stacked) == SOLVER_PINS[dim]
 
 
+def test_rotations_pin_the_angle_at_a_zero_and_an_overflowing_theta():
+    # equal diagonals give theta = +0.0 for a_pr > 0 and -0.0 for a_pr < 0,
+    # both a 45 degree rotation (t = 1); a tiny a_pr overflows theta to inf,
+    # the identity (t = 0); the 2x2 closed form agrees
+    a_pp, a_rr, a_pr = np.array([1.0, 1.0, 1.0]), np.array([1.0, 1.0, 2.0]), np.array([0.5, -0.5, 1e-320])
+    with np.errstate(over="ignore"):
+        c, s = spd_core._rotations(a_pp, a_rr, a_pr)
+    half = 1.0 / math.sqrt(2.0)
+    assert c.tobytes() == np.array([half, half, 1.0]).tobytes()
+    assert s.tobytes() == np.array([half, half, 0.0]).tobytes()
+    closed = [spd_core._rotation_params(*map(float, args)) for args in zip(a_pp, a_rr, a_pr)]
+    assert closed == list(zip(c.tolist(), s.tolist()))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_jacobi_stack_is_bitwise_the_lone_solver(seed):
     # a lone solve is a stack of one; mixed kinds in one stack converge in
-    # different sweeps and leave the stack at different times; tobytes() also
-    # compares the sign of zero.  test_solver_bits_are_pinned ties both to
-    # fixed hashes.
+    # different sweeps and leave the stack at different times, which
+    # re-indexes the rest; the suite solves stacks of about 400 slices;
+    # tobytes() also compares the sign of zero.  test_solver_bits_are_pinned
+    # ties both to fixed hashes.
     rng = np.random.default_rng(seed)
     for dim in range(1, 9):
-        for k in range(1, 7):
+        for k in (*range(1, 7), 40, 400):
             kinds = rng.choice(STACK_KINDS, size=k)
             arrays = [_stack_slice(rng, dim, kind) for kind in kinds]
             for a, (q, lam) in zip(arrays, _solved(arrays), strict=True):
@@ -396,12 +411,17 @@ def test_stack_overflow_surfaces_before_a_non_spd_slice():
 
 @pytest.mark.parametrize(
     "matrix, sweep_limit, sweeps",
-    [(np.full((3, 3), math.nan), spd_core.SWEEP_LIMIT, 65), (DENSE, 0, 1)],
-    ids=["default-limit", "zero-limit"],
+    [
+        (np.full((3, 3), math.nan), spd_core.SWEEP_LIMIT, 65),
+        (DENSE, 0, 1),
+        (np.full((1, 1), math.nan), spd_core.SWEEP_LIMIT, 65),
+    ],
+    ids=["default-limit", "zero-limit", "one-by-one"],
 )
 def test_convergence_error_reports_the_sweeps_run(monkeypatch, matrix, sweep_limit, sweeps):
     # each sweep walks the round-robin schedule once; a NaN matrix never meets
-    # its target, so it runs every sweep the limit allows
+    # its target, so it runs every sweep the limit allows, a 1x1 one through
+    # rounds that hold no plane
     walked = []
     real_schedule = spd_core._round_robin_schedule
 

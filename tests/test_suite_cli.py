@@ -947,10 +947,11 @@ def test_script_runs(script):
     assert "VIOLATED" not in done.stdout
 
 
-def _solver_work(*args):
+def _script_json(script, *args):
+    """The JSON object a script under scripts/ prints."""
     root = pathlib.Path(__file__).resolve().parent.parent
     done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "solver_work.py"), *args],
+        [sys.executable, str(root / "scripts" / script), *args],
         capture_output=True,
         text=True,
         timeout=120,
@@ -961,8 +962,8 @@ def _solver_work(*args):
 
 def test_solver_work_counts_a_tiny_pass_and_repeats_them_exactly():
     # the first three requests of solve_conditioned: one shape at each kappa
-    counts = _solver_work("--workload", "solve_conditioned", "--seed", "3", "--items", "3")
-    assert counts == _solver_work("--workload", "solve_conditioned", "--seed", "3", "--items", "3")
+    counts = _script_json("solver_work.py", "--workload", "solve_conditioned", "--seed", "3", "--items", "3")
+    assert counts == _script_json("solver_work.py", "--workload", "solve_conditioned", "--seed", "3", "--items", "3")
     assert counts["items"] == 3
     for kappa in ("k1e2", "k1e4", "k1e6"):
         assert counts[f"solves.transport.{kappa}"] == 1
@@ -973,7 +974,17 @@ def test_solver_work_counts_a_tiny_pass_and_repeats_them_exactly():
     assert "spectral.recompositions" not in counts
     # a limit item solves many means of a few iterations each, and its curve
     # points are spectral functions
-    limit = _solver_work("--workload", "limit_trace", "--seed", "3", "--items", "1")
+    limit = _script_json("solver_work.py", "--workload", "limit_trace", "--seed", "3", "--items", "1")
     assert limit["solves.transport"] > 10
     assert 0 < limit["iterations.transport"] <= 5 * limit["solves.transport"]
     assert limit["spectral.recompositions"] > 0
+
+
+def test_kernel_time_prints_a_row_per_dimension_and_stack_size():
+    rows = _script_json("kernel_time.py", "--repeats", "2")["rows"]
+    assert [(row["d"], row["k"]) for row in rows] == [(d, k) for d in range(2, 9) for k in (1, 3, 40)]
+    for row in rows:
+        # a 2x2 is diagonalized by its closed form, without plane rounds
+        assert (row["jacobi_active_rounds"] > 0) == (row["d"] > 2)
+        assert (row["jacobi_us_per_round"] is None) == (row["d"] == 2)
+        assert row["jacobi_us_per_call"] > 0.0 and row["cholesky_us_per_call"] > 0.0
